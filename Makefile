@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race determinism faults bench lint
+.PHONY: ci fmt vet build test race determinism faults bench lint benchmod
 
 # ci is the gate every PR must pass: formatting, static checks (go vet +
 # the repo's own contract analyzers), build, the full test suite, the race
 # detector over the concurrent paths (batch pipeline + network server +
-# shared dsp scratch), the batch-determinism contract, and the
-# crash-consistency fault-injection suite.
-ci: fmt vet lint build test race determinism faults
+# shared dsp scratch), the batch-determinism contract, the
+# crash-consistency fault-injection suite, and the benchmark module.
+ci: fmt vet lint build test race determinism faults benchmod
 
 fmt:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
@@ -17,8 +17,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the softlora contract analyzers (internal/lint): determinism,
-# hotpath, allocfree, complex64 widening, bufpool ownership, lock/shard
-# discipline — interprocedurally, over the call graph of the whole load.
+# allocfree, bufpool ownership, lock/shard discipline — interprocedurally,
+# over the call graph of the whole load — and rejects any //softlora:
+# directive that none of them reads.
 # -tests extends the load to each package's test variants, so contract
 # regressions in _test.go helpers are caught too (package-wide directives
 # still scope only to non-test files).
@@ -39,9 +40,9 @@ race:
 
 # determinism re-runs the ordered-commit contracts explicitly: verdicts and
 # serialized bias-database bytes must be identical for every worker count
-# (batch pipeline), with the AIC detector's float32 decision lanes toggled
-# on or off (OnsetFloat64), and for every delivery schedule of the same
-# copies (streaming dedup window).
+# (batch pipeline), with the AIC detector's float64 reference lane switched
+# on or off in the batch workers, and for every delivery schedule of the
+# same copies (streaming dedup window).
 determinism:
 	$(GO) test -count=1 -run 'TestProcessBatchSameDeviceDeterministicCommit|TestProcessBatchDeterministicAcrossWorkerCounts|TestProcessBatchDeterministicAcrossFloatLanes|TestMultiGatewayDeterministic' .
 	$(GO) test -count=1 -run 'TestChaosDatabaseBytesScheduleIndependent|TestCheckBatchOrderIndependentDatabase' ./internal/netserver
@@ -63,3 +64,10 @@ faults:
 # bench refreshes BENCH_softlora.json (the cross-PR perf trajectory).
 bench:
 	sh scripts/bench.sh
+
+# benchmod vets and tests the benchmark (softlorabench/), a nested module
+# that `go build ./...` skips: it catches a change to the public API the
+# benchmark uses before the benchmark itself has to run.
+benchmod:
+	$(GO) -C softlorabench vet .
+	$(GO) -C softlorabench test .

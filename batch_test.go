@@ -6,7 +6,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
+
+	"softlora/internal/core"
 )
 
 // batchFixture renders a batch of uplink captures through a deterministic
@@ -14,20 +17,9 @@ import (
 // the jobs. Rendering uses its own rand stream so every fixture is
 // identical regardless of worker count.
 func batchFixture(t *testing.T, workers, nUplinks int) (*Gateway, []Uplink) {
-	return batchFixtureCfg(t, workers, nUplinks, nil)
-}
-
-// batchFixtureCfg is batchFixture with a Config hook applied before the
-// gateway is built, for tests toggling knobs (OnsetFloat64) that must not
-// change results.
-func batchFixtureCfg(t *testing.T, workers, nUplinks int, mutate func(*Config)) (*Gateway, []Uplink) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
-	cfg := Config{Rand: rng, FB: FBDechirpFFT, Workers: workers}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	gw, err := NewGateway(cfg)
+	gw, err := NewGateway(Config{Rand: rng, FB: FBDechirpFFT, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,21 +131,43 @@ func TestProcessBatchSameDeviceDeterministicCommit(t *testing.T) {
 
 // TestProcessBatchDeterministicAcrossFloatLanes pins the float32 decision
 // lanes' bit-identity contract: the AIC detector's coarse/mid stages run in
-// float32 by default and in float64 with Config.OnsetFloat64, but both
-// lanes feed the same dense float64 final refinement, so verdicts and the
-// serialized bias database must be byte-identical with the toggle on or
-// off — and across worker counts, since the lanes live in per-worker
+// float32 by default and in float64 on its reference lane, but both lanes
+// feed the same dense float64 final refinement, so verdicts and the
+// serialized bias database must be byte-identical with the lane switched
+// on or off — and across worker counts, since the lanes live in per-worker
 // pipelines.
 func TestProcessBatchDeterministicAcrossFloatLanes(t *testing.T) {
 	run := func(workers int, f64 bool) ([]Verdict, []byte) {
 		t.Helper()
-		gw, jobs := batchFixtureCfg(t, workers, 8, func(cfg *Config) { cfg.OnsetFloat64 = f64 })
+		gw, jobs := batchFixture(t, workers, 8)
+		gw.onsetF64 = f64
+		// Record the lane of every pipeline the workers draw, so the run
+		// fails if the switch never reaches them and the comparison below
+		// only matches the float32 lane against itself.
+		var mu sync.Mutex
+		var lanes []bool
+		gw.pipePool.New = func() any {
+			p := gw.newPipeline()
+			det, ok := p.onset.(*core.AICDetector)
+			mu.Lock()
+			lanes = append(lanes, ok && det.Float64)
+			mu.Unlock()
+			return p
+		}
 		verdicts := make([]Verdict, len(jobs))
 		for i, r := range gw.ProcessBatch(context.Background(), jobs) {
 			if r.Err != nil {
 				t.Fatalf("workers=%d float64=%v uplink %d: %v", workers, f64, i, r.Err)
 			}
 			verdicts[i] = r.Report.Verdict
+		}
+		if len(lanes) == 0 {
+			t.Fatalf("workers=%d: no worker pipeline was built", workers)
+		}
+		for _, lane := range lanes {
+			if lane != f64 {
+				t.Fatalf("workers=%d: a worker's AIC detector ran with Float64=%v, want %v", workers, lane, f64)
+			}
 		}
 		var buf bytes.Buffer
 		if err := gw.SaveBiasDatabase(&buf); err != nil {

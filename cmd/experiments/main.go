@@ -3,6 +3,8 @@
 // alongside. Select a subset with -only (comma-separated ids), e.g.:
 //
 //	experiments -only table1,fig13,sec811
+//
+// An unknown id fails the run with exit status 2 and lists the known ids.
 package main
 
 import (
@@ -12,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -20,15 +23,27 @@ import (
 	"softlora/internal/profiling"
 )
 
+// experimentIDs are the ids -only accepts, in run order.
+var experimentIDs = []string{
+	"table1", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+	"fig12", "fig13", "fig14", "fig15", "fig16", "sec811", "sec82", "sec32",
+	"throughput", "ablations", "multigw", "fleet",
+}
+
 func main() {
-	only := flag.String("only", "", "comma-separated experiment ids (table1,table2,fig6..fig16,sec811,sec82,sec32,ablations,multigw,throughput,fleet); empty runs all")
+	only := flag.String("only", "", "comma-separated experiment ids ("+strings.Join(experimentIDs, ",")+"); empty runs all but fleet")
 	quick := flag.Bool("quick", false, "reduce trial counts for a fast pass")
 	workers := flag.Int("workers", 0, "gateway batch workers for the throughput experiment (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
-	err := profiling.Run(*cpuprofile, *memprofile, func() error {
-		return run(*only, *quick, *workers)
+	selected, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
+	err = profiling.Run(*cpuprofile, *memprofile, func() error {
+		return run(selected, *quick, *workers)
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -36,14 +51,30 @@ func main() {
 	}
 }
 
-func run(only string, quick bool, workers int) error {
+// parseOnly turns a -only value into the set of selected ids; an empty set
+// runs everything but fleet. Every id must be known: a typo such as
+// sec8.1.1 must fail loudly, not select nothing and exit 0.
+func parseOnly(only string) (map[string]bool, error) {
 	selected := map[string]bool{}
+	var unknown []string
 	for _, id := range strings.Split(only, ",") {
 		id = strings.TrimSpace(strings.ToLower(id))
-		if id != "" {
+		switch {
+		case id == "":
+		case slices.Contains(experimentIDs, id):
 			selected[id] = true
+		default:
+			unknown = append(unknown, id)
 		}
 	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment id(s) in -only: %s (known: %s)",
+			strings.Join(unknown, ", "), strings.Join(experimentIDs, ", "))
+	}
+	return selected, nil
+}
+
+func run(selected map[string]bool, quick bool, workers int) error {
 	want := func(id string) bool { return len(selected) == 0 || selected[id] }
 	trials := func(full, fast int) int {
 		if quick {

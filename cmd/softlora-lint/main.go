@@ -1,7 +1,9 @@
 // Command softlora-lint is the multichecker for the repo's static
-// contracts (see internal/lint): determinism, hotpath, allocfree,
-// complexlane, poolcheck and lockshard run over every matched package and
-// any finding fails the run.
+// contracts (see internal/lint): determinism, allocfree, poolcheck and
+// lockshard run over every matched package and any finding fails the run.
+// A //softlora: directive that no analyzer of the suite reads is a finding
+// too (reported as "directive"), even when -only leaves that analyzer
+// out: a misspelled annotation would otherwise leave its code unchecked.
 //
 // Usage:
 //
@@ -22,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,6 +33,7 @@ import (
 	"softlora/internal/lint"
 	"softlora/internal/lint/analysis"
 	"softlora/internal/lint/callgraph"
+	"softlora/internal/lint/directive"
 	"softlora/internal/lint/load"
 )
 
@@ -64,6 +68,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "softlora-lint: %v\n", err)
 		os.Exit(2)
 	}
+	findings = sortFindings(append(findings, unknownDirectives(pkgs)...))
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -139,6 +144,41 @@ type finding struct {
 	Chain    []string `json:"chain,omitempty"`
 }
 
+// newFinding positions a finding, with its file relative to the working
+// directory when it lies below it.
+func newFinding(fset *token.FileSet, pos token.Pos, analyzer, message string, chain []string) finding {
+	p := fset.Position(pos)
+	file := p.Filename
+	if cwd, err := os.Getwd(); err == nil {
+		if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
+			file = rel
+		}
+	}
+	return finding{file, p.Line, p.Column, analyzer, message, chain}
+}
+
+// unknownDirectives reports every //softlora: directive in pkgs whose name
+// no analyzer of the whole suite declares — the -only selection does not
+// narrow what is known.
+func unknownDirectives(pkgs []*load.Package) []finding {
+	known := make(map[string]bool)
+	for _, a := range lint.Analyzers() {
+		for _, name := range a.Directives {
+			known[name] = true
+		}
+	}
+	var findings []finding
+	for _, pkg := range pkgs {
+		for _, d := range directive.NewIndex(pkg.Fset, pkg.Syntax).All() {
+			if !known[d.Name] {
+				findings = append(findings, newFinding(pkg.Fset, d.Pos, "directive",
+					fmt.Sprintf("unknown directive //softlora:%s: no analyzer reads it", d.Name), nil))
+			}
+		}
+	}
+	return findings
+}
+
 // runAnalyzers drives the suite over pkgs (already in dependency order):
 // the whole-load call graph is built once, then each analyzer runs per
 // package with the shared fact store bound, and the package's facts are
@@ -150,7 +190,6 @@ func runAnalyzers(analyzers []*analysis.Analyzer, pkgs []*load.Package) ([]findi
 	}
 	graph := callgraph.Build(cgPkgs)
 	store := analysis.NewStore(analyzers)
-	cwd, _ := os.Getwd()
 
 	var findings []finding
 	for _, pkg := range pkgs {
@@ -167,14 +206,7 @@ func runAnalyzers(analyzers []*analysis.Analyzer, pkgs []*load.Package) ([]findi
 			store.Bind(a, pass)
 			name := a.Name
 			pass.Report = func(d analysis.Diagnostic) {
-				p := pkg.Fset.Position(d.Pos)
-				file := p.Filename
-				if cwd != "" {
-					if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
-						file = rel
-					}
-				}
-				findings = append(findings, finding{file, p.Line, p.Column, name, d.Message, d.Chain})
+				findings = append(findings, newFinding(pkg.Fset, d.Pos, name, d.Message, d.Chain))
 			}
 			if _, err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.PkgPath, err)
@@ -184,7 +216,11 @@ func runAnalyzers(analyzers []*analysis.Analyzer, pkgs []*load.Package) ([]findi
 			}
 		}
 	}
+	return findings, nil
+}
 
+// sortFindings orders findings by position and drops exact duplicates.
+func sortFindings(findings []finding) []finding {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.File != b.File {
@@ -210,5 +246,5 @@ func runAnalyzers(analyzers []*analysis.Analyzer, pkgs []*load.Package) ([]findi
 		dedup = append(dedup, f)
 		prev = f
 	}
-	return dedup, nil
+	return dedup
 }

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 
 	"softlora/internal/lint"
 	"softlora/internal/lint/analysis"
+	"softlora/internal/lint/load"
 )
 
 func names(as []*analysis.Analyzer) []string {
@@ -29,7 +33,7 @@ func TestSelectAnalyzersEmptyKeepsAll(t *testing.T) {
 
 func TestSelectAnalyzersFilters(t *testing.T) {
 	all := lint.Analyzers()
-	got, err := selectAnalyzers(all, "hotpath, determinism")
+	got, err := selectAnalyzers(all, "allocfree, determinism")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +42,7 @@ func TestSelectAnalyzersFilters(t *testing.T) {
 		t.Fatalf("filtered = %v", n)
 	}
 	for _, name := range n {
-		if name != "hotpath" && name != "determinism" {
+		if name != "allocfree" && name != "determinism" {
 			t.Errorf("unexpected analyzer %q in filtered suite", name)
 		}
 	}
@@ -59,13 +63,13 @@ func idx(all []*analysis.Analyzer, name string) int {
 
 func TestSelectAnalyzersUnknownNameErrors(t *testing.T) {
 	all := lint.Analyzers()
-	_, err := selectAnalyzers(all, "hotpath,hotpaths,determinsm")
+	_, err := selectAnalyzers(all, "allocfree,alocfree,determinsm")
 	if err == nil {
 		t.Fatal("unknown analyzer names silently dropped")
 	}
 	msg := err.Error()
 	// Both typos are listed, as are the known names for correction.
-	for _, want := range []string{"hotpaths", "determinsm", "allocfree"} {
+	for _, want := range []string{"alocfree", "determinsm", "lockshard"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q does not mention %q", msg, want)
 		}
@@ -73,7 +77,7 @@ func TestSelectAnalyzersUnknownNameErrors(t *testing.T) {
 	// The valid name must not be reported as unknown: the unknown list
 	// comes before the "(known: ...)" suffix.
 	if pre, _, ok := strings.Cut(msg, "(known:"); ok {
-		if strings.Contains(pre, "hotpath,") || strings.Contains(strings.TrimSuffix(pre, " "), " hotpath ") {
+		if strings.Contains(pre, "allocfree,") || strings.Contains(strings.TrimSuffix(pre, " "), " allocfree ") {
 			t.Errorf("valid name listed among unknowns: %q", pre)
 		}
 	} else {
@@ -92,5 +96,53 @@ func TestSelectAnalyzersOnlyCommasErrors(t *testing.T) {
 	// not a no-op run that reports success.
 	if _, err := selectAnalyzers(lint.Analyzers(), ", ,"); err == nil {
 		t.Error("-only with no usable names accepted")
+	}
+}
+
+func TestUnknownDirectivesReported(t *testing.T) {
+	// Every analyzer's directives are known, whichever analyzers -only
+	// selects; a misspelled annotation or hatch is a finding.
+	const src = `//softlora:deterministic
+package p
+
+//softlora:allocfree
+func a() {
+	_ = 1 //softlora:allocfree-ok hatch
+	_ = 2 //softlora:nondeterministic-ok hatch
+	_ = 3 //softlora:bufpool-ok hatch
+	_ = 4 //softlora:lock-ok hatch
+}
+
+//softlora:alocfree
+func b() {}
+
+type s struct {
+	n int //softlora:guarded-by mu
+}
+
+//softlora:locked
+func (*s) c() {}
+
+//softlora:nondeterminism-ok
+func d() {}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := unknownDirectives([]*load.Package{{Fset: fset, Syntax: []*ast.File{f}}})
+	want := []struct {
+		line int
+		name string
+	}{{12, "alocfree"}, {22, "nondeterminism-ok"}}
+	if len(got) != len(want) {
+		t.Fatalf("findings = %+v, want %d", got, len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Line != w.line || g.Analyzer != "directive" || !strings.Contains(g.Message, "//softlora:"+w.name+":") {
+			t.Errorf("finding %d = %+v, want //softlora:%s at line %d", i, g, w.name, w.line)
+		}
 	}
 }

@@ -34,7 +34,6 @@ func main() {
 	gateways := flag.Int("gateways", 1, "number of gateways; >1 runs the building deployment with a shared network server (frame dedup + FB fusion)")
 	windowHold := flag.Float64("window-hold", 0, "streaming dedup window hold in seconds (multi-gateway only): copies are delivered one Check call at a time and the window reassembles them; 0 judges each frame immediately")
 	fb := flag.String("fb", "", "FB estimator: linear-regression, least-squares, dechirp-fft, updown (empty = gateway default)")
-	fbExhaustive := flag.Bool("fb-exhaustive", false, "run the dechirp-fft estimator's monolithic padded-FFT reference instead of the decimated+zoom fast path")
 	snapshotDir := flag.String("snapshot-dir", "", "durable bias-database directory: recover it at startup, flush dirty shards in the background, flush once more at exit")
 	flushInterval := flag.Duration("flush-interval", netserver.DefaultFlushInterval, "background flush cadence when -snapshot-dir is set")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -42,9 +41,9 @@ func main() {
 	flag.Parse()
 	err := profiling.Run(*cpuprofile, *memprofile, func() error {
 		if *gateways > 1 {
-			return runMulti(*devices, *uplinks, *seed, *gateways, *fb, *fbExhaustive, *snapshotDir, *flushInterval, *windowHold)
+			return runMulti(*devices, *uplinks, *seed, *gateways, *fb, *snapshotDir, *flushInterval, *windowHold)
 		}
-		return run(*devices, *uplinks, *seed, *batch, *workers, *fb, *fbExhaustive, *snapshotDir, *flushInterval)
+		return run(*devices, *uplinks, *seed, *batch, *workers, *fb, *snapshotDir, *flushInterval)
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "softlora-sim: %v\n", err)
@@ -86,13 +85,12 @@ func closeDurable(fl *netserver.Flusher) error {
 	return nil
 }
 
-func run(nDevices, nUplinks int, seed int64, batch bool, workers int, fb string, fbExhaustive bool, snapshotDir string, flushInterval time.Duration) error {
+func run(nDevices, nUplinks int, seed int64, batch bool, workers int, fb string, snapshotDir string, flushInterval time.Duration) error {
 	rng := rand.New(rand.NewSource(seed))
 	gw, err := softlora.NewGateway(softlora.Config{
-		Rand:         rng,
-		Workers:      workers,
-		FB:           softlora.FBMethod(fb),
-		FBExhaustive: fbExhaustive,
+		Rand:    rng,
+		Workers: workers,
+		FB:      softlora.FBMethod(fb),
 	})
 	if err != nil {
 		return err
@@ -183,7 +181,7 @@ func run(nDevices, nUplinks int, seed int64, batch bool, workers int, fb string,
 // paper's building transmit to a fleet of top-floor gateways feeding one
 // network server, which dedups each frame and fuses the receivers' FB
 // estimates into one verdict.
-func runMulti(nDevices, nUplinks int, seed int64, nGateways int, fb string, fbExhaustive bool, snapshotDir string, flushInterval time.Duration, windowHold float64) error {
+func runMulti(nDevices, nUplinks int, seed int64, nGateways int, fb string, snapshotDir string, flushInterval time.Duration, windowHold float64) error {
 	rng := rand.New(rand.NewSource(seed))
 	b := radio.DefaultBuilding()
 	if fb == "" {
@@ -207,9 +205,8 @@ func runMulti(nDevices, nUplinks int, seed int64, nGateways int, fb string, fbEx
 		// The despreading onset detector keeps timestamp error (which
 		// couples into the FB estimate as δ' = δ + k·Δτ) at microseconds
 		// down to ~−10 dB, where the building's far links live.
-		Onset:        softlora.OnsetDechirp,
-		FB:           softlora.FBMethod(fb),
-		FBExhaustive: fbExhaustive,
+		Onset: softlora.OnsetDechirp,
+		FB:    softlora.FBMethod(fb),
 	})
 	if err != nil {
 		return err

@@ -128,10 +128,10 @@ func TestDechirpOnsetHierarchyPathsZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDechirpOnsetExhaustiveZeroAllocSteadyState keeps the brute-force
+// TestDechirpExhaustiveOnsetZeroAllocSteadyState keeps the brute-force
 // reference path allocation-free too, so parity runs do not skew
 // benchmarks with GC noise.
-func TestDechirpOnsetExhaustiveZeroAllocSteadyState(t *testing.T) {
+func TestDechirpExhaustiveOnsetZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(208))
 	det := &DechirpOnsetDetector{Params: testParams(), Exhaustive: true}
 	iq, _ := frameCapture(t, rng, -22e3, 0.8, 20)

@@ -20,30 +20,29 @@
 //     bins refines it, with parabolic interpolation on top and θ read
 //     from one Goertzel evaluation at the final frequency. The monolithic
 //     4×-zero-padded full-rate FFT survives behind the estimator's
-//     Exhaustive knob (softlora.Config.FBExhaustive) as the full-band
-//     accuracy reference; fb_accuracy_test.go pins the fast path to the
-//     reference's error envelope across SF 7–12 × SNR × δ. Both paths
-//     fold interpolated frequencies into (−rate/2, +rate/2] (the Nyquist
-//     readout fix) and derotate θ by the fractional-bin offset so phase
-//     stays unbiased for off-grid δ.
+//     Exhaustive field as the full-band accuracy reference;
+//     fb_accuracy_test.go pins the fast path to the reference's error
+//     envelope across SF 7–12 × SNR × δ. Both paths fold interpolated
+//     frequencies into (−rate/2, +rate/2] (the Nyquist readout fix) and
+//     derotate θ by the fractional-bin offset so phase stays unbiased for
+//     off-grid δ.
 //
 //   - Frame delay attack detection (§7.2): a per-device frequency-bias
 //     database; a received frame whose estimated bias falls outside the
 //     claimed source's learned range is flagged as a replay and its bias is
 //     not folded back into the database. The per-record policy (CheckRecord:
 //     enroll with count-weighted running statistics, then classify against
-//     the adaptive band and EWMA-fold genuine estimates) is exported so
-//     every database backend applies it identically: the in-process
-//     ReplayDetector here, and the sharded multi-gateway store in package
-//     netserver. Loaded databases are validated record by record
-//     (ValidateDatabase) — a non-finite mean or deviation would otherwise
-//     make the acceptance test vacuously true and silently disable
-//     detection for that device.
+//     the adaptive band and EWMA-fold genuine estimates) is exported for
+//     the database that applies it, the sharded multi-gateway store in
+//     package netserver. Loaded databases are decoded and validated record
+//     by record (DecodeDatabase, ValidateDatabase) — a non-finite mean or
+//     deviation would otherwise make the acceptance test vacuously true
+//     and silently disable detection for that device.
 //
 // # Detection ordering contract
 //
-// Check (and CheckRecord) both reads and updates state, so the verdict for
-// frame k depends on which frames folded in before it. Callers that process
+// CheckRecord both reads and updates a record, so the verdict for frame k
+// depends on which frames folded in before it. Callers that process
 // frames concurrently must therefore split work into a side-effect-free PHY
 // stage and an ordered commit stage that applies Check in a deterministic
 // frame order — softlora.Gateway.ProcessBatch commits in uplink-index order

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Replay-detection defaults.
@@ -82,7 +81,7 @@ type BiasRecord struct {
 	// LastSeen is when the device was last observed, in seconds on the
 	// deployment's observation timeline (the PHY arrival-time clock, not
 	// wall time). Zero means "never stamped" — records written before
-	// aging existed, or by backends without a timeline (ReplayDetector).
+	// aging existed, such as legacy JSON databases without last_seen_s.
 	// The network server's TTL sweep evicts on it; see
 	// NetworkServer.EvictExpired for how zero is handled.
 	LastSeen float64 `json:"last_seen_s,omitempty"`
@@ -146,11 +145,10 @@ func (rec *BiasRecord) Fold(fbHz, alpha float64, enrollFrames int) {
 // should not be used to update the database"). A non-finite estimate fails
 // closed: VerdictReplay, nothing folded, no record created — folding a NaN
 // into Mean would make the band comparison vacuously true forever after and
-// silently disable detection for the device. It is exported so every bias
-// database backend (the in-process ReplayDetector, the network server's
-// sharded store) applies the identical policy under its own locking.
+// silently disable detection for the device. The network server's sharded
+// store applies it under each shard's lock.
 //
-//softlora:hotpath
+//softlora:allocfree
 func CheckRecord(rec *BiasRecord, fbHz, toleranceHz, devMultiplier, alpha float64, enrollFrames int) (Verdict, *BiasRecord) {
 	if math.IsNaN(fbHz) || math.IsInf(fbHz, 0) {
 		return VerdictReplay, rec
@@ -200,9 +198,9 @@ func (rec *BiasRecord) Validate() error {
 }
 
 // ValidateDatabase checks every record of a decoded bias database,
-// wrapping failures in ErrBadDatabase. Both ReplayDetector.Load and the
-// network server's loader gate on it so a hostile database (e.g. a NaN Dev
-// smuggled into a record) cannot disable detection for a device.
+// wrapping failures in ErrBadDatabase. The network server's loaders gate
+// on it so a hostile database (e.g. a NaN Dev smuggled into a record)
+// cannot disable detection for a device.
 func ValidateDatabase(devices map[string]*BiasRecord) error {
 	// Validate in sorted-ID order so a database with several bad records
 	// reports the same one every run.
@@ -224,142 +222,19 @@ func ValidateDatabase(devices map[string]*BiasRecord) error {
 	return nil
 }
 
-// ReplayDetector implements §7.2: per-device FB history with
-// deviation-based replay detection. The acceptance band adapts to the
-// device's observed estimation jitter, implementing the paper's
-// "continuously update the database entries based on the FBs estimated
-// from recent frames". It is safe for concurrent use.
-type ReplayDetector struct {
-	// ToleranceHz is the minimum acceptance half-width around the tracked
-	// mean (default DefaultToleranceHz).
-	ToleranceHz float64
-	// DevMultiplier scales the tracked per-frame deviation into the
-	// adaptive band (default DefaultDevMultiplier).
-	DevMultiplier float64
-	// Alpha is the EWMA update weight (default DefaultEWMAAlpha).
-	Alpha float64
-	// EnrollFrames is the learning period per device (default
-	// DefaultEnrollFrames).
-	EnrollFrames int
-
-	mu      sync.Mutex
-	devices map[string]*BiasRecord
-}
-
-// NewReplayDetector returns a detector with the paper-calibrated defaults.
-func NewReplayDetector() *ReplayDetector {
-	return &ReplayDetector{
-		ToleranceHz:   DefaultToleranceHz,
-		DevMultiplier: DefaultDevMultiplier,
-		Alpha:         DefaultEWMAAlpha,
-		EnrollFrames:  DefaultEnrollFrames,
-		devices:       make(map[string]*BiasRecord),
+// DecodeDatabase reads a JSON bias database (device ID → record) and
+// validates it with ValidateDatabase. Decode failures are wrapped in
+// ErrBadDatabase too, so a loader needs one error check.
+func DecodeDatabase(r io.Reader) (map[string]*BiasRecord, error) {
+	var devices map[string]*BiasRecord
+	if err := json.NewDecoder(r).Decode(&devices); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadDatabase, err)
 	}
-}
-
-func (r *ReplayDetector) defaults() (tol, devMul, alpha float64, enroll int) {
-	tol = r.ToleranceHz
-	if tol <= 0 {
-		tol = DefaultToleranceHz
+	if err := ValidateDatabase(devices); err != nil {
+		return nil, err
 	}
-	devMul = r.DevMultiplier
-	if devMul <= 0 {
-		devMul = DefaultDevMultiplier
-	}
-	alpha = r.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultEWMAAlpha
-	}
-	enroll = r.EnrollFrames
-	if enroll <= 0 {
-		enroll = DefaultEnrollFrames
-	}
-	return tol, devMul, alpha, enroll
-}
-
-// Check classifies a frame from the claimed device with the given estimated
-// FB (Hz) and updates the database according to the paper's policy: genuine
-// and enrolling estimates update the record; a replay-flagged estimate is
-// NOT folded in ("the FB estimated from a frame that is detected to be a
-// replayed one should not be used to update the database").
-func (r *ReplayDetector) Check(deviceID string, fbHz float64) Verdict {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tol, devMul, alpha, enroll := r.defaults()
-	if r.devices == nil {
-		r.devices = make(map[string]*BiasRecord)
-	}
-	verdict, rec := CheckRecord(r.devices[deviceID], fbHz, tol, devMul, alpha, enroll)
-	if rec != nil {
-		r.devices[deviceID] = rec
-	}
-	return verdict
-}
-
-// Record returns a copy of the learned state for a device and whether it
-// exists.
-func (r *ReplayDetector) Record(deviceID string) (BiasRecord, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rec, ok := r.devices[deviceID]
-	if !ok {
-		return BiasRecord{}, false
-	}
-	return *rec, true
-}
-
-// Devices returns the number of devices in the database.
-func (r *ReplayDetector) Devices() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.devices)
-}
-
-// Enroll pre-loads a device record (offline database construction, §7.2).
-func (r *ReplayDetector) Enroll(deviceID string, fbHz float64, frames int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.devices == nil {
-		r.devices = make(map[string]*BiasRecord)
-	}
-	if frames < 1 {
-		frames = 1
-	}
-	r.devices[deviceID] = &BiasRecord{Mean: fbHz, Min: fbHz, Max: fbHz, Count: frames}
+	return devices, nil
 }
 
 // ErrBadDatabase is returned when loading a malformed database.
 var ErrBadDatabase = errors.New("core: malformed bias database")
-
-// Save serializes the database as JSON.
-func (r *ReplayDetector) Save(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r.devices); err != nil {
-		return fmt.Errorf("core: saving bias database: %w", err)
-	}
-	return nil
-}
-
-// Load replaces the database from JSON previously written by Save. Records
-// are validated before installation (ErrBadDatabase otherwise): a hostile
-// or corrupted database must not be able to disable detection, and a
-// failed Load leaves the current database untouched.
-func (r *ReplayDetector) Load(reader io.Reader) error {
-	var devices map[string]*BiasRecord
-	if err := json.NewDecoder(reader).Decode(&devices); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadDatabase, err)
-	}
-	if err := ValidateDatabase(devices); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if devices == nil {
-		devices = make(map[string]*BiasRecord)
-	}
-	r.devices = devices
-	return nil
-}

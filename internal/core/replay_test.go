@@ -6,7 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sync"
+	"strings"
 	"testing"
 )
 
@@ -27,32 +27,61 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
+// recordDB is the smallest bias database: CheckRecord over a plain map,
+// the way the network server applies it to each shard's map.
+type recordDB map[string]*BiasRecord
+
+func (db recordDB) check(id string, fbHz float64) Verdict {
+	return db.checkEnroll(id, fbHz, DefaultEnrollFrames)
+}
+
+func (db recordDB) checkEnroll(id string, fbHz float64, enrollFrames int) Verdict {
+	v, rec := CheckRecord(db[id], fbHz, DefaultToleranceHz, DefaultDevMultiplier, DefaultEWMAAlpha, enrollFrames)
+	if rec != nil {
+		db[id] = rec
+	}
+	return v
+}
+
+// enroll installs a record already learned from frames frames at fbHz.
+func (db recordDB) enroll(id string, fbHz float64, frames int) {
+	db[id] = &BiasRecord{Mean: fbHz, Min: fbHz, Max: fbHz, Count: frames}
+}
+
+func (db recordDB) record(id string) (BiasRecord, bool) {
+	rec, ok := db[id]
+	if !ok {
+		return BiasRecord{}, false
+	}
+	return *rec, true
+}
+
 func TestDetectorEnrollThenDetect(t *testing.T) {
-	d := NewReplayDetector()
+	d := recordDB{}
 	// First frames: enrolling.
 	for i := 0; i < DefaultEnrollFrames; i++ {
-		if v := d.Check("node-1", -22000+float64(i)*10); v != VerdictEnrolling {
+		if v := d.check("node-1", -22000+float64(i)*10); v != VerdictEnrolling {
 			t.Fatalf("frame %d: verdict = %v, want enrolling", i, v)
 		}
 	}
 	// Genuine frame within tolerance.
-	if v := d.Check("node-1", -22050); v != VerdictGenuine {
+	if v := d.check("node-1", -22050); v != VerdictGenuine {
 		t.Errorf("genuine frame: verdict = %v", v)
 	}
 	// Replay: USRP adds −543..−743 Hz (paper Fig. 13).
-	if v := d.Check("node-1", -22000-620); v != VerdictReplay {
+	if v := d.check("node-1", -22000-620); v != VerdictReplay {
 		t.Errorf("replayed frame: verdict = %v, want replay", v)
 	}
 }
 
 func TestDetectorReplayDoesNotPoisonDatabase(t *testing.T) {
-	d := NewReplayDetector()
-	d.Enroll("node-1", -22000, 10)
-	before, _ := d.Record("node-1")
-	if v := d.Check("node-1", -22700); v != VerdictReplay {
+	d := recordDB{}
+	d.enroll("node-1", -22000, 10)
+	before, _ := d.record("node-1")
+	if v := d.check("node-1", -22700); v != VerdictReplay {
 		t.Fatalf("verdict = %v", v)
 	}
-	after, _ := d.Record("node-1")
+	after, _ := d.record("node-1")
 	if after.Mean != before.Mean || after.Count != before.Count {
 		t.Error("replay estimate must not update the database (§7.2)")
 	}
@@ -62,17 +91,17 @@ func TestDetectorTracksTemperatureDrift(t *testing.T) {
 	// §7.2: the gateway continuously updates entries so slow skew (e.g.
 	// temperature) stays within tolerance while the replay step's sudden
 	// jump is still caught.
-	d := NewReplayDetector()
-	d.Enroll("node-1", -22000, 10)
+	d := recordDB{}
+	d.enroll("node-1", -22000, 10)
 	fb := -22000.0
 	for i := 0; i < 200; i++ {
 		fb += 20 // 20 Hz per frame: slow drift, 4 kHz total
-		if v := d.Check("node-1", fb); v != VerdictGenuine {
+		if v := d.check("node-1", fb); v != VerdictGenuine {
 			t.Fatalf("drift frame %d (fb %f): verdict = %v", i, fb, v)
 		}
 	}
 	// After drifting 4 kHz, a replayer's extra −620 Hz must still trip.
-	if v := d.Check("node-1", fb-620); v != VerdictReplay {
+	if v := d.check("node-1", fb-620); v != VerdictReplay {
 		t.Errorf("post-drift replay: verdict = %v", v)
 	}
 }
@@ -81,45 +110,36 @@ func TestDetectorSimilarBiasesAcrossNodes(t *testing.T) {
 	// The paper stresses detection needs no uniqueness: two nodes may
 	// share a bias (Fig. 13's nodes 3, 8, 14) and detection still works
 	// per-node.
-	d := NewReplayDetector()
-	d.Enroll("node-3", -21000, 10)
-	d.Enroll("node-8", -21010, 10)
-	if v := d.Check("node-3", -21020); v != VerdictGenuine {
+	d := recordDB{}
+	d.enroll("node-3", -21000, 10)
+	d.enroll("node-8", -21010, 10)
+	if v := d.check("node-3", -21020); v != VerdictGenuine {
 		t.Errorf("node-3: %v", v)
 	}
-	if v := d.Check("node-8", -21640); v != VerdictReplay {
+	if v := d.check("node-8", -21640); v != VerdictReplay {
 		t.Errorf("node-8 replay: %v", v)
 	}
 }
 
 func TestDetectorColdStart(t *testing.T) {
-	d := NewReplayDetector()
-	if v := d.Check("newcomer", -20000); v != VerdictEnrolling {
+	d := recordDB{}
+	if v := d.check("newcomer", -20000); v != VerdictEnrolling {
 		t.Errorf("first frame: %v", v)
 	}
-	if d.Devices() != 1 {
-		t.Errorf("devices = %d", d.Devices())
+	if len(d) != 1 {
+		t.Errorf("devices = %d", len(d))
 	}
-	if _, ok := d.Record("missing"); ok {
+	if _, ok := d.record("missing"); ok {
 		t.Error("missing device should not have a record")
 	}
 }
 
-func TestDetectorZeroValueUsable(t *testing.T) {
-	// Zero-value detector must work with defaults (guide: useful zero
-	// values).
-	var d ReplayDetector
-	if v := d.Check("n", 100); v != VerdictEnrolling {
-		t.Errorf("verdict = %v", v)
-	}
-}
-
 func TestDetectorMinMaxTracking(t *testing.T) {
-	d := NewReplayDetector()
-	d.Enroll("n", -22000, 10)
-	d.Check("n", -22100)
-	d.Check("n", -21900)
-	rec, ok := d.Record("n")
+	d := recordDB{}
+	d.enroll("n", -22000, 10)
+	d.check("n", -22100)
+	d.check("n", -21900)
+	rec, ok := d.record("n")
 	if !ok {
 		t.Fatal("record missing")
 	}
@@ -131,50 +151,18 @@ func TestDetectorMinMaxTracking(t *testing.T) {
 	}
 }
 
-func TestDetectorSaveLoadRoundTrip(t *testing.T) {
-	d := NewReplayDetector()
-	d.Enroll("node-1", -22000, 5)
-	d.Enroll("node-2", -18000, 7)
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d2 := NewReplayDetector()
-	if err := d2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if d2.Devices() != 2 {
-		t.Fatalf("devices = %d", d2.Devices())
-	}
-	rec, ok := d2.Record("node-2")
-	if !ok || rec.Mean != -18000 || rec.Count != 7 {
-		t.Errorf("record = %+v ok=%v", rec, ok)
-	}
-	// Detection still works post-load.
-	if v := d2.Check("node-1", -22620); v != VerdictReplay {
-		t.Errorf("post-load replay check: %v", v)
-	}
-}
-
-func TestDetectorLoadMalformed(t *testing.T) {
-	d := NewReplayDetector()
-	if err := d.Load(bytes.NewBufferString("not json")); err == nil {
-		t.Error("expected error for malformed database")
-	}
-}
-
 func TestDetectorEnrollmentLearnsWindowAverage(t *testing.T) {
 	// With the default 3-frame enrollment, the learned mean must be the
 	// plain average of the window, not an EWMA that weights the first
 	// frame by 0.64 and reacts sluggishly to the rest.
-	d := NewReplayDetector()
+	d := recordDB{}
 	window := []float64{-22000, -21900, -21700}
 	for i, fb := range window {
-		if v := d.Check("n", fb); v != VerdictEnrolling {
+		if v := d.check("n", fb); v != VerdictEnrolling {
 			t.Fatalf("frame %d: verdict = %v, want enrolling", i, v)
 		}
 	}
-	rec, ok := d.Record("n")
+	rec, ok := d.record("n")
 	if !ok {
 		t.Fatal("record missing")
 	}
@@ -191,7 +179,7 @@ func TestDetectorEnrollmentLearnsWindowAverage(t *testing.T) {
 		t.Errorf("post-enrollment dev = %f", rec.Dev)
 	}
 	// Detection activates on the next frame using the window statistics.
-	if v := d.Check("n", wantMean-620); v != VerdictReplay {
+	if v := d.check("n", wantMean-620); v != VerdictReplay {
 		t.Errorf("replay after enrollment: verdict = %v", v)
 	}
 }
@@ -199,15 +187,14 @@ func TestDetectorEnrollmentLearnsWindowAverage(t *testing.T) {
 func TestDetectorEnrollmentRunningMeanLongWindow(t *testing.T) {
 	// A longer explicit enrollment window must also average exactly: the
 	// count-weighted running mean is order-independent up to rounding.
-	d := NewReplayDetector()
-	d.EnrollFrames = 5
+	d := recordDB{}
 	window := []float64{-100, 300, -500, 700, -900}
 	sum := 0.0
 	for _, fb := range window {
-		d.Check("long", fb)
+		d.checkEnroll("long", fb, len(window))
 		sum += fb
 	}
-	rec, _ := d.Record("long")
+	rec, _ := d.record("long")
 	if math.Abs(rec.Mean-sum/5) > 1e-9 {
 		t.Errorf("mean = %f, want %f", rec.Mean, sum/5)
 	}
@@ -216,7 +203,7 @@ func TestDetectorEnrollmentRunningMeanLongWindow(t *testing.T) {
 func TestDetectorLoadRejectsHostileDatabase(t *testing.T) {
 	// A record with Dev: NaN makes Band NaN, and |fb − mean| > NaN is
 	// always false — every frame from that device would be accepted as
-	// genuine. Load must reject such databases outright.
+	// genuine. Decoding must reject such databases outright.
 	cases := map[string]string{
 		"nan mean":       `{"n": {"mean_hz": "NaN", "dev_hz": 0, "min_hz": 0, "max_hz": 0, "count": 1}}`,
 		"negative dev":   `{"n": {"mean_hz": -22000, "dev_hz": -5, "min_hz": -22000, "max_hz": -22000, "count": 10}}`,
@@ -224,17 +211,22 @@ func TestDetectorLoadRejectsHostileDatabase(t *testing.T) {
 		"inverted range": `{"n": {"mean_hz": -22000, "dev_hz": 0, "min_hz": -21000, "max_hz": -22000, "count": 10}}`,
 		"null record":    `{"n": null}`,
 	}
-	for name, db := range cases {
-		d := NewReplayDetector()
-		d.Enroll("keep", -20000, 10)
-		err := d.Load(bytes.NewBufferString(db))
+	for name, hostile := range cases {
+		devices, err := DecodeDatabase(strings.NewReader(hostile))
 		if !errors.Is(err, ErrBadDatabase) {
 			t.Errorf("%s: err = %v, want ErrBadDatabase", name, err)
 		}
-		// A rejected load must leave the existing database untouched.
-		if _, ok := d.Record("keep"); !ok {
-			t.Errorf("%s: failed load clobbered the existing database", name)
+		if devices != nil {
+			t.Errorf("%s: rejected database still returned %v", name, devices)
 		}
+	}
+	good := `{"n": {"mean_hz": -22000, "dev_hz": 5, "min_hz": -22010, "max_hz": -21990, "count": 10}}`
+	devices, err := DecodeDatabase(strings.NewReader(good))
+	if err != nil {
+		t.Fatalf("valid database rejected: %v", err)
+	}
+	if rec := devices["n"]; rec == nil || rec.Mean != -22000 || rec.Count != 10 {
+		t.Errorf("decoded record = %+v", rec)
 	}
 }
 
@@ -264,28 +256,28 @@ func TestNonFiniteRecordWouldAcceptReplays(t *testing.T) {
 func TestCheckNonFiniteEstimateFailsClosed(t *testing.T) {
 	// A NaN/Inf estimate must be rejected without folding: folding NaN
 	// into Mean would disable detection for the device forever after.
-	d := NewReplayDetector()
-	d.Enroll("n", -22000, 10)
+	d := recordDB{}
+	d.enroll("n", -22000, 10)
 	for _, fb := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if v := d.Check("n", fb); v != VerdictReplay {
-			t.Errorf("Check(%v) = %v, want replay (fail closed)", fb, v)
+		if v := d.check("n", fb); v != VerdictReplay {
+			t.Errorf("check(%v) = %v, want replay (fail closed)", fb, v)
 		}
 	}
-	rec, _ := d.Record("n")
+	rec, _ := d.record("n")
 	if rec.Mean != -22000 || rec.Count != 10 {
 		t.Errorf("non-finite estimate mutated the record: %+v", rec)
 	}
 	// An unknown device must not get a record created from garbage.
-	if v := d.Check("newcomer", math.NaN()); v != VerdictReplay {
+	if v := d.check("newcomer", math.NaN()); v != VerdictReplay {
 		t.Errorf("unknown device NaN: %v", v)
 	}
-	if _, ok := d.Record("newcomer"); ok {
+	if _, ok := d.record("newcomer"); ok {
 		t.Error("NaN estimate created a device record")
 	}
-	// Save must still succeed (no NaN smuggled into the database).
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Errorf("Save after NaN checks: %v", err)
+	// The database must still encode: JSON refuses NaN, so this fails if
+	// one was smuggled into a record.
+	if _, err := json.Marshal(d); err != nil {
+		t.Errorf("encoding after NaN checks: %v", err)
 	}
 }
 
@@ -332,7 +324,7 @@ func TestBiasRecordTouchMonotonic(t *testing.T) {
 func TestBiasRecordLastSeenJSONCompat(t *testing.T) {
 	// Legacy databases have no last_seen_s field and must keep decoding
 	// to a zero stamp; a zero stamp must re-encode without the field so
-	// detector-written files stay byte-stable.
+	// legacy files stay byte-stable.
 	var rec BiasRecord
 	if err := json.Unmarshal([]byte(`{"mean_hz":-22000,"dev_hz":10,"min_hz":-22100,"max_hz":-21900,"count":5}`), &rec); err != nil {
 		t.Fatal(err)
@@ -357,45 +349,17 @@ func TestBiasRecordLastSeenJSONCompat(t *testing.T) {
 	}
 }
 
-func TestDetectorConcurrentUse(t *testing.T) {
-	d := NewReplayDetector()
-	rng := rand.New(rand.NewSource(110))
-	ids := []string{"a", "b", "c", "d"}
-	for _, id := range ids {
-		d.Enroll(id, -20000, 10)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		seed := rng.Int63()
-		go func() {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for i := 0; i < 200; i++ {
-				id := ids[r.Intn(len(ids))]
-				d.Check(id, -20000+r.NormFloat64()*50)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, id := range ids {
-		if v := d.Check(id, -20620); v != VerdictReplay {
-			t.Errorf("%s: %v", id, v)
-		}
-	}
-}
-
 func TestDetectorFalsePositiveRate(t *testing.T) {
 	// Genuine frames with realistic per-frame jitter (σ = 30-50 Hz, Fig. 13
 	// error bars) must essentially never be flagged.
-	d := NewReplayDetector()
-	d.Enroll("n", -22000, 10)
+	d := recordDB{}
+	d.enroll("n", -22000, 10)
 	rng := rand.New(rand.NewSource(111))
 	flagged := 0
 	const frames = 2000
 	for i := 0; i < frames; i++ {
 		fb := -22000 + rng.NormFloat64()*50
-		if d.Check("n", fb) == VerdictReplay {
+		if d.check("n", fb) == VerdictReplay {
 			flagged++
 		}
 	}
@@ -407,14 +371,14 @@ func TestDetectorFalsePositiveRate(t *testing.T) {
 func TestDetectorTruePositiveRate(t *testing.T) {
 	// Replays with the paper's measured extra FB (−543..−743 Hz) must
 	// always be flagged despite estimation noise.
-	d := NewReplayDetector()
-	d.Enroll("n", -22000, 10)
+	d := recordDB{}
+	d.enroll("n", -22000, 10)
 	rng := rand.New(rand.NewSource(112))
 	const frames = 2000
 	for i := 0; i < frames; i++ {
 		extra := -543 - rng.Float64()*200
 		fb := -22000 + extra + rng.NormFloat64()*50
-		if v := d.Check("n", fb); v != VerdictReplay {
+		if v := d.check("n", fb); v != VerdictReplay {
 			t.Fatalf("frame %d (fb %f): verdict = %v", i, fb, v)
 		}
 	}

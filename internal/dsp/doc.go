@@ -100,19 +100,4 @@
 // detectors dechirp against Oscillator-rendered references
 // (lora.ChirpSpec.FillPhasors) with no accuracy budget set aside for the
 // recurrence.
-//
-// Oscillator32 and Rotator32 are the complex64 lane of the same
-// recurrences for float32 consumers, and make the opposite trade: their
-// per-step float32 rounding walks fast enough that they re-seed every
-// OscRenormInterval32 (128) steps — OscChirpRenormInterval32 (64) for the
-// chirp, whose r-drift compounds quadratically — pinning the error to
-// ~1e-6 rad (rotator) and ~1e-4 (chirp), both far under the 8-bit ADC
-// quantization step of ~4e-3 their consumers live against
-// (oscillator32_test.go states the budget). Their inner loops spell the
-// complex multiplies out on float32 components because gc lowers builtin
-// complex64 arithmetic through float64 conversions, which would cost more
-// than complex128. Unlike the float64 oscillators they are NOT exact-by-
-// contract: keep them off any path that feeds the bias database.
-//
-//softlora:float32-lanes
 package dsp

@@ -170,3 +170,29 @@ func TestOscillatorZeroAlloc(t *testing.T) {
 		t.Errorf("oscillator batch methods allocated %v times per run", allocs)
 	}
 }
+
+func BenchmarkOscillatorFill(b *testing.B) {
+	const n = 4096
+	dst := make([]complex128, n)
+	osc := NewOscillator(1, 0, -30e3, 1.19e8, 1/2.4e6)
+	b.SetBytes(n * 16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		osc.Fill(dst)
+	}
+}
+
+func BenchmarkRotatorMulInto(b *testing.B) {
+	const n = 4096
+	dst := make([]complex128, n)
+	src := make([]complex128, n)
+	for i := range src {
+		src[i] = complex(1, 1)
+	}
+	rot := NewRotator(1, 0, -20e3, 1/2.4e6)
+	b.SetBytes(n * 16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rot.MulInto(dst, src)
+	}
+}

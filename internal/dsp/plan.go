@@ -96,7 +96,6 @@ func (p *Plan) Transform(dst, src []complex128) {
 // TransformInPlace computes the forward DFT of buf in place. len(buf) must
 // equal the plan size.
 //
-//softlora:hotpath
 //softlora:allocfree
 func (p *Plan) TransformInPlace(buf []complex128) {
 	p.checkLen(buf)
@@ -113,11 +112,9 @@ func (p *Plan) TransformInPlace(buf []complex128) {
 // separate calls. Each block's result is bit-identical to TransformInPlace
 // on that block.
 //
-//softlora:hotpath
 //softlora:allocfree
 func (p *Plan) TransformMany(slab []complex128) {
 	if len(slab)%p.n != 0 {
-		//softlora:hotpath-ok panic path, cold by definition
 		panic(fmt.Sprintf("dsp: TransformMany slab length %d is not a multiple of plan size %d", len(slab), p.n))
 	}
 	for off := 0; off < len(slab); off += p.n {
@@ -175,7 +172,7 @@ func (p *Plan) normalize(buf []complex128) {
 // (bit reversal and base-4 digit reversal) are involutions, so the in-place
 // swap loop needs no scratch.
 //
-//softlora:hotpath
+//softlora:allocfree
 func (p *Plan) run(x []complex128, tw []complex128, inverse bool) {
 	n := p.n
 	if n <= 1 {

@@ -11,6 +11,7 @@ import (
 	"softlora/internal/core"
 	"softlora/internal/dsp"
 	"softlora/internal/lora"
+	"softlora/internal/netserver"
 	"softlora/internal/radio"
 	"softlora/internal/sdr"
 	"softlora/internal/timestamp"
@@ -111,9 +112,9 @@ func Sec811() (Sec811Result, error) {
 		return res, fmt.Errorf("experiments: §8.1.1 FB: %w", err)
 	}
 	res.ReplayFBHz = fb.DeltaHz
-	det := core.NewReplayDetector()
-	det.Enroll("device", deviceBias, 10)
-	res.Detected = det.Check("device", fb.DeltaHz) == core.VerdictReplay
+	srv := netserver.New(netserver.Config{})
+	srv.Enroll("device", deviceBias, 10)
+	res.Detected = srv.Check(netserver.PHYObservation{DeviceID: "device", FBHz: fb.DeltaHz}) == core.VerdictReplay
 	return res, nil
 }
 

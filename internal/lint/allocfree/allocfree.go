@@ -48,10 +48,11 @@ import (
 
 // Analyzer is the zero-allocation contract check.
 var Analyzer = &analysis.Analyzer{
-	Name:      "allocfree",
-	Doc:       "forbid all allocation — make/new, literals, append growth, closures, string conversions, boxing, goroutines — in //softlora:allocfree functions, transitively",
-	Run:       run,
-	FactTypes: []analysis.Fact{new(Allocates)},
+	Name:       "allocfree",
+	Doc:        "forbid all allocation — make/new, literals, append growth, closures, string conversions, boxing, goroutines — in //softlora:allocfree functions, transitively",
+	Run:        run,
+	FactTypes:  []analysis.Fact{new(Allocates)},
+	Directives: []string{"allocfree", EscapeHatch},
 }
 
 // EscapeHatch silences one diagnostic when placed on or above the line.

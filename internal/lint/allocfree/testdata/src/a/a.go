@@ -1,7 +1,10 @@
 // Package a exercises the allocfree analyzer's direct construct classes.
 package a
 
-import "fmt"
+import (
+	"fmt"
+	"hash/fnv"
+)
 
 type point struct{ x, y int }
 
@@ -47,6 +50,12 @@ func presized(n int) []int {
 //softlora:allocfree
 func callsFmt(n int) {
 	fmt.Println(n) // want `allocation in an allocfree function: boxes int into any` `allocfree function reaches an allocation: a\.callsFmt → fmt\.Println: fmt\.Println is modeled as allocating \(package fmt\)`
+}
+
+//softlora:allocfree
+func callsFnv() uint32 {
+	h := fnv.New32a() // want `allocfree function reaches an allocation: a\.callsFnv → fnv\.New32a: fnv\.New32a is modeled as allocating \(package hash/fnv\)`
+	return h.Sum32()
 }
 
 //softlora:allocfree

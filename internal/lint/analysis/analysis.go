@@ -42,6 +42,10 @@ type Analyzer struct {
 	// one zero-value pointer each (e.g. new(Allocates)). The driver
 	// registers them with gob before the first package runs.
 	FactTypes []Fact
+	// Directives are the //softlora: names the analyzer reads: its
+	// scoping annotations and its escape hatch. The driver reports any
+	// directive that no analyzer of the suite declares.
+	Directives []string
 }
 
 // A Fact is a serializable observation about a types.Object, exported by

@@ -1,6 +1,6 @@
 // Package callgraph builds a type-informed, whole-load call graph for the
 // softlora-lint analyzers — the backbone of interprocedural contract
-// propagation (transitive hotpath/determinism/allocfree checking).
+// propagation (transitive determinism/allocfree checking).
 //
 // Resolution is CHA-style (class-hierarchy analysis), deliberately
 // over-approximate but never silently incomplete:

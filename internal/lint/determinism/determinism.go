@@ -54,6 +54,7 @@ var Analyzer = &analysis.Analyzer{
 	FactTypes: []analysis.Fact{
 		new(CallsWallClock), new(DrawsGlobalRand), new(RangesOverMap),
 	},
+	Directives: []string{"deterministic", EscapeHatch},
 }
 
 // EscapeHatch silences one diagnostic when placed on or above the line.

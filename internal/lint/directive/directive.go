@@ -11,7 +11,7 @@
 //     convention in doc.go next to the package clause) opts the whole
 //     package into an analyzer — e.g. //softlora:deterministic.
 //   - declaration scope: a directive in a FuncDecl's doc comment group
-//     marks that function — e.g. //softlora:hotpath — and a directive in
+//     marks that function — e.g. //softlora:allocfree — and a directive in
 //     a struct field's doc or trailing comment annotates the field —
 //     e.g. //softlora:guarded-by mu.
 //   - site scope: an escape hatch on the offending line, or the line
@@ -19,7 +19,9 @@
 //     //softlora:nondeterministic-ok map feeds a sorted encoder.
 //
 // Escape hatches should carry a justification after the directive name;
-// the analyzers do not enforce one, reviewers do.
+// the analyzers do not enforce one, reviewers do. softlora-lint rejects a
+// directive whose name no analyzer declares, so a misspelled annotation
+// cannot silently leave code unchecked.
 package directive
 
 import (
@@ -32,7 +34,7 @@ const prefix = "//softlora:"
 
 // A Directive is one parsed //softlora: comment.
 type Directive struct {
-	Name string // e.g. "hotpath", "nondeterministic-ok"
+	Name string // e.g. "allocfree", "nondeterministic-ok"
 	Args string // remainder of the line, trimmed
 	Pos  token.Pos
 	Line int
@@ -100,6 +102,9 @@ func parse(text string) (Directive, bool) {
 	}
 	return Directive{Name: name, Args: args}, true
 }
+
+// All returns every directive of the package.
+func (ix *Index) All() []Directive { return ix.all }
 
 // PackageHas reports whether any file of the package carries the named
 // directive above its package clause (the package-wide opt-in position,

@@ -63,12 +63,12 @@ func TestLeadingSpaceDoesNotMatch(t *testing.T) {
 	// "// softlora:" (space after the slashes) is prose, not a directive —
 	// same rule as //go: directives.
 	ix := index(t, map[string]string{
-		"a.go": "package p\n\n// softlora:hotpath\nfunc f() {}\n\nfunc g() {\n\t_ = 1 // softlora:hotpath-ok not a real hatch\n}\n",
+		"a.go": "package p\n\n// softlora:allocfree\nfunc f() {}\n\nfunc g() {\n\t_ = 1 // softlora:allocfree-ok not a real hatch\n}\n",
 	})
-	if len(ix.byName["hotpath"]) != 0 {
+	if len(ix.byName["allocfree"]) != 0 {
 		t.Error("spaced comment parsed as a directive")
 	}
-	if len(ix.byName["hotpath-ok"]) != 0 {
+	if len(ix.byName["allocfree-ok"]) != 0 {
 		t.Error("spaced trailing comment parsed as a directive")
 	}
 }
@@ -95,13 +95,13 @@ func TestDirectiveOnLastLineOfFile(t *testing.T) {
 	// No trailing newline after the comment: the file ends at the
 	// directive.
 	ix := index(t, map[string]string{
-		"a.go": "package p\n\nvar x = 1 //softlora:complex64-ok fixture tail",
+		"a.go": "package p\n\nvar x = 1 //softlora:lock-ok fixture tail",
 	})
-	ds := ix.byName["complex64-ok"]
+	ds := ix.byName["lock-ok"]
 	if len(ds) != 1 {
 		t.Fatalf("last-line directive not parsed: %v", ix.all)
 	}
-	if !ix.OKAt(ds[0].Pos, "complex64-ok") {
+	if !ix.OKAt(ds[0].Pos, "lock-ok") {
 		t.Error("OKAt misses a directive on its own line")
 	}
 }
@@ -110,22 +110,22 @@ func TestGroupedDeclDirectives(t *testing.T) {
 	src := `package p
 
 var (
-	a = 1 //softlora:hotpath-ok grouped var trailing comment
-	//softlora:hotpath-ok line above b
+	a = 1 //softlora:allocfree-ok grouped var trailing comment
+	//softlora:allocfree-ok line above b
 	b = 2
 )
 
 const (
-	//softlora:complex64-ok grouped const doc
+	//softlora:lock-ok grouped const doc
 	C = 3
 )
 `
 	fset, files := parseFiles(t, map[string]string{"a.go": src})
 	ix := NewIndex(fset, files)
-	if n := len(ix.byName["hotpath-ok"]); n != 2 {
+	if n := len(ix.byName["allocfree-ok"]); n != 2 {
 		t.Fatalf("grouped var directives = %d, want 2", n)
 	}
-	if n := len(ix.byName["complex64-ok"]); n != 1 {
+	if n := len(ix.byName["lock-ok"]); n != 1 {
 		t.Fatalf("grouped const directives = %d, want 1", n)
 	}
 
@@ -143,25 +143,25 @@ const (
 		}
 		return true
 	})
-	if !ix.OKAt(aPos, "hotpath-ok") {
+	if !ix.OKAt(aPos, "allocfree-ok") {
 		t.Error("same-line hatch in a grouped var decl not honored")
 	}
-	if !ix.OKAt(bPos, "hotpath-ok") {
+	if !ix.OKAt(bPos, "allocfree-ok") {
 		t.Error("line-above hatch in a grouped var decl not honored")
 	}
-	if ix.OKAt(aPos, "complex64-ok") {
+	if ix.OKAt(aPos, "lock-ok") {
 		t.Error("hatch name leaked across directives")
 	}
 }
 
 func TestCRLFLineEndings(t *testing.T) {
-	src := "package p\r\n\r\n//softlora:hotpath\r\nfunc f() {\r\n\t_ = 1 //softlora:hotpath-ok crlf trailing\r\n}\r\n"
+	src := "package p\r\n\r\n//softlora:allocfree\r\nfunc f() {\r\n\t_ = 1 //softlora:allocfree-ok crlf trailing\r\n}\r\n"
 	fset, files := parseFiles(t, map[string]string{"a.go": src})
 	ix := NewIndex(fset, files)
-	if len(ix.byName["hotpath"]) != 1 {
+	if len(ix.byName["allocfree"]) != 1 {
 		t.Error("directive not parsed under CRLF line endings")
 	}
-	ds := ix.byName["hotpath-ok"]
+	ds := ix.byName["allocfree-ok"]
 	if len(ds) != 1 {
 		t.Fatal("trailing directive not parsed under CRLF line endings")
 	}
@@ -171,7 +171,7 @@ func TestCRLFLineEndings(t *testing.T) {
 	// FuncHas through the parsed doc comment.
 	for _, d := range files[0].Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "f" {
-			if !FuncHas(fd, "hotpath") {
+			if !FuncHas(fd, "allocfree") {
 				t.Error("FuncHas misses a CRLF doc directive")
 			}
 		}
@@ -184,7 +184,7 @@ func TestMethodOnCrossFileReceiver(t *testing.T) {
 	// matter.
 	fset, files := parseFiles(t, map[string]string{
 		"type.go":   "package p\n\ntype T struct{}\n",
-		"method.go": "package p\n\n//softlora:hotpath\nfunc (t *T) Hot() {}\n",
+		"method.go": "package p\n\n//softlora:allocfree\nfunc (t *T) Hot() {}\n",
 	})
 	ix := NewIndex(fset, files)
 	found := false
@@ -195,7 +195,7 @@ func TestMethodOnCrossFileReceiver(t *testing.T) {
 				continue
 			}
 			found = true
-			if !FuncHas(fd, "hotpath") {
+			if !FuncHas(fd, "allocfree") {
 				t.Error("FuncHas misses a directive on a cross-file receiver method")
 			}
 		}
@@ -203,7 +203,7 @@ func TestMethodOnCrossFileReceiver(t *testing.T) {
 	if !found {
 		t.Fatal("method decl not found")
 	}
-	if ix.PackageHas("hotpath") {
+	if ix.PackageHas("allocfree") {
 		t.Error("method directive counted as package-level")
 	}
 }
@@ -212,8 +212,8 @@ func TestOKAtSameLineAndLineAbove(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //softlora:hotpath-ok same line
-	//softlora:hotpath-ok line above
+	_ = 1 //softlora:allocfree-ok same line
+	//softlora:allocfree-ok line above
 	_ = 2
 	_ = 3
 }
@@ -233,13 +233,13 @@ func f() {
 		})
 		return p
 	}
-	if !ix.OKAt(pos(4), "hotpath-ok") {
+	if !ix.OKAt(pos(4), "allocfree-ok") {
 		t.Error("same-line hatch not honored")
 	}
-	if !ix.OKAt(pos(6), "hotpath-ok") {
+	if !ix.OKAt(pos(6), "allocfree-ok") {
 		t.Error("line-above hatch not honored")
 	}
-	if ix.OKAt(pos(7), "hotpath-ok") {
+	if ix.OKAt(pos(7), "allocfree-ok") {
 		t.Error("hatch reached two lines down")
 	}
 }

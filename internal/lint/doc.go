@@ -1,4 +1,4 @@
-// Package lint is softlora's static-contract suite: six analyzers that
+// Package lint is softlora's static-contract suite: four analyzers that
 // machine-check, at the source level, the invariants the runtime test
 // gates (`make determinism`, the zero-alloc regression tests, the race
 // suite) would otherwise only catch after a violation ships. They run as
@@ -16,28 +16,17 @@
 //     not reach nondeterminism through any chain of calls. Escape hatch:
 //     //softlora:nondeterministic-ok <why>.
 //
-//   - hotpath — functions annotated //softlora:hotpath (the batch
-//     pipeline stages, dsp kernels, netserver's verdict path) may not
-//     call fmt.* or hash/fnv, allocate with make or un-presized append
-//     inside loops, or box concrete values into interfaces — directly or
-//     through any callee. Escape hatch: //softlora:hotpath-ok <why>.
-//
 //   - allocfree — functions annotated //softlora:allocfree (the
-//     steady-state per-frame kernels: Plan.TransformInPlace, the dechirp
-//     magnitude fills, checkDevice) must not allocate at all, anywhere in
-//     their call tree: no make/new, no composite literals on the heap, no
-//     closures, no un-presized append, no string/[]byte conversions or
-//     non-constant concatenation, no interface boxing, no goroutine
-//     starts, and no calls into stdlib packages modeled as allocating
-//     (fmt, errors, sort, strings, ...). Map writes and panic arguments
-//     are exempt (cold paths by definition). Escape hatch:
-//     //softlora:allocfree-ok <why>.
-//
-//   - complexlane — packages carrying //softlora:float32-lanes
-//     (internal/dsp) may not use builtin complex64 arithmetic: gc widens
-//     it through float64 (3x slower, measured in PR 8); multiplies are
-//     spelled on explicit float32 components per the Oscillator32
-//     contract in dsp/doc.go. Escape hatch: //softlora:complex64-ok.
+//     steady-state per-frame kernels: Plan.TransformInPlace and Plan.run,
+//     the dechirp magnitude fills, netserver's verdict path from
+//     checkDevice through fnv32a, shardFor and core.CheckRecord) must not
+//     allocate at all, anywhere in their call tree: no make/new, no
+//     composite literals on the heap, no closures, no un-presized append,
+//     no string/[]byte conversions or non-constant concatenation, no
+//     interface boxing, no goroutine starts, and no calls into stdlib
+//     packages modeled as allocating (fmt, errors, sort, strings,
+//     hash/..., ...). Map writes and panic arguments are exempt (cold
+//     paths by definition). Escape hatch: //softlora:allocfree-ok <why>.
 //
 //   - poolcheck — a bufpool.Get/GetUninit buffer must be Put back, defer-
 //     Put, or handed off (stored, returned, passed on) on every path out
@@ -51,10 +40,15 @@
 //     be copied (parameters, results, assignments, range values). Escape
 //     hatch: //softlora:lock-ok <why>.
 //
+// Each analyzer declares the directive names it reads in its Directives,
+// and softlora-lint reports any //softlora: directive no analyzer of the
+// suite declares: a misspelled //softlora:alocfree would otherwise leave
+// its function silently unchecked.
+//
 // # Interprocedural propagation
 //
-// determinism, hotpath and allocfree are transitive: the contract holds
-// for everything an annotated root can reach, not just its own body. Two
+// determinism and allocfree are transitive: the contract holds for
+// everything an annotated root can reach, not just its own body. Two
 // pieces make that work.
 //
 // internal/lint/callgraph builds one CHA-style call graph over the whole
@@ -78,9 +72,9 @@
 // A transitive finding is reported at the root's offending call edge with
 // the full chain, e.g.
 //
-//	hotpath reaches an allocating path: netserver.checkDevice →
-//	core.CheckRecord → core.BiasRecord.Fold: core.BiasRecord.Fold
-//	calls fmt.Errorf
+//	allocfree function reaches an allocation:
+//	netserver.NetworkServer.checkDevice → core.CheckRecord →
+//	core.BiasRecord.Fold: core.BiasRecord.Fold boxes int into any
 //
 // and -json output carries the chain structurally. An escape hatch on any
 // call site along the chain cuts propagation at that hop.
@@ -93,7 +87,8 @@
 // lint.go. Scope new contracts with //softlora: directives (package
 // directive in doc.go for package-wide contracts, function annotation for
 // opt-in checks) so other packages inherit the check by annotating, not
-// by editing the analyzer. Package-wide directives scope through
+// by editing the analyzer; list every directive name it reads in the
+// Analyzer's Directives. Package-wide directives scope through
 // directive.Index.PackageHasNonTest so test files never inherit them;
 // test code opts in per function.
 //
@@ -102,8 +97,8 @@
 // a fact for every function the package-local callgraph.Solve finds
 // offending, and consult ImportObjectFact in the Rule's Imported hook;
 // model any relevant stdlib behavior in the External hook. The
-// determinism, hotpath and allocfree analyzers are three worked examples
-// in ascending order of direct-offense complexity.
+// determinism and allocfree analyzers are two worked examples, in
+// ascending order of direct-offense complexity.
 //
 // # Why not golang.org/x/tools/go/analysis
 //

@@ -3,9 +3,7 @@ package lint
 import (
 	"softlora/internal/lint/allocfree"
 	"softlora/internal/lint/analysis"
-	"softlora/internal/lint/complexlane"
 	"softlora/internal/lint/determinism"
-	"softlora/internal/lint/hotpath"
 	"softlora/internal/lint/lockshard"
 	"softlora/internal/lint/poolcheck"
 )
@@ -14,9 +12,7 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
-		hotpath.Analyzer,
 		allocfree.Analyzer,
-		complexlane.Analyzer,
 		poolcheck.Analyzer,
 		lockshard.Analyzer,
 	}

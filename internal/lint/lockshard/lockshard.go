@@ -35,9 +35,10 @@ import (
 
 // Analyzer is the lock/shard discipline check.
 var Analyzer = &analysis.Analyzer{
-	Name: "lockshard",
-	Doc:  "flag guarded-field access outside the owning lock's scope and by-value copies of mutex-bearing structs",
-	Run:  run,
+	Name:       "lockshard",
+	Doc:        "flag guarded-field access outside the owning lock's scope and by-value copies of mutex-bearing structs",
+	Run:        run,
+	Directives: []string{"guarded-by", "locked", EscapeHatch},
 }
 
 // EscapeHatch silences one diagnostic when placed on or above the line.

@@ -35,9 +35,10 @@ import (
 
 // Analyzer is the bufpool ownership check.
 var Analyzer = &analysis.Analyzer{
-	Name: "poolcheck",
-	Doc:  "flag bufpool.Get/GetUninit buffers that can leave the function without a matching Put or ownership hand-off",
-	Run:  run,
+	Name:       "poolcheck",
+	Doc:        "flag bufpool.Get/GetUninit buffers that can leave the function without a matching Put or ownership hand-off",
+	Run:        run,
+	Directives: []string{EscapeHatch},
 }
 
 // EscapeHatch silences one diagnostic when placed on or above the Get.

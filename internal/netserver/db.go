@@ -266,7 +266,7 @@ func New(cfg Config) *NetworkServer {
 // fnv32a is an inlined allocation-free FNV-1a over the device ID —
 // hash/fnv's New32a would heap-allocate on the per-frame Check hot path.
 //
-//softlora:hotpath
+//softlora:allocfree
 func fnv32a(s string) uint32 {
 	const offset32, prime32 = 2166136261, 16777619
 	h := uint32(offset32)
@@ -279,7 +279,7 @@ func fnv32a(s string) uint32 {
 
 // shardFor maps a device ID onto its partition.
 //
-//softlora:hotpath
+//softlora:allocfree
 func (s *NetworkServer) shardFor(deviceID string) *shard {
 	return &s.shards[fnv32a(deviceID)&uint32(len(s.shards)-1)]
 }
@@ -291,7 +291,6 @@ func (s *NetworkServer) shardFor(deviceID string) *shard {
 // evicting a record mid-attack would let the attacker re-enroll as the
 // device it is impersonating.
 //
-//softlora:hotpath
 //softlora:allocfree
 func (s *NetworkServer) checkDevice(deviceID string, fbHz, now float64) core.Verdict {
 	sh := s.shardFor(deviceID)
@@ -736,10 +735,10 @@ func (s *NetworkServer) installShards(devices map[string]*core.BiasRecord) {
 	}
 }
 
-// Save serializes the database as JSON — the same schema
-// core.ReplayDetector writes, so databases move between a single gateway
-// and the network server unchanged. Shards are merged and keys sorted by
-// the encoder, so equal database states serialize to equal bytes.
+// Save serializes the database in the legacy JSON format: one object
+// keyed by device ID, sorted, indented two spaces, each value a
+// core.BiasRecord (last_seen_s omitted while zero). Shards are merged
+// before encoding, so equal database states serialize to equal bytes.
 //
 // Save offers no atomicity: it writes whatever the caller's io.Writer is.
 // Use SaveFile (temp + fsync + rename + checksum) for a durable single
@@ -764,16 +763,12 @@ func (s *NetworkServer) Save(w io.Writer) error {
 	return nil
 }
 
-// Load replaces the database from JSON previously written by Save (or by
-// core.ReplayDetector.Save). Every record is validated first
-// (core.ErrBadDatabase otherwise) and a failed load leaves the current
-// database untouched.
+// Load replaces the database from a legacy JSON database such as Save
+// writes. Every record is validated first (core.ErrBadDatabase otherwise)
+// and a failed load leaves the current database untouched.
 func (s *NetworkServer) Load(r io.Reader) error {
-	var devices map[string]*core.BiasRecord
-	if err := json.NewDecoder(r).Decode(&devices); err != nil {
-		return fmt.Errorf("%w: %v", core.ErrBadDatabase, err)
-	}
-	if err := core.ValidateDatabase(devices); err != nil {
+	devices, err := core.DecodeDatabase(r)
+	if err != nil {
 		return err
 	}
 	s.installShards(devices)

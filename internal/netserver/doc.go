@@ -143,8 +143,9 @@
 // generation-consistent database each time.
 //
 // Single-file snapshots (SaveFile/LoadFile) use the same container and
-// atomic-write protocol. Legacy monolithic JSON databases (Save/Load and
-// core.ReplayDetector files) keep loading: LoadFile auto-detects the
+// atomic-write protocol. Legacy monolithic JSON databases (one object of
+// core.BiasRecord values keyed by device ID, as Save writes and Load
+// reads) keep loading: LoadFile auto-detects the
 // format, and LoadDir falls back to a legacy .json in the directory and
 // migrates it — a load marks every shard dirty, so the first flush
 // rewrites the database sharded.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 func TestCheckSingleObservationPolicy(t *testing.T) {
 	s := New(Config{})
-	// Enrollment then detection, matching core.ReplayDetector's policy.
+	// Enrollment then detection, matching core.CheckRecord's policy.
 	for i := 0; i < core.DefaultEnrollFrames; i++ {
 		v := s.Check(PHYObservation{DeviceID: "n", FBHz: -22000 + float64(i)*10})
 		if v != core.VerdictEnrolling {
@@ -29,12 +30,12 @@ func TestCheckSingleObservationPolicy(t *testing.T) {
 	}
 }
 
-func TestCheckMatchesReplayDetector(t *testing.T) {
-	// The sharded store and the single-gateway detector share
-	// core.CheckRecord, so identical frame sequences must leave identical
-	// records and verdicts.
+func TestCheckMatchesCheckRecord(t *testing.T) {
+	// A zero Config applies core.CheckRecord with the core defaults, so
+	// the sharded store must leave the same records and verdicts as a
+	// plain map updated by CheckRecord.
 	s := New(Config{})
-	d := core.NewReplayDetector()
+	ref := make(map[string]*core.BiasRecord)
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 200; i++ {
 		id := fmt.Sprintf("dev-%d", rng.Intn(8))
@@ -43,17 +44,20 @@ func TestCheckMatchesReplayDetector(t *testing.T) {
 			fb -= 620 // occasional replay
 		}
 		vs := s.Check(PHYObservation{DeviceID: id, FBHz: fb})
-		vd := d.Check(id, fb)
-		if vs != vd {
-			t.Fatalf("frame %d (%s, %f): netserver %v vs detector %v", i, id, fb, vs, vd)
+		vr, rec := core.CheckRecord(ref[id], fb, core.DefaultToleranceHz, core.DefaultDevMultiplier, core.DefaultEWMAAlpha, core.DefaultEnrollFrames)
+		if rec != nil {
+			ref[id] = rec
+		}
+		if vs != vr {
+			t.Fatalf("frame %d (%s, %f): netserver %v vs CheckRecord %v", i, id, fb, vs, vr)
 		}
 	}
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("dev-%d", i)
 		rs, oks := s.Record(id)
-		rd, okd := d.Record(id)
-		if oks != okd || rs != rd {
-			t.Errorf("%s: record %+v (%v) vs %+v (%v)", id, rs, oks, rd, okd)
+		rr, okr := ref[id]
+		if oks != okr || (okr && rs != *rr) {
+			t.Errorf("%s: record %+v (%v) vs %+v (%v)", id, rs, oks, rr, okr)
 		}
 	}
 }
@@ -257,48 +261,65 @@ func TestCheckBatchEmptyFrameIDsNeverMerge(t *testing.T) {
 	}
 }
 
-func TestSaveLoadCompatibleWithReplayDetector(t *testing.T) {
-	d := core.NewReplayDetector()
-	d.Enroll("node-1", -22000, 5)
-	d.Enroll("node-2", -18000, 7)
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+func TestSaveRewritesLegacyJSONBytes(t *testing.T) {
+	// The legacy JSON layout: two-space indent, device IDs sorted, and
+	// no last_seen_s on records that were never stamped. Loading it and
+	// saving again must reproduce it byte for byte.
+	const legacy = `{
+  "node-1": {
+    "mean_hz": -22000,
+    "dev_hz": 0,
+    "min_hz": -22000,
+    "max_hz": -22000,
+    "count": 5
+  },
+  "node-2": {
+    "mean_hz": -18000,
+    "dev_hz": 12.5,
+    "min_hz": -18040,
+    "max_hz": -17990,
+    "count": 7
+  }
+}
+`
 	s := New(Config{})
-	if err := s.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := s.Load(strings.NewReader(legacy)); err != nil {
 		t.Fatal(err)
-	}
-	if s.Devices() != 2 {
-		t.Fatalf("devices = %d", s.Devices())
 	}
 	rec, ok := s.Record("node-2")
 	if !ok || rec.Mean != -18000 || rec.Count != 7 {
 		t.Errorf("record = %+v ok=%v", rec, ok)
 	}
-	// Round-trip back to the detector.
-	var buf2 bytes.Buffer
-	if err := s.Save(&buf2); err != nil {
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2 := core.NewReplayDetector()
-	if err := d2.Load(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := d2.Record("node-1"); got.Mean != -22000 {
-		t.Errorf("round-tripped record = %+v", got)
+	if buf.String() != legacy {
+		t.Errorf("Save wrote\n%s\nwant the loaded legacy bytes\n%s", buf.String(), legacy)
 	}
 }
 
 func TestLoadRejectsHostileDatabase(t *testing.T) {
-	s := New(Config{})
-	s.Enroll("keep", -20000, 10)
-	hostile := `{"n": {"mean_hz": -22000, "dev_hz": -5, "min_hz": -22000, "max_hz": -22000, "count": 10}}`
-	if err := s.Load(bytes.NewBufferString(hostile)); !errors.Is(err, core.ErrBadDatabase) {
-		t.Errorf("err = %v, want ErrBadDatabase", err)
+	// A record with Dev: NaN makes Band NaN, and |fb − mean| > NaN is
+	// always false — every frame from that device would be accepted as
+	// genuine. Load must reject such databases outright and keep the
+	// database it had.
+	cases := map[string]string{
+		"nan mean":       `{"n": {"mean_hz": "NaN", "dev_hz": 0, "min_hz": 0, "max_hz": 0, "count": 1}}`,
+		"negative dev":   `{"n": {"mean_hz": -22000, "dev_hz": -5, "min_hz": -22000, "max_hz": -22000, "count": 10}}`,
+		"negative count": `{"n": {"mean_hz": -22000, "dev_hz": 0, "min_hz": -22000, "max_hz": -22000, "count": -1}}`,
+		"inverted range": `{"n": {"mean_hz": -22000, "dev_hz": 0, "min_hz": -21000, "max_hz": -22000, "count": 10}}`,
+		"null record":    `{"n": null}`,
 	}
-	if _, ok := s.Record("keep"); !ok {
-		t.Error("failed load clobbered the database")
+	for name, hostile := range cases {
+		s := New(Config{})
+		s.Enroll("keep", -20000, 10)
+		if err := s.Load(strings.NewReader(hostile)); !errors.Is(err, core.ErrBadDatabase) {
+			t.Errorf("%s: err = %v, want ErrBadDatabase", name, err)
+		}
+		if _, ok := s.Record("keep"); !ok {
+			t.Errorf("%s: failed load clobbered the database", name)
+		}
 	}
 }
 

@@ -672,7 +672,7 @@ func (s *NetworkServer) SaveFile(fsys vfs.FS, path string) error {
 
 // LoadFile replaces the database from path, auto-detecting the format: a
 // checksummed container written by SaveFile, or a legacy monolithic JSON
-// database written by Save / core.ReplayDetector.Save. A truncated or
+// database in the format Save writes. A truncated or
 // bit-flipped container is rejected whole (ErrBadSnapshot) and the current
 // database is kept — there is no silent partial load. A nil fsys selects
 // the real filesystem.

@@ -340,8 +340,8 @@ func TestSaveFileLoadFileRoundTripAndTruncation(t *testing.T) {
 }
 
 func TestLoadFileLegacyJSON(t *testing.T) {
-	// A monolithic JSON database written by the pre-sharded Save (and by
-	// core.ReplayDetector.Save) must keep loading through LoadFile.
+	// A monolithic JSON database written by the pre-sharded Save must
+	// keep loading through LoadFile.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "legacy.json")
 	s := New(Config{})

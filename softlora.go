@@ -127,36 +127,9 @@ type Config struct {
 	SampleRate float64
 	// Onset selects the timestamping detector (OnsetAIC by default).
 	Onset OnsetMethod
-	// OnsetCoarseDecimation tunes the dechirp onset detector's hierarchical
-	// coarse scan: the boxcar decimation factor of its quarter-chirp
-	// fill-metric windows (0 = core.DefaultCoarseDecimation, 1 = full-rate
-	// scan). Only meaningful with OnsetDechirp.
-	OnsetCoarseDecimation int
-	// OnsetRefineCombBins widens the frequency comb the dechirp onset
-	// detector's sliding refinement tracks around each candidate tone
-	// (0 = default). Only meaningful with OnsetDechirp.
-	OnsetRefineCombBins int
-	// OnsetExhaustive runs the dechirp onset detector's brute-force
-	// reference search instead of the coarse→fine hierarchy — orders of
-	// magnitude slower, intended for parity debugging only. Only
-	// meaningful with OnsetDechirp.
-	OnsetExhaustive bool
-	// OnsetFloat64 forces the AIC detector's coarse/mid decision stages
-	// onto the float64 reference lane instead of the default float32 fast
-	// lane. The final refinement is float64 either way, so verdicts and
-	// database bytes are identical across the toggle (the determinism suite
-	// pins it); the knob exists for parity debugging. Only meaningful with
-	// OnsetAIC.
-	OnsetFloat64 bool
 	// FB selects the bias estimator (FBLinearRegression by default;
 	// FBLeastSquares is the low-SNR option at higher CPU cost).
 	FB FBMethod
-	// FBExhaustive runs the dechirp-FFT estimator's monolithic padded-FFT
-	// reference instead of the decimated coarse→zoom hierarchy — several
-	// times slower, intended for accuracy parity runs and for biases
-	// beyond the ±BW/2 fingerprint band the fast path searches. Only
-	// meaningful with FBDechirpFFT.
-	FBExhaustive bool
 	// ToleranceHz is the replay-detection deviation threshold
 	// (core.DefaultToleranceHz when 0). Ignored when Server is set — a
 	// shared network server owns its own detection configuration.
@@ -234,12 +207,8 @@ type Gateway struct {
 	params     lora.Params
 	sampleRate float64
 	fbMethod   FBMethod
-	fbExh      bool // dechirp-FFT estimator reference mode (Config knob)
 	onsetMeth  OnsetMethod
-	onsetDecim int          // dechirp detector coarse decimation (Config knob)
-	onsetComb  int          // dechirp detector refinement comb half-width
-	onsetExh   bool         // dechirp detector brute-force reference mode
-	onsetF64   bool         // AIC detector float64 reference lane (Config knob)
+	onsetF64   bool         // AIC detector float64 reference lane; set only by a determinism test
 	recvProto  sdr.Receiver // per-worker receivers are stamped from this
 	workers    int
 	pipe       *pipeline // serial-path pipeline (ProcessUplink)
@@ -310,12 +279,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		params:     params,
 		sampleRate: rate,
 		fbMethod:   cfg.FB,
-		fbExh:      cfg.FBExhaustive,
 		onsetMeth:  cfg.Onset,
-		onsetDecim: cfg.OnsetCoarseDecimation,
-		onsetComb:  cfg.OnsetRefineCombBins,
-		onsetExh:   cfg.OnsetExhaustive,
-		onsetF64:   cfg.OnsetFloat64,
 		workers:    workers,
 		gatewayID:  gatewayID,
 		rand:       cfg.Rand,
@@ -358,12 +322,7 @@ func (g *Gateway) newPipeline() *pipeline {
 	case OnsetEnvelope:
 		p.onset = &core.EnvelopeDetector{SmoothLen: 8, LowPassCutoffHz: core.DefaultPrefilterCutoffHz}
 	case OnsetDechirp:
-		p.onset = &core.DechirpOnsetDetector{
-			Params:           g.params,
-			CoarseDecimation: g.onsetDecim,
-			RefineCombBins:   g.onsetComb,
-			Exhaustive:       g.onsetExh,
-		}
+		p.onset = &core.DechirpOnsetDetector{Params: g.params}
 	}
 	switch g.fbMethod {
 	case "", FBLinearRegression:
@@ -371,7 +330,7 @@ func (g *Gateway) newPipeline() *pipeline {
 	case FBLeastSquares:
 		p.estimator = &core.LeastSquaresEstimator{Params: g.params, Decimation: 4}
 	case FBDechirpFFT:
-		p.estimator = &core.DechirpFFTEstimator{Params: g.params, Exhaustive: g.fbExh}
+		p.estimator = &core.DechirpFFTEstimator{Params: g.params}
 	case FBUpDown:
 		p.updown = &core.UpDownEstimator{Params: g.params}
 	}
