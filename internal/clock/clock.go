@@ -1,24 +1,13 @@
-// Package clock models the oscillators behind data timestamping: drifting
-// device crystals, the GPS-disciplined gateway clock, and the arithmetic of
-// §3.2 of the paper that compares synchronization-based and
-// synchronization-free timestamping overheads.
+// Package clock models the oscillators behind data timestamping — drifting
+// device crystals — and the arithmetic of §3.2 of the paper that compares
+// synchronization-based and synchronization-free timestamping overheads.
 package clock
 
-import (
-	"errors"
-	"math/rand"
-)
+import "math/rand"
 
-// Typical crystal drift rates (ppm) for microcontrollers and PCs, per the
-// paper's §3.2 (30-50 ppm; the paper's worked example uses 40).
-const (
-	TypicalDriftPPMLow  = 30
-	TypicalDriftPPMHigh = 50
-	PaperExampleDrift   = 40
-)
-
-// ErrNegativeDuration is returned for negative time spans.
-var ErrNegativeDuration = errors.New("clock: negative duration")
+// PaperExampleDrift is the crystal drift rate (ppm) of the paper's §3.2
+// worked example, within the 30-50 ppm typical of microcontrollers and PCs.
+const PaperExampleDrift = 40
 
 // Oscillator models a free-running clock with a constant drift rate and
 // optional white jitter on readings.
@@ -45,11 +34,6 @@ func (o *Oscillator) LocalAt(global float64) float64 {
 	return local
 }
 
-// DriftOver returns the clock error accumulated over a global time span dt.
-func (o *Oscillator) DriftOver(dt float64) float64 {
-	return dt * o.DriftPPM * 1e-6
-}
-
 // SyncSessionsPerHour returns how many clock-synchronization sessions per
 // hour a device needs to keep its clock error below maxError seconds at the
 // given drift rate. The paper's example: 40 ppm and sub-10 ms error →
@@ -71,23 +55,4 @@ func MaxBufferTime(maxDrift, driftPPM float64) float64 {
 		return 0
 	}
 	return maxDrift / (driftPPM * 1e-6)
-}
-
-// GPSClock models the gateway's GPS-disciplined clock: unbiased with small
-// bounded error.
-type GPSClock struct {
-	// ErrorBoundSeconds is the ± accuracy of readings (tens of ns for real
-	// GPS; configurable for sensitivity studies).
-	ErrorBoundSeconds float64
-	// Rand supplies the per-reading error; required when
-	// ErrorBoundSeconds > 0.
-	Rand *rand.Rand
-}
-
-// Now returns the GPS reading for the given true global time.
-func (g *GPSClock) Now(global float64) float64 {
-	if g.ErrorBoundSeconds > 0 && g.Rand != nil {
-		return global + (g.Rand.Float64()*2-1)*g.ErrorBoundSeconds
-	}
-	return global
 }

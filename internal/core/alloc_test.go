@@ -99,26 +99,19 @@ func TestDechirpOnsetZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestDechirpOnsetHierarchyPathsZeroAlloc pins the two new hot paths of the
-// hierarchical search in isolation: the decimated coarse fill metric and
-// the sliding-DFT/Goertzel refinement, each allocation-free after warm-up.
+// TestDechirpOnsetHierarchyPathsZeroAlloc pins the sliding-DFT/Goertzel
+// refinement of the hierarchical search in isolation, allocation-free after
+// warm-up. The batched decimated coarse scan is covered by the DetectOnset
+// steady-state test above.
 func TestDechirpOnsetHierarchyPathsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(207))
 	det := &DechirpOnsetDetector{Params: testParams()}
 	iq, _ := frameCapture(t, rng, -21e3, 1.2, 20)
 	n := int(det.Params.SamplesPerChirp(testRate))
 	det.ensureScratch(n, testRate)
-	dec := det.coarseDecimation(n, testRate)
-	det.ensureDroop(n, dec)
 	det.ensureGlobalDechirp(iq, testRate)
-	// Warm-up: sizes the decimated plan, sliding bins and theta buffer.
-	det.fillMagDec(iq, 0, n, testRate, dec)
+	// Warm-up: sizes the sliding bins and theta buffer.
 	det.refineApex(iq, 2*n, n, testRate)
-	if allocs := testing.AllocsPerRun(10, func() {
-		det.fillMagDec(iq, n/4, n, testRate, dec)
-	}); allocs != 0 {
-		t.Errorf("decimated coarse scan allocated %v times per run", allocs)
-	}
 	if allocs := testing.AllocsPerRun(5, func() {
 		det.ensureGlobalDechirp(iq, testRate)
 		det.refineApex(iq, 2*n, n, testRate)

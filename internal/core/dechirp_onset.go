@@ -34,12 +34,12 @@ const DefaultCoarseDecimation = 4
 // O(bins·n) instead of O(windows·n·log n):
 //
 //  1. Coarse scan: the quarter-chirp-stride fill-metric scan runs on a
-//     boxcar-decimated dechirp (dsp.DechirpScratch.DechirpDecimated, FFT
-//     size n/D for decimation D, default 4). The boxcar keeps every sample
-//     in the coherent sum, so the full 2^SF despreading gain is preserved;
-//     its sinc droop is divided out per bin, and the alias-pair metric is
-//     evaluated on the decimated grid — an accuracy-preserving replacement
-//     costing ~1/4 of the full-rate windows.
+//     boxcar-decimated dechirp (dsp.DechirpScratch.DechirpDecimateInto,
+//     FFT size n/D for decimation D, default 4). The boxcar keeps every
+//     sample in the coherent sum, so the full 2^SF despreading gain is
+//     preserved; its sinc droop is divided out per bin, and the alias-pair
+//     metric is evaluated on the decimated grid — an accuracy-preserving
+//     replacement costing ~1/4 of the full-rate windows.
 //  2. Apex refinement: one anchor FFT at the refinement center identifies
 //     the dechirped tone; every subsequent fine step is evaluated by a
 //     sliding DFT (dsp.SlidingDFT) tracking a handful of candidate bins —
@@ -276,24 +276,15 @@ func (d *DechirpOnsetDetector) fillMag(iq []complex128, start, n int, sampleRate
 	return math.Sqrt(aliasPairMaxSq(magSq, wBins))
 }
 
-// fillMagDec is fillMag on the boxcar-decimated dechirp path: same alias-
-// pair metric, FFT size n/dec, with the boxcar's sinc droop divided out so
-// bin powers match the full-rate transform's across the band. The decimated
-// grid keeps the alias-pair geometry because bin widths in Hz are
-// preserved: W/(rate/dec)·(nfft/dec) = W/rate·nfft.
+// fillMagDecSpec is fillMag on the boxcar-decimated dechirp path, scoring
+// one pre-transformed block of the batched coarse scan (one TransformMany
+// over every window's DechirpDecimateInto result): same alias-pair metric,
+// FFT size n/dec, with the boxcar's sinc droop divided out so bin powers
+// match the full-rate transform's across the band. The decimated grid keeps
+// the alias-pair geometry because bin widths in Hz are preserved:
+// W/(rate/dec)·(nfft/dec) = W/rate·nfft.
 //
 //softlora:allocfree
-func (d *DechirpOnsetDetector) fillMagDec(iq []complex128, start, n int, sampleRate float64, dec int) float64 {
-	if start < 0 || start+n > len(iq) {
-		return 0
-	}
-	spec := d.scratch.DechirpDecimated(iq[start:start+n], dec)
-	return d.fillMagDecSpec(spec, sampleRate, dec)
-}
-
-// fillMagDecSpec is the spectrum half of fillMagDec, split out so the
-// batched coarse scan (one TransformMany over every window's decimated
-// dechirp) can score pre-transformed blocks with the identical metric.
 func (d *DechirpOnsetDetector) fillMagDecSpec(spec []complex128, sampleRate float64, dec int) float64 {
 	nb := len(spec)
 	wBins := int(math.Round(d.Params.Bandwidth / sampleRate * float64(dec) * float64(nb)))
@@ -338,8 +329,8 @@ func (d *DechirpOnsetDetector) DetectOnset(iq []complex128, sampleRate float64) 
 	// metric (alignment-insensitive). The decimated path batches every
 	// window's dechirped-and-decimated block into one slab and runs a
 	// single TransformMany through the shared plan — per-block results are
-	// bit-identical to the per-window DechirpDecimated transforms, the
-	// plan's permutation and twiddle tables just stay hot across windows.
+	// bit-identical to per-window transforms, the plan's permutation and
+	// twiddle tables just stay hot across windows.
 	mags := d.coarseMags[:0]
 	ats := d.coarseAts[:0]
 	bestMag := 0.0

@@ -516,8 +516,8 @@ func (a *AICDetector) coarsePick(iq []complex128, sampleRate float64, margin int
 // coarsePick32 is coarsePick on the float32 lane: identical staging
 // (boxcar-decimate, short cleanup FIR, coarse AIC, full-rate windowed
 // re-pick) over the single-precision component, with the AIC split running
-// on the fast-log Onset32. The decimated-rate fallback drops to the float64
-// coarsePick — it needs the complex prefilter, which stays double.
+// on the fast-log Onset32Strided. The decimated-rate fallback drops to the
+// float64 coarsePick — it needs the complex prefilter, which stays double.
 func (a *AICDetector) coarsePick32(iq []complex128, sampleRate float64, margin int) int {
 	dec := a.CoarseDecimation
 	if dec == 0 {

@@ -2,7 +2,19 @@ package dsp
 
 import "math"
 
-// AICOnset picks the onset sample of a transient in a real-valued trace
+// AICScratch holds the prefix-sum buffers of the AIC picker so repeated
+// picks (per-uplink onset detection) run without allocating. Not safe for
+// concurrent use — one scratch per goroutine.
+type AICScratch struct {
+	sum, sumSq []float64
+	// Length tables for the float32 lane: lnLen[m] = ln(m) and
+	// invLen[m] = 1/m, so the per-candidate work is two fast logs and no
+	// divisions (ln(S/m) = ln(S) − lnLen[m], S/m via invLen).
+	lnLen  []float32
+	invLen []float64
+}
+
+// Onset picks the onset sample of a transient in a real-valued trace
 // using the Akaike Information Criterion picker of Maeda (the on-line
 // variant of the AR-AIC picker of Sleeman & van Eck used by the paper,
 // §6.1.2). For every candidate split point k the trace is modelled as two
@@ -16,67 +28,8 @@ import "math"
 // margin excludes the first and last margin samples from the candidate set,
 // where one of the two segment variances would be estimated from too few
 // samples to be meaningful.
-func AICOnset(x []float64, margin int) int {
-	var s AICScratch
-	return s.Onset(x, margin)
-}
-
-// AICScratch holds the prefix-sum buffers of the AIC picker so repeated
-// picks (per-uplink onset detection) run without allocating. Not safe for
-// concurrent use — one scratch per goroutine.
-type AICScratch struct {
-	sum, sumSq []float64
-	// Length tables for the float32 lane: lnLen[m] = ln(m) and
-	// invLen[m] = 1/m, so the per-candidate work is two fast logs and no
-	// divisions (ln(S/m) = ln(S) − lnLen[m], S/m via invLen).
-	lnLen  []float32
-	invLen []float64
-}
-
-// Onset is AICOnset running on the scratch's reusable buffers.
 func (sc *AICScratch) Onset(x []float64, margin int) int {
-	n := len(x)
-	if margin < 1 {
-		margin = 1
-	}
-	if n < 2*margin+2 {
-		return -1
-	}
-	// Prefix sums for O(1) segment variance.
-	if cap(sc.sum) < n+1 {
-		sc.sum = make([]float64, n+1)
-		sc.sumSq = make([]float64, n+1)
-	}
-	sum := sc.sum[:n+1]
-	sumSq := sc.sumSq[:n+1]
-	sum[0], sumSq[0] = 0, 0
-	for i, v := range x {
-		sum[i+1] = sum[i] + v
-		sumSq[i+1] = sumSq[i] + v*v
-	}
-	varSeg := func(a, b int) float64 { // variance of x[a:b]
-		m := float64(b - a)
-		if m <= 0 {
-			return 0
-		}
-		mean := (sum[b] - sum[a]) / m
-		v := (sumSq[b]-sumSq[a])/m - mean*mean
-		if v < 1e-300 {
-			v = 1e-300
-		}
-		return v
-	}
-	best := math.Inf(1)
-	bestK := -1
-	for k := margin; k < n-margin; k++ {
-		aic := float64(k)*math.Log(varSeg(0, k)) +
-			float64(n-k-1)*math.Log(varSeg(k, n))
-		if aic < best {
-			best = aic
-			bestK = k
-		}
-	}
-	return bestK
+	return sc.OnsetStrided(x, margin, 1)
 }
 
 // OnsetStrided is Onset with a coarse-to-fine candidate search: a first
@@ -152,7 +105,14 @@ func (sc *AICScratch) OnsetStrided(x []float64, margin, stride int) int {
 	return bestK
 }
 
-// Onset32Strided is OnsetStrided on the float32 lane (see Onset32).
+// Onset32Strided is OnsetStrided on the float32 lane: the same changepoint
+// picker over a single-precision trace, with prefix sums accumulated in
+// float64 (cancellation protection) and ln(var) evaluated as ln(S) − ln(m)
+// through fastLn32 plus precomputed length tables — no divisions or
+// math.Log in the hot loop. It exists for the coarse/mid stages of the
+// hierarchical AIC detector, where the pick only has to land inside the
+// refinement window of the next stage; the final stage stays on the exact
+// float64 Onset.
 func (sc *AICScratch) Onset32Strided(x []float32, margin, stride int) int {
 	n := len(x)
 	if margin < 1 {
@@ -218,62 +178,6 @@ func (sc *AICScratch) Onset32Strided(x []float32, margin, stride int) int {
 				best = aic
 				bestK = k
 			}
-		}
-	}
-	return bestK
-}
-
-// Onset32 is the float32 decision lane of Onset: same changepoint picker
-// over a single-precision trace, with prefix sums accumulated in float64
-// (cancellation protection) and ln(var) evaluated as ln(S) − ln(m) through
-// fastLn32 plus precomputed length tables — no divisions or math.Log in the
-// hot loop. It exists for the coarse/mid stages of the hierarchical AIC
-// detector, where the pick only has to land inside the refinement window of
-// the next stage; the final stage stays on the exact float64 Onset.
-func (sc *AICScratch) Onset32(x []float32, margin int) int {
-	n := len(x)
-	if margin < 1 {
-		margin = 1
-	}
-	if n < 2*margin+2 {
-		return -1
-	}
-	if cap(sc.sum) < n+1 {
-		sc.sum = make([]float64, n+1)
-		sc.sumSq = make([]float64, n+1)
-	}
-	sum := sc.sum[:n+1]
-	sumSq := sc.sumSq[:n+1]
-	sum[0], sumSq[0] = 0, 0
-	for i, v := range x {
-		v64 := float64(v)
-		sum[i+1] = sum[i] + v64
-		sumSq[i+1] = sumSq[i] + v64*v64
-	}
-	sc.ensureLenTables(n)
-	lnLen, invLen := sc.lnLen, sc.invLen
-	totSum, totSq := sum[n], sumSq[n]
-	best := float32(math.Inf(1))
-	bestK := -1
-	for k := margin; k < n-margin; k++ {
-		// S1 = k·var(x[0:k]), S2 = (n−k)·var(x[k:n]), via prefix sums.
-		m2 := n - k
-		mean1 := sum[k] * invLen[k]
-		s1 := sumSq[k] - sum[k]*mean1
-		mean2 := (totSum - sum[k]) * invLen[m2]
-		s2 := (totSq - sumSq[k]) - (totSum-sum[k])*mean2
-		// Degenerate floor mirrors Onset's 1e-300 clamp at float32 scale.
-		if s1 < 1e-30 {
-			s1 = 1e-30
-		}
-		if s2 < 1e-30 {
-			s2 = 1e-30
-		}
-		aic := float32(k)*(fastLn32(float32(s1))-lnLen[k]) +
-			float32(n-k-1)*(fastLn32(float32(s2))-lnLen[m2])
-		if aic < best {
-			best = aic
-			bestK = k
 		}
 	}
 	return bestK
@@ -357,100 +261,4 @@ func AICCurve(x []float64, margin int) []float64 {
 			float64(n-k-1)*math.Log(varSeg(k, n))
 	}
 	return out
-}
-
-// BurgAR fits an autoregressive model of the given order to a real trace
-// with Burg's method and returns the AR coefficients a[1..order] (in a slice
-// of length order) and the final prediction-error power.
-func BurgAR(x []float64, order int) (coeffs []float64, noiseVar float64) {
-	n := len(x)
-	if n <= order || order < 1 {
-		return nil, PowerReal(x)
-	}
-	f := make([]float64, n)
-	b := make([]float64, n)
-	copy(f, x)
-	copy(b, x)
-	a := make([]float64, order)
-	e := PowerReal(x) * float64(n)
-	prev := make([]float64, order)
-	for m := 0; m < order; m++ {
-		var num, den float64
-		for i := m + 1; i < n; i++ {
-			num += f[i] * b[i-1]
-			den += f[i]*f[i] + b[i-1]*b[i-1]
-		}
-		var k float64
-		if den != 0 {
-			k = -2 * num / den
-		}
-		copy(prev, a[:m])
-		a[m] = k
-		for i := 0; i < m; i++ {
-			a[i] = prev[i] + k*prev[m-1-i]
-		}
-		for i := n - 1; i > m; i-- {
-			fi := f[i]
-			f[i] = fi + k*b[i-1]
-			b[i] = b[i-1] + k*fi
-		}
-		e *= 1 - k*k
-	}
-	nv := e / float64(n)
-	if nv < 0 {
-		nv = 0
-	}
-	return a, nv
-}
-
-// ARAICOnset picks a transient onset using the full autoregressive AIC
-// formulation (Sleeman & van Eck 1999): for each candidate split point, AR
-// models of the given order are fitted to the segments before and after the
-// candidate and the AIC is computed from the two prediction-error variances.
-// To keep the cost manageable the candidate grid is evaluated every step
-// samples and the best cell is refined with the variance-based AICOnset.
-// It returns -1 when the trace is too short.
-func ARAICOnset(x []float64, order, step int) int {
-	n := len(x)
-	if step < 1 {
-		step = 1
-	}
-	minSeg := 4 * (order + 1)
-	if n < 2*minSeg+step {
-		return AICOnset(x, order+1)
-	}
-	best := math.Inf(1)
-	bestK := -1
-	for k := minSeg; k < n-minSeg; k += step {
-		_, v1 := BurgAR(x[:k], order)
-		_, v2 := BurgAR(x[k:], order)
-		if v1 < 1e-300 {
-			v1 = 1e-300
-		}
-		if v2 < 1e-300 {
-			v2 = 1e-300
-		}
-		aic := float64(k)*math.Log(v1) + float64(n-k)*math.Log(v2)
-		if aic < best {
-			best = aic
-			bestK = k
-		}
-	}
-	if bestK < 0 {
-		return -1
-	}
-	// Refine within the winning cell using the cheap variance picker.
-	lo := bestK - step
-	if lo < 0 {
-		lo = 0
-	}
-	hi := bestK + step
-	if hi > n {
-		hi = n
-	}
-	fine := AICOnset(x[lo:hi], 2)
-	if fine < 0 {
-		return bestK
-	}
-	return lo + fine
 }

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,17 +25,19 @@ func TestAICOnsetFindsBurst(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const n, onset = 4000, 1700
 	x := burstTrace(rng, n, onset, 0.05, 1)
-	got := AICOnset(x, 10)
+	var sc AICScratch
+	got := sc.Onset(x, 10)
 	if d := got - onset; d < -5 || d > 5 {
-		t.Errorf("AICOnset = %d, want ~%d", got, onset)
+		t.Errorf("Onset = %d, want ~%d", got, onset)
 	}
 }
 
 func TestAICOnsetShortTrace(t *testing.T) {
-	if got := AICOnset([]float64{1, 2, 3}, 5); got != -1 {
+	var sc AICScratch
+	if got := sc.Onset([]float64{1, 2, 3}, 5); got != -1 {
 		t.Errorf("short trace onset = %d, want -1", got)
 	}
-	if got := AICOnset(nil, 1); got != -1 {
+	if got := sc.Onset(nil, 1); got != -1 {
 		t.Errorf("nil trace onset = %d, want -1", got)
 	}
 }
@@ -47,7 +50,8 @@ func TestAICOnsetProperty(t *testing.T) {
 		n := 3000
 		onset := 500 + int(onsetSel)%2000
 		x := burstTrace(rng, n, onset, 0.1, 1)
-		got := AICOnset(x, 10)
+		var sc AICScratch
+		got := sc.Onset(x, 10)
 		d := got - onset
 		return d >= -20 && d <= 20
 	}
@@ -59,7 +63,8 @@ func TestAICOnsetProperty(t *testing.T) {
 func TestAICCurveMinimumAtPick(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := burstTrace(rng, 2000, 900, 0.05, 1)
-	pick := AICOnset(x, 10)
+	var sc AICScratch
+	pick := sc.Onset(x, 10)
 	curve := AICCurve(x, 10)
 	minV := math.Inf(1)
 	minI := -1
@@ -74,71 +79,6 @@ func TestAICCurveMinimumAtPick(t *testing.T) {
 	}
 	if !math.IsNaN(curve[0]) || !math.IsNaN(curve[len(curve)-1]) {
 		t.Error("margins should be NaN")
-	}
-}
-
-func TestBurgARWhiteNoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	x := make([]float64, 4096)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	coeffs, nv := BurgAR(x, 4)
-	if len(coeffs) != 4 {
-		t.Fatalf("coeffs len = %d", len(coeffs))
-	}
-	// White noise: AR coefficients ~0, prediction error ~ input variance.
-	for i, c := range coeffs {
-		if math.Abs(c) > 0.1 {
-			t.Errorf("coeff[%d] = %f, want ~0", i, c)
-		}
-	}
-	if math.Abs(nv-1) > 0.15 {
-		t.Errorf("noise var = %f, want ~1", nv)
-	}
-}
-
-func TestBurgARPredictsAR1(t *testing.T) {
-	// x[n] = 0.8 x[n-1] + e[n]: Burg should recover a1 ≈ -0.8 (prediction
-	// convention) and residual variance ≈ sigma_e^2.
-	rng := rand.New(rand.NewSource(13))
-	const rho = 0.8
-	x := make([]float64, 8192)
-	for i := 1; i < len(x); i++ {
-		x[i] = rho*x[i-1] + rng.NormFloat64()
-	}
-	coeffs, nv := BurgAR(x, 1)
-	if math.Abs(coeffs[0]+rho) > 0.05 {
-		t.Errorf("a1 = %f, want ~%f", coeffs[0], -rho)
-	}
-	if math.Abs(nv-1) > 0.15 {
-		t.Errorf("residual var = %f, want ~1", nv)
-	}
-}
-
-func TestBurgARDegenerate(t *testing.T) {
-	coeffs, _ := BurgAR([]float64{1, 2}, 5)
-	if coeffs != nil {
-		t.Error("expected nil coeffs for order >= len")
-	}
-}
-
-func TestARAICOnsetFindsBurst(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	const n, onset = 4000, 2100
-	x := burstTrace(rng, n, onset, 0.05, 1)
-	got := ARAICOnset(x, 4, 50)
-	if d := got - onset; d < -30 || d > 30 {
-		t.Errorf("ARAICOnset = %d, want ~%d", got, onset)
-	}
-}
-
-func TestARAICOnsetShortFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	x := burstTrace(rng, 60, 30, 0.05, 1)
-	got := ARAICOnset(x, 4, 10)
-	if d := got - 30; d < -10 || d > 10 {
-		t.Errorf("short-trace onset = %d, want ~30", got)
 	}
 }
 
@@ -165,56 +105,96 @@ func TestFastLn32MatchesMathLog(t *testing.T) {
 	}
 }
 
-// The float32 lane must agree with the float64 picker to within the coarse
+// The strided search must land on the dense search's pick on the same
+// lane, and the float32 lane on the float64 pick to within the coarse
 // stage's refinement slack: the next stage re-searches ±margin·dec samples,
-// so a handful of samples of disagreement is free.
+// so a handful of samples of disagreement is free. Production runs stride
+// 4 (core's aicSearchStride); stride 1 is the dense search. Onsets within
+// one stride of either margin exercise the second pass's clamping: every
+// pick must stay inside [margin, n−margin).
 func TestOnset32ParityWithOnset(t *testing.T) {
+	const margin = 10
 	rng := rand.New(rand.NewSource(17))
-	var sc, sc32 AICScratch
-	for trial := 0; trial < 50; trial++ {
-		n := 2000 + rng.Intn(2000)
-		onset := 400 + rng.Intn(n-800)
-		x := burstTrace(rng, n, onset, 0.05+rng.Float64()*0.2, 1)
-		x32 := make([]float32, n)
-		for i, v := range x {
-			x32[i] = float32(v)
-		}
-		k64 := sc.Onset(x, 10)
-		k32 := sc32.Onset32(x32, 10)
-		if d := k32 - k64; d < -4 || d > 4 {
-			t.Fatalf("trial %d: Onset32 = %d, Onset = %d (onset %d)", trial, k32, k64, onset)
+	var sc AICScratch
+	for _, stride := range []int{1, 4} {
+		for trial := 0; trial < 80; trial++ {
+			n := 2000 + rng.Intn(2000)
+			onset := 400 + rng.Intn(n-800)
+			switch trial % 4 {
+			case 1:
+				onset = margin - stride + 1 + rng.Intn(2*stride-1)
+			case 2:
+				onset = n - margin - stride + 1 + rng.Intn(2*stride-1)
+			}
+			x := burstTrace(rng, n, onset, 0.05+rng.Float64()*0.2, 1)
+			x32 := make([]float32, n)
+			for i, v := range x {
+				x32[i] = float32(v)
+			}
+			k64 := sc.Onset(x, margin)
+			ks := sc.OnsetStrided(x, margin, stride)
+			k32 := sc.Onset32Strided(x32, margin, 1)
+			k32s := sc.Onset32Strided(x32, margin, stride)
+			for _, k := range []int{ks, k32s} {
+				if k < margin || k >= n-margin {
+					t.Fatalf("stride %d trial %d: pick %d outside [%d, %d) (onset %d)", stride, trial, k, margin, n-margin, onset)
+				}
+			}
+			if ks != k64 || k32s != k32 {
+				t.Fatalf("stride %d trial %d: strided picks %d (float64) / %d (float32), dense %d / %d (onset %d)",
+					stride, trial, ks, k32s, k64, k32, onset)
+			}
+			if d := k32 - k64; d < -4 || d > 4 {
+				t.Fatalf("trial %d: Onset32Strided = %d, Onset = %d (onset %d)", trial, k32, k64, onset)
+			}
 		}
 	}
 }
 
 func TestOnset32ShortTrace(t *testing.T) {
 	var sc AICScratch
-	if got := sc.Onset32([]float32{1, 2, 3}, 5); got != -1 {
-		t.Errorf("short trace onset = %d, want -1", got)
-	}
-	if got := sc.Onset32(nil, 1); got != -1 {
-		t.Errorf("nil trace onset = %d, want -1", got)
+	const margin = 5
+	for _, stride := range []int{1, 4} {
+		if got := sc.Onset32Strided([]float32{1, 2, 3}, margin, stride); got != -1 {
+			t.Errorf("stride %d: short trace onset = %d, want -1", stride, got)
+		}
+		if got := sc.Onset32Strided(nil, 1, stride); got != -1 {
+			t.Errorf("stride %d: nil trace onset = %d, want -1", stride, got)
+		}
+		// 2·margin+2 samples is the shortest trace with a candidate.
+		x := make([]float32, 2*margin+2)
+		for i := range x {
+			x[i] = float32(i % 3)
+		}
+		if got := sc.Onset32Strided(x[:len(x)-1], margin, stride); got != -1 {
+			t.Errorf("stride %d: %d-sample trace onset = %d, want -1", stride, len(x)-1, got)
+		}
+		if got := sc.Onset32Strided(x, margin, stride); got != margin {
+			t.Errorf("stride %d: %d-sample trace onset = %d, want %d", stride, len(x), got, margin)
+		}
 	}
 }
 
 func BenchmarkAICOnset(b *testing.B) {
 	rng := rand.New(rand.NewSource(18))
 	x := burstTrace(rng, 4096, 1700, 0.05, 1)
-	var sc AICScratch
-	b.Run("float64", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sc.Onset(x, 8)
-		}
-	})
 	x32 := make([]float32, len(x))
 	for i, v := range x {
 		x32[i] = float32(v)
 	}
-	b.Run("float32", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sc.Onset32(x32, 8)
-		}
-	})
+	var sc AICScratch
+	for _, stride := range []int{1, 4} {
+		b.Run(fmt.Sprintf("float64-stride%d", stride), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc.OnsetStrided(x, 8, stride)
+			}
+		})
+		b.Run(fmt.Sprintf("float32-stride%d", stride), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc.Onset32Strided(x32, 8, stride)
+			}
+		})
+	}
 }

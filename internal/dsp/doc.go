@@ -1,10 +1,10 @@
 // Package dsp provides the signal-processing substrate used by the SoftLoRa
 // gateway: complex baseband (I/Q) trace manipulation, FFT and spectrograms,
 // single-frequency DFT evaluation (Goertzel) with sliding-window updates,
-// Hilbert-transform envelopes, FIR filtering and decimation, phase
-// unwrapping, linear regression, autoregressive modelling with the Akaike
-// Information Criterion, differential-evolution optimization, and noise
-// generation calibrated to a target SNR.
+// Hilbert-transform envelopes, FIR filtering, phase unwrapping, linear
+// regression, Akaike Information Criterion onset picking,
+// differential-evolution optimization, and seedable Gaussian and coloured
+// noise generation.
 //
 // All routines operate on discrete-time complex baseband traces sampled at a
 // caller-supplied rate. The package is deterministic: every stochastic
@@ -13,19 +13,19 @@
 // # Plans and scratch ownership
 //
 // Hot paths transform through Plan: per-size cached twiddle factors and
-// permutation tables whose Transform/TransformInPlace/Inverse entry points
-// never allocate after construction. A plan whose size's log2 is even
-// (4, 16, …, 1024, 4096, 16384 — every hot gateway size) runs a radix-4
-// butterfly kernel, ~25 % fewer multiplies than radix-2; odd-log2 sizes
-// fall back to the radix-2 kernel (Plan.Radix reports the selection).
+// permutation tables whose Transform/TransformInPlace/InverseInPlace entry
+// points never allocate after construction. A plan whose size's log2 is
+// even (4, 16, …, 1024, 4096, 16384 — every hot gateway size) runs a
+// radix-4 butterfly kernel, ~25 % fewer multiplies than radix-2; odd-log2
+// sizes fall back to the radix-2 kernel.
 // Plans are immutable, so the process-wide cache behind PlanFor may hand
 // the same *Plan to any number of goroutines. Everything mutable is the
 // CALLER's scratch — the buffers paired with a plan, and the stateful
 // helpers (SpectrogramPlan, HilbertScratch, AICScratch, SlidingDFT, a
 // FIRFilter once applied) — and is strictly single-goroutine: one
 // plan/scratch set per worker, no sharing. The one-shot conveniences (FFT,
-// IFFT, Spectrogram, Envelope, AICOnset, Apply, GoertzelDFT) allocate
-// nothing or per call and stay safe for casual use.
+// Spectrogram, AICCurve, Apply, GoertzelDFT) allocate nothing or per call
+// and stay safe for casual use.
 //
 // # Full-spectrum, few-bin, and decimated evaluation
 //
@@ -35,12 +35,11 @@
 // evaluates one arbitrary frequency in O(n), and SlidingDFT tracks a fixed
 // frequency set across a sliding window at O(bins) per one-sample shift —
 // the right shape when successive windows overlap almost entirely.
-// DechirpScratch.DechirpDecimated trades frequency span instead of
+// DechirpScratch.DechirpDecimateInto trades frequency span instead of
 // resolution: it boxcar-sums the dechirped product by the decimation
-// factor before a proportionally smaller transform, preserving the full
-// window's coherent gain over the surviving band (compensate the boxcar's
-// sinc droop per bin with BoxcarDroopSq; DechirpDecimateInto exposes the
-// decimated time series when a caller needs it past the transform).
+// factor, so a proportionally smaller transform of the result keeps the
+// full window's coherent gain over the surviving band (compensate the
+// boxcar's sinc droop per bin with BoxcarDroopSq).
 //
 // Two batching tiers sit on top. Plan.TransformMany runs K packed
 // same-size transforms through one plan back to back — bit-identical to K
@@ -48,21 +47,21 @@
 // in cache across blocks (the coarse-scan windows of a capture, a
 // spectrogram's frames). And the decision-stage float32 lanes trade
 // precision for bandwidth where the consumer's error budget allows it:
-// AICScratch.Onset32/Onset32Strided and the FIRFilter ...32 apply paths
+// AICScratch.Onset32Strided and the FIRFilter ...32 apply paths
 // run the onset detector's coarse/mid argmin stages on float32 data with a
 // float32 Cephes log (fastLn32, ~4e-7 relative), halving the memory
 // traffic of the widest scans. The contract is that float32 output feeds
 // DECISIONS (an argmin handed to a dense float64 refinement), never values
-// that flow into the bias database; OnsetStrided/Onset32Strided further
+// that flow into the bias database. OnsetStrided/Onset32Strided further
 // cut the argmin cost by evaluating every stride-th candidate and densely
-// refining around the winner.
+// refining around the winner; stride 1 is the dense search Onset runs.
 //
 // ZoomDFT adds the zoom tier between "one bin" and "all bins": a planned
 // chirp-Z transform that evaluates a dense uniform grid of `points`
 // frequencies anywhere in the band at O((m+points)·log(m+points)) — two
-// planned FFTs per call — against O(points·m) for a GoertzelGrid sweep
-// (measured ~4.5× faster at the FB estimator's 307-sample/65-point
-// geometry, BenchmarkZoomGrid). The frequency-bias estimator's
+// planned FFTs per call — against O(points·m) for one Goertzel evaluation
+// per grid point (BenchmarkZoomGrid times it at the FB estimator's
+// 307-sample/65-point geometry). The frequency-bias estimator's
 // coarse-to-fine path is the canonical composition: DechirpDecimateInto
 // shrinks the band, a small plan transform localizes the tone to a coarse
 // bin, and ZoomDFT refines it on a grid finer than any affordable padded
@@ -97,7 +96,7 @@
 // block by the drift property tests (oscillator_test.go, and
 // lora's oscillator-vs-Sincos parity suite across SF 7–12 with realistic
 // frequency offsets). Consumers therefore treat oscillator output as exact:
-// detectors dechirp against Oscillator-rendered references
-// (lora.ChirpSpec.FillPhasors) with no accuracy budget set aside for the
-// recurrence.
+// the channel renders every chirp through Oscillator (lora.ChirpSpec.AddTo)
+// and the SDR front end corrects its LO through Rotator.MulInto, with no
+// accuracy budget set aside for the recurrence.
 package dsp

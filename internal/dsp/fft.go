@@ -29,25 +29,6 @@ func FFT(x []complex128) []complex128 {
 	return out
 }
 
-// IFFT computes the inverse discrete Fourier transform of x, zero-padding to
-// a power of two if needed. The 1/N normalization is applied.
-func IFFT(x []complex128) []complex128 {
-	p := PlanFor(len(x))
-	out := make([]complex128, p.Size())
-	p.Inverse(out, x)
-	return out
-}
-
-// FFTShift rotates the spectrum so the zero-frequency bin is at the center.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	half := (n + 1) / 2
-	copy(out, x[half:])
-	copy(out[n-half:], x[:half])
-	return out
-}
-
 // BinFrequency returns the signal frequency (Hz) corresponding to FFT bin k
 // of an n-point transform at the given sample rate, mapping bins above n/2
 // to negative frequencies.

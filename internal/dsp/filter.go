@@ -199,29 +199,6 @@ func (f *FIRFilter) applyOverlapSave(out, x []complex128) {
 	}
 }
 
-// ApplyReal convolves the filter with a real trace, delay-compensated.
-func (f *FIRFilter) ApplyReal(x []float64) []float64 {
-	n := len(x)
-	m := len(f.Taps)
-	if n == 0 || m == 0 {
-		return nil
-	}
-	delay := m / 2
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var acc float64
-		for j := 0; j < m; j++ {
-			k := i + delay - j
-			if k < 0 || k >= n {
-				continue
-			}
-			acc += x[k] * f.Taps[j]
-		}
-		out[i] = acc
-	}
-	return out
-}
-
 // reversed32 returns the float32 mirror of reversed(), rebuilt when Taps
 // changed. Callers hold the result only within one apply call.
 func (f *FIRFilter) reversed32() []float32 {
@@ -325,8 +302,8 @@ func (f *FIRFilter) convRealAt32(x, rev []float32, i int) float32 {
 // only at output indices 0, dec, 2·dec, … — the polyphase shortcut when the
 // consumer decimates the filtered trace anyway: cost O(n·m/dec) instead of
 // filtering at full rate and discarding dec−1 of every dec outputs.
-// dst[j] equals ApplyReal(x)[j·dec]; it is grown as needed (pass nil to
-// allocate).
+// dst[j] is the output Apply computes at index j·dec for the real trace x;
+// dst is grown as needed (pass nil to allocate).
 func (f *FIRFilter) ApplyRealDecimatedInto(dst, x []float64, dec int) []float64 {
 	if dec < 1 {
 		dec = 1
@@ -345,7 +322,8 @@ func (f *FIRFilter) ApplyRealDecimatedInto(dst, x []float64, dec int) []float64 
 
 // ApplyRealRangeInto evaluates the delay-compensated real convolution at
 // output indices [lo, hi) only, writing the hi−lo results into dst (grown
-// as needed). dst[j] equals ApplyReal(x)[lo+j].
+// as needed). dst[j] is the output Apply computes at index lo+j for the
+// real trace x.
 func (f *FIRFilter) ApplyRealRangeInto(dst, x []float64, lo, hi int) []float64 {
 	n := hi - lo
 	if n < 0 {
@@ -399,23 +377,8 @@ func (f *FIRFilter) ApplyRealRangeInto32(dst, x []float32, lo, hi int) []float32
 	return dst
 }
 
-// Decimate keeps every factor-th sample of x, starting at sample 0. The
-// caller is responsible for prior anti-alias filtering (see LowPassFIR).
-func Decimate(x []complex128, factor int) []complex128 {
-	if factor <= 1 {
-		out := make([]complex128, len(x))
-		copy(out, x)
-		return out
-	}
-	out := make([]complex128, 0, len(x)/factor+1)
-	for i := 0; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out
-}
-
 // BoxcarDroopSq returns the squared magnitude response of a d-sample boxcar
-// accumulator (the decimating summer behind DechirpScratch.DechirpDecimated)
+// accumulator (the decimating summer behind DechirpScratch.DechirpDecimateInto)
 // at the normalized full-rate frequency f in cycles per input sample,
 // f ∈ [−0.5, 0.5): |sin(πfd) / (d·sin(πf))|², normalized to 1 at DC.
 // Dividing a decimated power spectrum by this response flattens the
@@ -431,17 +394,4 @@ func BoxcarDroopSq(d int, f float64) float64 {
 	}
 	g := math.Sin(math.Pi*f*float64(d)) / (float64(d) * den)
 	return g * g
-}
-
-// DecimateFiltered low-pass filters x to the new Nyquist frequency and then
-// decimates by factor. sampleRate is the input rate in Hz.
-func DecimateFiltered(x []complex128, sampleRate float64, factor int) []complex128 {
-	if factor <= 1 {
-		out := make([]complex128, len(x))
-		copy(out, x)
-		return out
-	}
-	newNyquist := sampleRate / float64(factor) / 2
-	f := LowPassFIR(newNyquist*0.9, sampleRate, 4*factor+1)
-	return Decimate(f.Apply(x), factor)
 }

@@ -1,8 +1,10 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 )
 
@@ -77,56 +79,56 @@ func TestFilterDelayCompensation(t *testing.T) {
 	}
 }
 
+// TestApplyRealMatchesComplex checks the four real-trace kernels the AIC
+// detector filters every capture with — the float64 pair on the reference
+// lane, the float32 pair on the default lane — against the complex Apply on
+// the same trace, at the edge outputs (where the kernel window overhangs
+// the trace) and in the interior.
 func TestApplyRealMatchesComplex(t *testing.T) {
-	f := LowPassFIR(100, 1000, 31)
-	xr := make([]float64, 256)
-	xc := make([]complex128, 256)
+	const n, taps = 1500, 129
+	f := LowPassFIR(100, 1000, taps)
+	rng := rand.New(rand.NewSource(19))
+	xr := make([]float64, n)
+	x32 := make([]float32, n)
+	xc := make([]complex128, n)
 	for i := range xr {
-		v := math.Sin(2 * math.Pi * 30 * float64(i) / 1000)
-		xr[i] = v
-		xc[i] = complex(v, 0)
+		x32[i] = float32(math.Sin(2*math.Pi*30*float64(i)/1000) + 0.3*rng.NormFloat64())
+		xr[i] = float64(x32[i]) // exactly representable on both lanes
+		xc[i] = complex(xr[i], 0)
 	}
-	yr := f.ApplyReal(xr)
-	yc := f.Apply(xc)
-	for i := range yr {
-		if math.Abs(yr[i]-real(yc[i])) > 1e-12 {
-			t.Fatalf("mismatch at %d", i)
+	want := f.Apply(xc)
+	// check compares got[j] with the complex output at index first+j·step.
+	check := func(name string, got []float64, first, step, count int, tol float64) {
+		t.Helper()
+		if len(got) != count {
+			t.Fatalf("%s: %d outputs, want %d", name, len(got), count)
+		}
+		for j, v := range got {
+			i := first + j*step
+			if d := math.Abs(v - real(want[i])); d > tol {
+				t.Fatalf("%s: output %d (index %d) off by %g", name, j, i, d)
+			}
 		}
 	}
-}
-
-func TestDecimate(t *testing.T) {
-	x := []complex128{0, 1, 2, 3, 4, 5, 6}
-	got := Decimate(x, 3)
-	want := []complex128{0, 3, 6}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Decimate = %v, want %v", got, want)
+	widen := func(x []float32) []float64 {
+		out := make([]float64, len(x))
+		for i, v := range x {
+			out[i] = float64(v)
 		}
+		return out
 	}
-	id := Decimate(x, 1)
-	if len(id) != len(x) {
-		t.Fatal("factor 1 should copy")
+	for _, dec := range []int{1, 4} {
+		count := (n + dec - 1) / dec
+		check(fmt.Sprintf("ApplyRealDecimatedInto dec %d", dec),
+			f.ApplyRealDecimatedInto(nil, xr, dec), 0, dec, count, 1e-12)
+		check(fmt.Sprintf("ApplyRealDecimatedInto32 dec %d", dec),
+			widen(f.ApplyRealDecimatedInto32(nil, x32, dec)), 0, dec, count, 1e-5)
 	}
-	id[0] = 99
-	if x[0] == 99 {
-		t.Fatal("Decimate factor 1 must copy")
-	}
-}
-
-func TestDecimateFilteredPreservesBaseband(t *testing.T) {
-	const rate = 8000.0
-	x := tone(8192, 200, rate)
-	y := DecimateFiltered(x, rate, 4)
-	if len(y) != len(x)/4 {
-		t.Fatalf("len = %d, want %d", len(y), len(x)/4)
-	}
-	// The tone survives decimation with ~unity power.
-	p := Power(y[100 : len(y)-100])
-	if p < 0.7 || p > 1.3 {
-		t.Errorf("decimated tone power = %f, want ~1", p)
+	for _, r := range [][2]int{{0, taps}, {700, 900}, {n - taps, n}, {0, n}} {
+		lo, hi := r[0], r[1]
+		check(fmt.Sprintf("ApplyRealRangeInto [%d, %d)", lo, hi),
+			f.ApplyRealRangeInto(nil, xr, lo, hi), lo, 1, hi-lo, 1e-12)
+		check(fmt.Sprintf("ApplyRealRangeInto32 [%d, %d)", lo, hi),
+			widen(f.ApplyRealRangeInto32(nil, x32, lo, hi)), lo, 1, hi-lo, 1e-5)
 	}
 }

@@ -40,22 +40,6 @@ func (h *HilbertScratch) analytic(x []float64) []complex128 {
 	return buf
 }
 
-// AnalyticSignal computes the analytic signal of a real-valued trace into
-// dst (pass nil to allocate). The returned trace has the same length as x.
-func (h *HilbertScratch) AnalyticSignal(dst []complex128, x []float64) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return dst[:0]
-	}
-	buf := h.analytic(x)
-	if cap(dst) < n {
-		dst = make([]complex128, n)
-	}
-	dst = dst[:n]
-	copy(dst, buf[:n])
-	return dst
-}
-
 // Envelope computes the amplitude envelope |analytic(x)| into dst (pass nil
 // to allocate), as used by the paper's envelope-based preamble onset
 // detector (§6.1.2).
@@ -74,19 +58,4 @@ func (h *HilbertScratch) Envelope(dst []float64, x []float64) []float64 {
 		dst[i] = math.Sqrt(re*re + im*im)
 	}
 	return dst
-}
-
-// AnalyticSignal computes the analytic signal of a real-valued trace via the
-// FFT method: the negative-frequency half of the spectrum is zeroed and the
-// positive half doubled. The returned trace has the same length as x.
-func AnalyticSignal(x []float64) []complex128 {
-	var h HilbertScratch
-	return h.AnalyticSignal(nil, x)
-}
-
-// Envelope returns the amplitude envelope |analytic(x)| of a real trace,
-// as used by the paper's envelope-based preamble onset detector (§6.1.2).
-func Envelope(x []float64) []float64 {
-	var h HilbertScratch
-	return h.Envelope(nil, x)
 }

@@ -13,7 +13,8 @@ func TestEnvelopeOfTone(t *testing.T) {
 	for i := range x {
 		x[i] = amp * math.Cos(2*math.Pi*50*float64(i)/n)
 	}
-	env := Envelope(x)
+	var h HilbertScratch
+	env := h.Envelope(nil, x)
 	for i := n / 8; i < 7*n/8; i++ {
 		if math.Abs(env[i]-amp) > 0.05*amp {
 			t.Fatalf("envelope[%d] = %f, want ~%f", i, env[i], amp)
@@ -28,7 +29,8 @@ func TestEnvelopeOfBurstDetectsStep(t *testing.T) {
 	for i := n / 2; i < n; i++ {
 		x[i] = math.Sin(2 * math.Pi * 100 * float64(i) / n)
 	}
-	env := Envelope(x)
+	var h HilbertScratch
+	env := h.Envelope(nil, x)
 	before := Mean(env[n/8 : 3*n/8])
 	after := Mean(env[5*n/8 : 7*n/8])
 	if before > 0.1 {
@@ -45,10 +47,8 @@ func TestAnalyticSignalRealPartMatchesInput(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2*math.Pi*20*float64(i)/n) + 0.5*math.Cos(2*math.Pi*45*float64(i)/n)
 	}
-	a := AnalyticSignal(x)
-	if len(a) != n {
-		t.Fatalf("length = %d, want %d", len(a), n)
-	}
+	var h HilbertScratch
+	a := h.analytic(x)
 	for i := range x {
 		if math.Abs(real(a[i])-x[i]) > 1e-9 {
 			t.Fatalf("real part mismatch at %d: %f vs %f", i, real(a[i]), x[i])
@@ -64,7 +64,8 @@ func TestAnalyticSignalQuadratureShift(t *testing.T) {
 	for i := range x {
 		x[i] = math.Cos(2 * math.Pi * 64 * float64(i) / n)
 	}
-	a := AnalyticSignal(x)
+	var h HilbertScratch
+	a := h.analytic(x)
 	for i := n / 8; i < 7*n/8; i++ {
 		want := math.Sin(2 * math.Pi * 64 * float64(i) / n)
 		if math.Abs(imag(a[i])-want) > 0.02 {
@@ -73,8 +74,9 @@ func TestAnalyticSignalQuadratureShift(t *testing.T) {
 	}
 }
 
-func TestAnalyticSignalEmpty(t *testing.T) {
-	if got := AnalyticSignal(nil); got != nil {
-		t.Error("expected nil for empty input")
+func TestEnvelopeEmpty(t *testing.T) {
+	var h HilbertScratch
+	if got := h.Envelope(nil, nil); len(got) != 0 {
+		t.Errorf("envelope of an empty trace has %d samples", len(got))
 	}
 }

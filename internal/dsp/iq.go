@@ -3,7 +3,6 @@ package dsp
 import (
 	"errors"
 	"math"
-	"math/cmplx"
 )
 
 // ErrEmptyTrace is returned by routines that require a non-empty trace.
@@ -27,20 +26,6 @@ func Q(x []complex128) []float64 {
 	return out
 }
 
-// Complex combines separate I and Q component slices into a complex trace.
-// The result length is the shorter of the two inputs.
-func Complex(iData, qData []float64) []complex128 {
-	n := len(iData)
-	if len(qData) < n {
-		n = len(qData)
-	}
-	out := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		out[i] = complex(iData[i], qData[i])
-	}
-	return out
-}
-
 // Power returns the average power of the trace, i.e. mean(|x|^2).
 // It returns 0 for an empty trace.
 func Power(x []complex128) float64 {
@@ -55,74 +40,12 @@ func Power(x []complex128) float64 {
 	return sum / float64(len(x))
 }
 
-// PowerReal returns the average power of a real-valued trace.
-func PowerReal(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range x {
-		sum += v * v
-	}
-	return sum / float64(len(x))
-}
-
-// Scale returns x scaled by the real gain g.
-func Scale(x []complex128, g float64) []complex128 {
-	out := make([]complex128, len(x))
-	cg := complex(g, 0)
-	for i, v := range x {
-		out[i] = v * cg
-	}
-	return out
-}
-
 // ScaleInPlace multiplies every sample of x by the real gain g.
 func ScaleInPlace(x []complex128, g float64) {
 	cg := complex(g, 0)
 	for i := range x {
 		x[i] *= cg
 	}
-}
-
-// Add returns the elementwise sum of a and b. The result has the length of
-// the longer input; the shorter input is treated as zero-padded.
-func Add(a, b []complex128) []complex128 {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make([]complex128, n)
-	copy(out, a)
-	for i, v := range b {
-		out[i] += v
-	}
-	return out
-}
-
-// AddInPlace adds b into a starting at sample offset. Samples of b that fall
-// outside a are ignored. A negative offset skips the leading -offset samples
-// of b.
-func AddInPlace(a, b []complex128, offset int) {
-	for i, v := range b {
-		j := i + offset
-		if j < 0 {
-			continue
-		}
-		if j >= len(a) {
-			break
-		}
-		a[j] += v
-	}
-}
-
-// Magnitude returns |x[i]| for every sample.
-func Magnitude(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
 }
 
 // Phase returns the four-quadrant phase atan2(Q, I) of every sample, in
@@ -135,67 +58,5 @@ func Phase(x []complex128) []float64 {
 	return out
 }
 
-// Conj returns the elementwise complex conjugate of x.
-func Conj(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Conj(v)
-	}
-	return out
-}
-
-// Mul returns the elementwise product of a and b. The result length is the
-// shorter of the two inputs.
-func Mul(a, b []complex128) []complex128 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		out[i] = a[i] * b[i]
-	}
-	return out
-}
-
-// Segment returns a copy of x[start:start+n], clamped to the bounds of x.
-// It returns an empty slice when the clamped range is empty.
-func Segment(x []complex128, start, n int) []complex128 {
-	if start < 0 {
-		start = 0
-	}
-	if start > len(x) {
-		start = len(x)
-	}
-	end := start + n
-	if n < 0 || end > len(x) {
-		end = len(x)
-	}
-	out := make([]complex128, end-start)
-	copy(out, x[start:end])
-	return out
-}
-
-// Energy returns the total energy sum(|x|^2) of the trace.
-func Energy(x []complex128) float64 {
-	var sum float64
-	for _, v := range x {
-		re, im := real(v), imag(v)
-		sum += re*re + im*im
-	}
-	return sum
-}
-
-// SNRdB converts a linear signal/noise power ratio into decibels.
-func SNRdB(signalPower, noisePower float64) float64 {
-	if noisePower <= 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(signalPower/noisePower)
-}
-
 // FromdB converts a value in decibels to a linear power ratio.
 func FromdB(db float64) float64 { return math.Pow(10, db/10) }
-
-// TodB converts a linear power ratio to decibels.
-func TodB(ratio float64) float64 { return 10 * math.Log10(ratio) }

@@ -96,28 +96,6 @@ func ColoredNoise(rng *rand.Rand, n int, power float64, cfg ColoredNoiseConfig) 
 	return colored
 }
 
-// AddNoiseSNR adds noise to signal scaled so that the resulting trace has
-// the requested SNR in dB, where SNR = signalPower/noisePower. The noise
-// trace must be at least as long as the signal; extra noise samples are
-// ignored. A fresh slice is returned.
-func AddNoiseSNR(signal, noise []complex128, snrDB float64) []complex128 {
-	sp := Power(signal)
-	np := Power(noise[:min(len(noise), len(signal))])
-	out := make([]complex128, len(signal))
-	copy(out, signal)
-	if sp == 0 || np == 0 {
-		return out
-	}
-	targetNP := sp / FromdB(snrDB)
-	g := complex(math.Sqrt(targetNP/np), 0)
-	for i := range out {
-		if i < len(noise) {
-			out[i] += noise[i] * g
-		}
-	}
-	return out
-}
-
 // NoiseForSNR returns the gain to apply to a noise trace of power np so a
 // signal of power sp observes the requested SNR in dB.
 func NoiseForSNR(sp, np, snrDB float64) float64 {

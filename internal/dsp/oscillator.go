@@ -80,23 +80,6 @@ func (o *Oscillator) Next() complex128 {
 	return v
 }
 
-// Fill writes the next len(dst) samples into dst.
-func (o *Oscillator) Fill(dst []complex128) {
-	for len(dst) > 0 {
-		n := o.chunk(len(dst))
-		s, r, q := o.s, o.r, o.q
-		for j := 0; j < n; j++ {
-			dst[j] = s
-			s *= r
-			r *= q
-		}
-		o.s, o.r = s, r
-		o.i += n
-		o.left -= n
-		dst = dst[n:]
-	}
-}
-
 // AddTo adds the next len(dst) samples into dst.
 func (o *Oscillator) AddTo(dst []complex128) {
 	for len(dst) > 0 {
@@ -111,25 +94,6 @@ func (o *Oscillator) AddTo(dst []complex128) {
 		o.i += n
 		o.left -= n
 		dst = dst[n:]
-	}
-}
-
-// MulInto writes dst[i] = src[i] · s[i] for the next len(src) samples.
-// dst must be at least as long as src; dst and src may be the same slice
-// (in-place rotation).
-func (o *Oscillator) MulInto(dst, src []complex128) {
-	for len(src) > 0 {
-		n := o.chunk(len(src))
-		s, r, q := o.s, o.r, o.q
-		for j := 0; j < n; j++ {
-			dst[j] = src[j] * s
-			s *= r
-			r *= q
-		}
-		o.s, o.r = s, r
-		o.i += n
-		o.left -= n
-		dst, src = dst[n:], src[n:]
 	}
 }
 
@@ -179,22 +143,6 @@ func (o *Rotator) Next() complex128 {
 	o.i++
 	o.left--
 	return v
-}
-
-// Fill writes the next len(dst) samples into dst.
-func (o *Rotator) Fill(dst []complex128) {
-	for len(dst) > 0 {
-		n := o.chunk(len(dst))
-		s, r := o.s, o.r
-		for j := 0; j < n; j++ {
-			dst[j] = s
-			s *= r
-		}
-		o.s = s
-		o.i += n
-		o.left -= n
-		dst = dst[n:]
-	}
 }
 
 // MulInto writes dst[i] = src[i] · s[i] for the next len(src) samples.

@@ -73,9 +73,9 @@ func TestRotatorDriftAgainstSincos(t *testing.T) {
 	}
 }
 
-// TestOscillatorBatchMethodsMatchNext pins the chunked batch entry points
-// (Fill/AddTo/MulInto and their re-seed boundaries) bit-for-bit against the
-// per-sample Next sequence.
+// TestOscillatorBatchMethodsMatchNext pins the chunked batch entry point
+// (AddTo and its re-seed boundaries) bit-for-bit against the per-sample
+// Next sequence, across split calls and onto a non-zero destination.
 func TestOscillatorBatchMethodsMatchNext(t *testing.T) {
 	const n = 3 * OscRenormInterval / 2 // crosses one re-seed boundary
 	mk := func() Oscillator { return NewOscillator(0.7, 0.2, -30e3, 1.19e8, 1/2.4e6) }
@@ -86,35 +86,27 @@ func TestOscillatorBatchMethodsMatchNext(t *testing.T) {
 		want[i] = ref.Next()
 	}
 
-	fill := make([]complex128, n)
-	o := mk()
-	o.Fill(fill[:100])
-	o.Fill(fill[100:]) // split fills must continue seamlessly
-	for i := range fill {
-		if fill[i] != want[i] {
-			t.Fatalf("Fill[%d] = %v, want %v", i, fill[i], want[i])
-		}
-	}
-
 	add := make([]complex128, n)
-	o = mk()
-	o.AddTo(add)
+	o := mk()
+	o.AddTo(add[:100])
+	o.AddTo(add[100:]) // split calls must continue seamlessly
 	for i := range add {
 		if add[i] != want[i] {
 			t.Fatalf("AddTo[%d] = %v, want %v", i, add[i], want[i])
 		}
 	}
 
-	src := make([]complex128, n)
-	for i := range src {
-		src[i] = complex(float64(i%5)-2, 1)
+	base := make([]complex128, n)
+	for i := range base {
+		base[i] = complex(float64(i%5)-2, 1)
 	}
-	mul := make([]complex128, n)
+	sum := make([]complex128, n)
+	copy(sum, base)
 	o = mk()
-	o.MulInto(mul, src)
-	for i := range mul {
-		if mul[i] != src[i]*want[i] {
-			t.Fatalf("MulInto[%d] = %v, want %v", i, mul[i], src[i]*want[i])
+	o.AddTo(sum)
+	for i := range sum {
+		if sum[i] != base[i]+want[i] {
+			t.Fatalf("AddTo onto signal [%d] = %v, want %v", i, sum[i], base[i]+want[i])
 		}
 	}
 }
@@ -129,30 +121,32 @@ func TestRotatorBatchMethodsMatchNext(t *testing.T) {
 		want[i] = ref.Next()
 	}
 
-	fill := make([]complex128, n)
-	o := mk()
-	o.Fill(fill)
-	for i := range fill {
-		if fill[i] != want[i] {
-			t.Fatalf("Fill[%d] = %v, want %v", i, fill[i], want[i])
-		}
-	}
-
 	src := make([]complex128, n)
 	for i := range src {
 		src[i] = complex(1, float64(i%3))
 	}
+	check := func(name string, got []complex128) {
+		t.Helper()
+		for i := range got {
+			// MulInto's two-lane unroll rounds differently from the scalar
+			// recurrence by a few ulp; the re-seed bounds both identically.
+			if d := cmplx.Abs(got[i] - src[i]*want[i]); d > 1e-12 {
+				t.Fatalf("%s[%d] = %v, want %v (Δ %g)", name, i, got[i], src[i]*want[i], d)
+			}
+		}
+	}
+
+	out := make([]complex128, n)
+	o := mk()
+	o.MulInto(out[:101], src[:101]) // odd split: the next call starts on the other lane
+	o.MulInto(out[101:], src[101:])
+	check("split MulInto", out)
+
 	inplace := make([]complex128, n)
 	copy(inplace, src)
 	o = mk()
 	o.MulInto(inplace, inplace) // in-place rotation is allowed
-	for i := range inplace {
-		// MulInto's two-lane unroll rounds differently from the scalar
-		// recurrence by a few ulp; the re-seed bounds both identically.
-		if d := cmplx.Abs(inplace[i] - src[i]*want[i]); d > 1e-12 {
-			t.Fatalf("in-place MulInto[%d] = %v, want %v (Δ %g)", i, inplace[i], src[i]*want[i], d)
-		}
-	}
+	check("in-place MulInto", inplace)
 }
 
 func TestOscillatorZeroAlloc(t *testing.T) {
@@ -161,24 +155,21 @@ func TestOscillatorZeroAlloc(t *testing.T) {
 	osc := NewOscillator(1, 0, -20e3, 1.19e8, 1/2.4e6)
 	rot := NewRotator(1, 0, -20e3, 1/2.4e6)
 	if allocs := testing.AllocsPerRun(10, func() {
-		osc.Fill(dst)
 		osc.AddTo(dst)
-		osc.MulInto(dst, src)
-		rot.Fill(dst)
 		rot.MulInto(dst, src)
 	}); allocs != 0 {
 		t.Errorf("oscillator batch methods allocated %v times per run", allocs)
 	}
 }
 
-func BenchmarkOscillatorFill(b *testing.B) {
+func BenchmarkOscillatorAddTo(b *testing.B) {
 	const n = 4096
 	dst := make([]complex128, n)
 	osc := NewOscillator(1, 0, -30e3, 1.19e8, 1/2.4e6)
 	b.SetBytes(n * 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		osc.Fill(dst)
+		osc.AddTo(dst)
 	}
 }
 

@@ -76,15 +76,6 @@ func NewPlan(n int) *Plan {
 // Size returns the transform length the plan was built for.
 func (p *Plan) Size() int { return p.n }
 
-// Radix reports which butterfly kernel the plan runs: 4 for even-log2 sizes,
-// 2 for the fallback.
-func (p *Plan) Radix() int {
-	if p.radix4 {
-		return 4
-	}
-	return 2
-}
-
 // Transform computes the forward DFT of src into dst without allocating.
 // len(dst) must equal the plan size; src may be shorter (it is zero-padded)
 // but not longer. dst and src may alias only if they are the same slice.
@@ -120,14 +111,6 @@ func (p *Plan) TransformMany(slab []complex128) {
 	for off := 0; off < len(slab); off += p.n {
 		p.run(slab[off:off+p.n], p.fwd, false)
 	}
-}
-
-// Inverse computes the normalized inverse DFT of src into dst without
-// allocating, under the same length rules as Transform.
-func (p *Plan) Inverse(dst, src []complex128) {
-	p.load(dst, src)
-	p.run(dst, p.inv, true)
-	p.normalize(dst)
 }
 
 // InverseInPlace computes the normalized inverse DFT of buf in place.
@@ -278,12 +261,6 @@ type DechirpScratch[K comparable] struct {
 	conj []complex128 // exp(-j·templatePhase[i])
 	plan *Plan
 	buf  []complex128 // plan-sized FFT buffer
-
-	// Decimated-path scratch (DechirpDecimated), built lazily on first use
-	// and invalidated with the rest of the scratch on Init.
-	decFactor int
-	decPlan   *Plan
-	decBuf    []complex128
 }
 
 // Stale reports whether the scratch must be rebuilt for this geometry.
@@ -310,7 +287,6 @@ func (s *DechirpScratch[K]) Init(key K, n int, rate float64, pad int, phase []fl
 	}
 	s.buf = s.buf[:s.plan.Size()]
 	s.n, s.rate, s.key = n, rate, key
-	s.decFactor = 0 // geometry changed: rebuild the decimated plan on demand
 }
 
 // Size returns the scratch's FFT length (0 before Init).
@@ -336,49 +312,17 @@ func (s *DechirpScratch[K]) Dechirp(seg []complex128) []complex128 {
 	return buf
 }
 
-// DechirpDecimated dechirps seg at full rate, sums adjacent groups of d
-// samples (boxcar decimation) and transforms the n/d-point result through a
-// proportionally smaller FFT plan. Unlike plain subsampling, the boxcar
-// keeps every sample in the coherent sum, so the despreading gain of the
-// full window is preserved; the price is the boxcar's sinc-shaped droop
-// over the decimated band (compensate per bin with BoxcarDroopSq). seg must
-// be at least n samples (the template length). The returned slice is the
-// decimated scratch buffer, overwritten by the next call; its spectrum
-// covers ±rate/(2d), so d must leave the dechirped tones inside that band.
-//
-// The decimated plan/buffer are built on the first call for a given d after
-// Init and reused afterwards, keeping repeated calls allocation-free.
-func (s *DechirpScratch[K]) DechirpDecimated(seg []complex128, d int) []complex128 {
-	if d <= 1 {
-		return s.Dechirp(seg[:s.n])
-	}
-	m := s.n / d
-	if s.decFactor != d {
-		//softlora:allocfree-ok geometry rebuild on a decimation-factor change; steady state reuses the cached plan
-		s.decPlan = PlanFor(m)
-		if cap(s.decBuf) < s.decPlan.Size() {
-			//softlora:allocfree-ok same geometry rebuild; the buffer is reused until the factor changes again
-			s.decBuf = make([]complex128, s.decPlan.Size())
-		}
-		s.decBuf = s.decBuf[:s.decPlan.Size()]
-		s.decFactor = d
-	}
-	buf := s.decBuf
-	s.DechirpDecimateInto(buf[:m], seg, d)
-	for i := m; i < len(buf); i++ {
-		buf[i] = 0
-	}
-	s.decPlan.TransformInPlace(buf)
-	return buf
-}
-
-// DechirpDecimateInto is the time-domain half of DechirpDecimated: it
-// dechirps seg against the template and boxcar-sums adjacent groups of d
-// samples into dst, returning dst[:n/d] without transforming. Callers that
-// need both the decimated spectrum and the decimated time series (the FB
-// estimator's coarse FFT + zoom refinement) use this once and transform a
-// copy, keeping the time series intact. dst must have capacity ≥ n/d; the
-// last n mod d samples of the template window are dropped.
+// DechirpDecimateInto dechirps seg at full rate against the template and
+// sums adjacent groups of d samples (boxcar decimation) into dst, returning
+// dst[:n/d] without transforming. Unlike plain subsampling, the boxcar
+// keeps every sample in the coherent sum, so an n/d-point transform of the
+// result preserves the despreading gain of the full window; the price is
+// the boxcar's sinc-shaped droop over the decimated band (compensate per
+// bin with BoxcarDroopSq). That spectrum covers ±rate/(2d), so d must leave
+// the dechirped tones inside that band. The coarse onset scan transforms
+// the result in place; the FB estimator transforms a copy, keeping the time
+// series for its zoom refinement. dst must have capacity ≥ n/d; the last
+// n mod d samples of the template window are dropped.
 func (s *DechirpScratch[K]) DechirpDecimateInto(dst []complex128, seg []complex128, d int) []complex128 {
 	m := s.n / d
 	dst = dst[:m]

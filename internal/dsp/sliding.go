@@ -58,12 +58,6 @@ func (s *SlidingDFT) Reset(x []complex128, start, n int, thetas []float64) {
 	}
 }
 
-// Start returns the current window start.
-func (s *SlidingDFT) Start() int { return s.start }
-
-// Bins returns how many frequencies the tracker follows.
-func (s *SlidingDFT) Bins() int { return len(s.sums) }
-
 // Advance slides the window forward by steps samples, updating every bin in
 // O(steps·bins). The destination window must fit the trace.
 func (s *SlidingDFT) Advance(x []complex128, steps int) {

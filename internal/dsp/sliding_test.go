@@ -56,18 +56,16 @@ func TestSlidingDFTMatchesGoertzel(t *testing.T) {
 	s.Reset(x, 0, n, thetas)
 	// Walk the window forward in uneven hops and cross-check every bin
 	// against a fresh Goertzel evaluation of the same window.
+	a := 0
 	for _, hop := range []int{1, 7, 13, 250, 500} {
 		s.Advance(x, hop)
-		a := s.Start()
+		a += hop
 		for k, th := range thetas {
 			want := GoertzelDFT(x[a:a+n], th)
 			if d := cmplx.Abs(s.Sum(k) - want); d > 1e-7 {
 				t.Errorf("start %d bin %d: sliding %v, direct %v (|diff|=%g)", a, k, s.Sum(k), want, d)
 			}
 		}
-	}
-	if s.Bins() != len(thetas) {
-		t.Errorf("Bins() = %d, want %d", s.Bins(), len(thetas))
 	}
 }
 

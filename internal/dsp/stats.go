@@ -17,20 +17,6 @@ func Mean(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
 // MinMax returns the smallest and largest values of x. It returns (0, 0)
 // for an empty slice.
 func MinMax(x []float64) (lo, hi float64) {
@@ -94,18 +80,6 @@ func Summarize(x []float64) BoxStats {
 		Max:    hi,
 		Mean:   Mean(x),
 	}
-}
-
-// MeanAbs returns the mean of |x[i]|.
-func MeanAbs(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s / float64(len(x))
 }
 
 // MaxAbs returns the largest |x[i]|, or 0 for an empty slice.

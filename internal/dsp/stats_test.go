@@ -10,11 +10,8 @@ func TestMeanStd(t *testing.T) {
 	if got := Mean(x); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("Mean = %f", got)
 	}
-	if got := StdDev(x); math.Abs(got-math.Sqrt(1.25)) > 1e-12 {
-		t.Errorf("StdDev = %f", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{5}) != 0 {
-		t.Error("degenerate stats should be 0")
+	if Mean(nil) != 0 {
+		t.Error("empty mean should be 0")
 	}
 }
 
@@ -67,13 +64,10 @@ func TestSummarize(t *testing.T) {
 
 func TestMeanMaxAbs(t *testing.T) {
 	x := []float64{-3, 1, -2}
-	if got := MeanAbs(x); math.Abs(got-2) > 1e-12 {
-		t.Errorf("MeanAbs = %f", got)
-	}
 	if got := MaxAbs(x); got != 3 {
 		t.Errorf("MaxAbs = %f", got)
 	}
-	if MeanAbs(nil) != 0 || MaxAbs(nil) != 0 {
+	if MaxAbs(nil) != 0 {
 		t.Error("empty abs stats should be 0")
 	}
 }
@@ -127,14 +121,5 @@ func TestHannWindow(t *testing.T) {
 	}
 	if HannWindow(0) != nil {
 		t.Error("zero-length should be nil")
-	}
-}
-
-func TestRectangularWindow(t *testing.T) {
-	w := RectangularWindow(3)
-	for _, v := range w {
-		if v != 1 {
-			t.Fatal("rectangular window must be all ones")
-		}
 	}
 }

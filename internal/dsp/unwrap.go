@@ -40,17 +40,3 @@ func UnwrapPhaseInPlace(phase []float64) {
 		phase[i] += offset
 	}
 }
-
-// WrapPhase maps an arbitrary angle to the interval (-pi, pi].
-func WrapPhase(theta float64) float64 {
-	w := math.Mod(theta+math.Pi, 2*math.Pi)
-	if w < 0 {
-		w += 2 * math.Pi
-	}
-	return w - math.Pi
-}
-
-// InstantaneousPhase returns the unwrapped phase of a complex trace.
-func InstantaneousPhase(x []complex128) []float64 {
-	return UnwrapPhase(Phase(x))
-}

@@ -51,15 +51,3 @@ func HannWindow(n int) []float64 {
 	}
 	return w
 }
-
-// RectangularWindow returns an n-point all-ones window.
-func RectangularWindow(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}

@@ -15,8 +15,7 @@ import "math"
 // postmultiply by e^{−j·dω·k²/2}. The convolution runs through one cached
 // FFT plan of length NextPow2(m+points−1), so a transform costs two
 // planned transforms of that size — O((m+points)·log(m+points)) — against
-// O(points·m) for a Goertzel evaluation per grid point (GoertzelGrid, the
-// reference implementation the CZT is tested and benchmarked against).
+// O(points·m) for a Goertzel evaluation per grid point.
 //
 // The grid start ω0 is a per-call argument (only the spacing dω is baked
 // into the kernel), applied as a first-order phasor recurrence over the
@@ -82,9 +81,6 @@ func (z *ZoomDFT) Init(m, points int, domega float64) {
 	z.plan.TransformInPlace(z.kernel)
 }
 
-// Points returns the grid size the kernel was built for (0 before Init).
-func (z *ZoomDFT) Points() int { return z.points }
-
 // Transform evaluates the grid X_k = Σ x[i]·e^{−j(omega0+k·dω)i} into
 // dst[:points]. len(x) must equal the Init m; len(dst) must be at least
 // points. It allocates nothing.
@@ -114,16 +110,5 @@ func (z *ZoomDFT) Transform(dst, x []complex128, omega0 float64) {
 	z.plan.InverseInPlace(work)
 	for k := 0; k < z.points; k++ {
 		dst[k] = work[k] * z.post[k]
-	}
-}
-
-// GoertzelGrid evaluates the same uniform frequency grid as ZoomDFT by
-// running one Goertzel recurrence per grid point — O(points·len(x)), no
-// setup and no state. It is the reference for the CZT's parity tests and
-// the break-even comparison in the zoom benchmarks; prefer ZoomDFT when the
-// same (m, points, dω) geometry repeats.
-func GoertzelGrid(dst, x []complex128, omega0, domega float64) {
-	for k := range dst {
-		dst[k] = GoertzelDFT(x, omega0+float64(k)*domega)
 	}
 }

@@ -59,24 +59,6 @@ func TestZoomDFTMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestGoertzelGridMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(302))
-	const m, points = 200, 17
-	x := make([]complex128, m)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	const omega0, domega = 0.4, 3e-3
-	got := make([]complex128, points)
-	GoertzelGrid(got, x, omega0, domega)
-	want := directGridDFT(x, omega0, domega, points)
-	for k := range got {
-		if e := cmplx.Abs(got[k] - want[k]); e > 1e-8*float64(m) {
-			t.Fatalf("bin %d differs by %g", k, e)
-		}
-	}
-}
-
 // TestZoomDFTResolvesCloseTone pins the zoom property the FB estimator
 // relies on: a tone off the coarse FFT grid is located on the fine grid to
 // within one grid step.
@@ -147,10 +129,8 @@ func TestFoldFrequency(t *testing.T) {
 	}
 }
 
-// BenchmarkZoomGrid compares the planned chirp-Z zoom against the dense
-// Goertzel grid at the FB estimator's geometry (m=307 decimated samples,
-// 65 grid points) — the builder's-choice measurement behind using the CZT
-// in core.DechirpFFTEstimator.
+// BenchmarkZoomGrid times the planned chirp-Z zoom at the FB estimator's
+// geometry (m=307 decimated samples, 65 grid points).
 func BenchmarkZoomGrid(b *testing.B) {
 	rng := rand.New(rand.NewSource(304))
 	const m, points = 307, 65
@@ -160,20 +140,11 @@ func BenchmarkZoomGrid(b *testing.B) {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	dst := make([]complex128, points)
-	b.Run("czt", func(b *testing.B) {
-		var z ZoomDFT
-		z.Init(m, points, domega)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			z.Transform(dst, x, omega0)
-		}
-	})
-	b.Run("goertzel-grid", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			GoertzelGrid(dst, x, omega0, domega)
-		}
-	})
+	var z ZoomDFT
+	z.Init(m, points, domega)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Transform(dst, x, omega0)
+	}
 }

@@ -40,28 +40,10 @@ func (p Params) PayloadDuration(payloadLen int) float64 {
 	return float64(p.PayloadSymbols(payloadLen)) * p.ChirpTime()
 }
 
-// HeaderDuration returns the duration of the mandatory first 8 payload
-// symbols, which carry the explicit PHY header (plus the start of the
-// payload at high SF).
-func (p Params) HeaderDuration() float64 {
-	return 8 * p.ChirpTime()
-}
-
 // Airtime returns the total on-air time of a frame with payloadLen payload
 // bytes: preamble + sync + header + payload + CRC.
 func (p Params) Airtime(payloadLen int) float64 {
 	return p.PreambleDuration() + p.PayloadDuration(payloadLen)
-}
-
-// DutyCycleWait returns the minimum idle time required after transmitting a
-// frame of payloadLen bytes to respect a duty-cycle limit (e.g. 0.01 for
-// the 1% ETSI EU868 limit).
-func (p Params) DutyCycleWait(payloadLen int, dutyCycle float64) float64 {
-	if dutyCycle <= 0 || dutyCycle >= 1 {
-		return 0
-	}
-	t := p.Airtime(payloadLen)
-	return t/dutyCycle - t
 }
 
 // MaxFramesPerHour returns how many frames of payloadLen bytes may be sent

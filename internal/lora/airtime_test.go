@@ -57,19 +57,6 @@ func TestAirtimeSF12MatchesPaperDutyCycleExample(t *testing.T) {
 	}
 }
 
-func TestDutyCycleWait(t *testing.T) {
-	p := DefaultParams(12)
-	at := p.Airtime(30)
-	wait := p.DutyCycleWait(30, 0.01)
-	// airtime / (airtime+wait) == duty cycle
-	if got := at / (at + wait); math.Abs(got-0.01) > 1e-9 {
-		t.Errorf("achieved duty cycle = %f, want 0.01", got)
-	}
-	if p.DutyCycleWait(30, 0) != 0 || p.DutyCycleWait(30, 1) != 0 {
-		t.Error("degenerate duty cycles should give zero wait")
-	}
-}
-
 func TestDemodulationFloorSNR(t *testing.T) {
 	// SX1276 datasheet: −7.5 dB at SF7 .. −20 dB at SF12 (paper §7.1.2).
 	tests := []struct {
@@ -95,12 +82,5 @@ func TestLDROReducesEffectiveBits(t *testing.T) {
 	without.LowDataRateOptimize = false
 	if with.PayloadSymbols(30) <= without.PayloadSymbols(30) {
 		t.Error("LDRO should increase symbol count")
-	}
-}
-
-func TestHeaderDuration(t *testing.T) {
-	p := DefaultParams(7)
-	if got := p.HeaderDuration(); math.Abs(got-8*1.024e-3) > 1e-12 {
-		t.Errorf("header duration = %g", got)
 	}
 }

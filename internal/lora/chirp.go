@@ -76,34 +76,6 @@ func (c ChirpSpec) PhaseAt(tau float64) float64 {
 // multi-chirp waveform phase-continuous.
 func (c ChirpSpec) EndPhase() float64 { return c.PhaseAt(c.Duration()) }
 
-// FrequencyAt returns the instantaneous baseband frequency (Hz) at time tau
-// after the chirp start (before folding is applied modulo W this is the
-// derivative of PhaseAt / 2π). The fold is a closed-form modulo reduction,
-// so arbitrarily large k·tau excursions cost the same as none.
-func (c ChirpSpec) FrequencyAt(tau float64) float64 {
-	w := c.Bandwidth
-	n := float64(int(1) << c.SF)
-	k := w * w / n
-	s := float64(c.Symbol) * w / n
-	var f float64
-	if !c.Down {
-		// Fold into [-w/2, w/2).
-		f = -w/2 + s + k*tau
-		if f >= w/2 {
-			m := math.Mod(f+w/2, w)
-			f = m - w/2
-		}
-	} else {
-		// Fold into (-w/2, w/2] — the down sweep leaves +w/2 untouched.
-		f = w/2 - s - k*tau
-		if f < -w/2 {
-			m := math.Mod(f-w/2, w)
-			f = m + w/2
-		}
-	}
-	return f + c.FrequencyOffset
-}
-
 // Synthesize renders the chirp on a uniform sample grid starting at the
 // chirp onset. The trace has floor(Duration*sampleRate) samples.
 func (c ChirpSpec) Synthesize(sampleRate float64) []complex128 {
@@ -218,28 +190,4 @@ func (c ChirpSpec) segmentOscillator(amp, tau float64, postFold bool, dt float64
 		}
 	}
 	return dsp.NewOscillator(amp, c.PhaseAt(tau), freq+c.FrequencyOffset, sweep, dt)
-}
-
-// FillPhasors writes dst[i] = exp(j·PhaseAt(tau0 + i/sampleRate)) using the
-// same oscillator recurrence as the renderers — the unit-amplitude chirp
-// phasor series detectors multiply captures against (dechirp references),
-// without a per-sample phase evaluation or math.Sincos.
-func (c ChirpSpec) FillPhasors(dst []complex128, sampleRate, tau0 float64) {
-	if len(dst) == 0 {
-		return
-	}
-	dt := 1 / sampleRate
-	fold := c.foldSplit(0, len(dst)-1, tau0, dt)
-	if fold >= 0 {
-		osc := c.segmentOscillator(1, tau0, false, dt)
-		osc.Fill(dst[:fold+1])
-	}
-	if fold < len(dst)-1 {
-		from := fold + 1
-		if from < 0 {
-			from = 0
-		}
-		osc := c.segmentOscillator(1, tau0+float64(from)*dt, true, dt)
-		osc.Fill(dst[from:])
-	}
 }

@@ -32,17 +32,24 @@ func TestBaseUpChirpPhaseMatchesPaperEquation(t *testing.T) {
 	}
 }
 
+// instFreq returns the instantaneous frequency d(PhaseAt)/dτ / 2π by a
+// central difference, exact for the quadratic phase between folds.
+func instFreq(c ChirpSpec, tau float64) float64 {
+	const h = 1e-7
+	return (c.PhaseAt(tau+h) - c.PhaseAt(tau-h)) / (4 * math.Pi * h)
+}
+
 func TestChirpFrequencySweep(t *testing.T) {
 	c := ChirpSpec{SF: 7, Bandwidth: 125e3}
-	if got := c.FrequencyAt(0); math.Abs(got+62.5e3) > 1 {
+	if got := instFreq(c, 0); math.Abs(got+62.5e3) > 1 {
 		t.Errorf("start freq = %f, want -62.5 kHz", got)
 	}
 	mid := c.Duration() / 2
-	if got := c.FrequencyAt(mid); math.Abs(got) > 1e3 {
+	if got := instFreq(c, mid); math.Abs(got) > 1e3 {
 		t.Errorf("mid freq = %f, want ~0", got)
 	}
 	d := ChirpSpec{SF: 7, Bandwidth: 125e3, Down: true}
-	if got := d.FrequencyAt(0); math.Abs(got-62.5e3) > 1 {
+	if got := instFreq(d, 0); math.Abs(got-62.5e3) > 1 {
 		t.Errorf("down start freq = %f, want +62.5 kHz", got)
 	}
 }
@@ -51,12 +58,12 @@ func TestChirpSymbolShiftsStartFrequency(t *testing.T) {
 	const sf = 7
 	c := ChirpSpec{SF: sf, Bandwidth: 125e3, Symbol: 64}
 	// Symbol 64 of 128: start at -62.5k + 64/128*125k = 0 Hz.
-	if got := c.FrequencyAt(0); math.Abs(got) > 1 {
+	if got := instFreq(c, 0); math.Abs(got) > 1 {
 		t.Errorf("start freq = %f, want 0", got)
 	}
 	// After folding (half a chirp in), frequency wraps to negative.
 	tau := c.Duration() * 0.75
-	if got := c.FrequencyAt(tau); got > 0 {
+	if got := instFreq(c, tau); got > 0 {
 		t.Errorf("post-fold freq = %f, want negative", got)
 	}
 }
@@ -252,63 +259,6 @@ func TestSynthesizeMatchesDirectTrig(t *testing.T) {
 		for i := range got {
 			if d := cmplx.Abs(got[i] - want[i]); d > 1e-9 {
 				t.Fatalf("%+v: sample %d differs by %g", c, i, d)
-			}
-		}
-	}
-}
-
-func TestFillPhasorsMatchesPhaseAt(t *testing.T) {
-	const rate = 2.4e6
-	for _, c := range oscillatorCases() {
-		n := int(c.Duration() * rate)
-		for _, tau0 := range []float64{0, 17.25 / rate} {
-			got := make([]complex128, n)
-			c.FillPhasors(got, rate, tau0)
-			for i := range got {
-				want := cmplx.Exp(complex(0, c.PhaseAt(tau0+float64(i)/rate)))
-				if d := cmplx.Abs(got[i] - want); d > 1e-9 {
-					t.Fatalf("%+v tau0 %g: phasor %d differs by %g", c, tau0, i, d)
-				}
-			}
-		}
-	}
-}
-
-// TestFrequencyAtClosedFormFold pins the math.Mod fold against the
-// wrap-around-loop reference, including k·tau excursions many bandwidths
-// past the band edge that would have spun the old loop.
-func TestFrequencyAtClosedFormFold(t *testing.T) {
-	loopRef := func(c ChirpSpec, tau float64) float64 {
-		w := c.Bandwidth
-		n := float64(int(1) << c.SF)
-		k := w * w / n
-		s := float64(c.Symbol) * w / n
-		var f float64
-		if !c.Down {
-			f = -w/2 + s + k*tau
-			for f >= w/2 {
-				f -= w
-			}
-		} else {
-			f = w/2 - s - k*tau
-			for f < -w/2 {
-				f += w
-			}
-		}
-		return f + c.FrequencyOffset
-	}
-	for _, c := range []ChirpSpec{
-		{SF: 7, Bandwidth: 125e3},
-		{SF: 7, Bandwidth: 125e3, Symbol: 64},
-		{SF: 9, Bandwidth: 125e3, Symbol: 100, Down: true, FrequencyOffset: -21e3},
-		{SF: 12, Bandwidth: 125e3, Symbol: 4095, Down: true},
-	} {
-		dur := c.Duration()
-		for _, tau := range []float64{0, dur / 3, 0.75 * dur, dur, 7.5 * dur, 123 * dur} {
-			got := c.FrequencyAt(tau)
-			want := loopRef(c, tau)
-			if math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
-				t.Errorf("%+v FrequencyAt(%g) = %g, want %g", c, tau, got, want)
 			}
 		}
 	}

@@ -230,8 +230,8 @@ func TestTransmitterImpairments(t *testing.T) {
 	if imp.InitialPhase < 0 || imp.InitialPhase >= 2*math.Pi {
 		t.Errorf("phase = %f out of [0, 2π)", imp.InitialPhase)
 	}
-	if tx.FramesSent() != 1 {
-		t.Errorf("frames sent = %d", tx.FramesSent())
+	if tx.framesSent != 1 {
+		t.Errorf("frames sent = %d", tx.framesSent)
 	}
 }
 

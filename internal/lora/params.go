@@ -101,15 +101,6 @@ func (p Params) ChirpTime() float64 {
 	return float64(p.ChipsPerSymbol()) / p.Bandwidth
 }
 
-// SymbolRate returns symbols per second.
-func (p Params) SymbolRate() float64 { return 1 / p.ChirpTime() }
-
-// BitRate returns the effective PHY bit rate in bits/s, accounting for the
-// coding rate.
-func (p Params) BitRate() float64 {
-	return float64(p.SF) * (4.0 / float64(4+p.CodingRate)) / p.ChirpTime()
-}
-
 // PPM converts a frequency offset in Hz to parts-per-million of the channel
 // center frequency.
 func (p Params) PPM(hz float64) float64 {

@@ -92,14 +92,6 @@ func TestPPMConversionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBitRate(t *testing.T) {
-	p := DefaultParams(7)
-	// SF7 CR4/5 at 125 kHz: 7 * (4/5) / 1.024ms ≈ 5469 bit/s.
-	if got := p.BitRate(); math.Abs(got-5468.75) > 0.01 {
-		t.Errorf("bit rate = %f, want 5468.75", got)
-	}
-}
-
 func TestSamplesPerChirp(t *testing.T) {
 	p := DefaultParams(7)
 	// 1.024 ms at 2.4 Msps = 2457.6 samples.

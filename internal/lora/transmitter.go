@@ -56,10 +56,6 @@ func (t *Transmitter) NextImpairments(p Params, rng *rand.Rand) Impairments {
 	}
 }
 
-// FramesSent returns how many impairment draws have occurred (one per
-// transmitted frame).
-func (t *Transmitter) FramesSent() int { return t.framesSent }
-
 // NewFleet builds n transmitters with oscillator biases uniformly drawn
 // from [ppmLo, ppmHi], reproducing the 16-device fleet of the paper's
 // Fig. 13 (absolute biases of 20 to 29 ppm; the measured RN2483 biases are

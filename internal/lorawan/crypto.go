@@ -1,7 +1,6 @@
 // Package lorawan implements the LoRaWAN 1.0.2 MAC layer: uplink/downlink
 // frame formats, AES-128 payload encryption, AES-CMAC message integrity
-// codes, ABP sessions with frame counters, Class A receive windows, and
-// ETSI duty-cycle accounting.
+// codes, and ABP sessions with frame counters.
 //
 // The package exists to demonstrate the paper's security argument
 // end-to-end: the frame delay attack replays bit-exact frames, so MIC

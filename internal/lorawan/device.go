@@ -7,12 +7,6 @@ import (
 	"softlora/internal/lora"
 )
 
-// Class A receive-window delays (LoRaWAN 1.0.2 regional defaults, EU868).
-const (
-	RX1Delay = 1.0 // seconds after uplink end
-	RX2Delay = 2.0 // seconds after uplink end
-)
-
 // Session is an ABP (activation-by-personalization) device session.
 type Session struct {
 	DevAddr uint32
@@ -20,31 +14,19 @@ type Session struct {
 	AppSKey AES128Key
 }
 
-// Device is a Class A LoRaWAN end device: it buffers sensor data, respects
-// the duty cycle, and emits signed, encrypted uplinks.
+// Device is a Class A LoRaWAN end device: it emits signed, encrypted
+// uplinks, each consuming one frame counter value.
 type Device struct {
 	Session Session
 	Params  lora.Params
-	// DutyCycle is the regulatory duty-cycle limit (0.01 for EU868).
-	DutyCycle float64
 
-	fCntUp       uint32
-	nextTxTime   float64
-	airtimeTotal float64
+	fCntUp uint32
 }
 
-// Device errors.
-var (
-	ErrDutyCycle = errors.New("lorawan: duty cycle budget exceeded")
-)
-
-// NewDevice builds a Class A device with the EU868 1% duty cycle.
+// NewDevice builds a Class A device.
 func NewDevice(s Session, p lora.Params) *Device {
-	return &Device{Session: s, Params: p, DutyCycle: 0.01}
+	return &Device{Session: s, Params: p}
 }
-
-// FCntUp returns the next uplink frame counter value.
-func (d *Device) FCntUp() uint32 { return d.fCntUp }
 
 // BuildUplink constructs, encrypts and signs an unconfirmed uplink carrying
 // payload on the given port, consuming one frame counter value.
@@ -68,36 +50,6 @@ func (d *Device) BuildUplink(port int, payload []byte) (*MACFrame, error) {
 	}
 	d.fCntUp++
 	return f, nil
-}
-
-// Transmit checks the duty-cycle budget at time now (seconds) for a frame
-// of the given on-air payload length and, if allowed, accounts for the
-// transmission and returns the airtime. The next permitted transmit time is
-// updated per the ETSI per-transmission rule Tair*(1/dc − 1).
-func (d *Device) Transmit(now float64, payloadLen int) (airtime float64, err error) {
-	if now < d.nextTxTime {
-		return 0, fmt.Errorf("%w: next slot at %.3f s", ErrDutyCycle, d.nextTxTime)
-	}
-	airtime = d.Params.Airtime(payloadLen)
-	d.airtimeTotal += airtime
-	if d.DutyCycle > 0 && d.DutyCycle < 1 {
-		d.nextTxTime = now + airtime + d.Params.DutyCycleWait(payloadLen, d.DutyCycle)
-	} else {
-		d.nextTxTime = now + airtime
-	}
-	return airtime, nil
-}
-
-// NextTxTime returns the earliest time the device may transmit again.
-func (d *Device) NextTxTime() float64 { return d.nextTxTime }
-
-// TotalAirtime returns the cumulative airtime consumed.
-func (d *Device) TotalAirtime() float64 { return d.airtimeTotal }
-
-// RXWindows returns the Class A receive-window open times for an uplink
-// that ended at uplinkEnd.
-func (d *Device) RXWindows(uplinkEnd float64) (rx1, rx2 float64) {
-	return uplinkEnd + RX1Delay, uplinkEnd + RX2Delay
 }
 
 // NetworkServer validates uplinks the way a LoRaWAN network server does:

@@ -111,8 +111,8 @@ func TestDeviceBuildUplink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.FCnt != 0 || d.FCntUp() != 1 {
-		t.Errorf("counter handling wrong: frame %d next %d", f.FCnt, d.FCntUp())
+	if f.FCnt != 0 || d.fCntUp != 1 {
+		t.Errorf("counter handling wrong: frame %d next %d", f.FCnt, d.fCntUp)
 	}
 	if err := f.Verify(s.NwkSKey); err != nil {
 		t.Errorf("uplink MIC invalid: %v", err)
@@ -205,56 +205,6 @@ func TestNetworkServerBadMIC(t *testing.T) {
 	raw, _ := f.Marshal()
 	if _, _, _, err := ns.HandleUplink(raw); !errors.Is(err, ErrBadMIC) {
 		t.Errorf("err = %v", err)
-	}
-}
-
-func TestDeviceDutyCycle(t *testing.T) {
-	s := testSession()
-	p := lora.DefaultParams(12)
-	d := NewDevice(s, p)
-	airtime, err := d.Transmit(0, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if airtime <= 0 {
-		t.Fatal("zero airtime")
-	}
-	// Immediately again: must be blocked.
-	if _, err := d.Transmit(airtime, 30); !errors.Is(err, ErrDutyCycle) {
-		t.Errorf("err = %v, want ErrDutyCycle", err)
-	}
-	// After the wait: allowed.
-	if _, err := d.Transmit(d.NextTxTime(), 30); err != nil {
-		t.Errorf("transmit after wait: %v", err)
-	}
-	if d.TotalAirtime() <= 0 {
-		t.Error("airtime not accounted")
-	}
-}
-
-func TestDeviceDutyCycleFramesPerHour(t *testing.T) {
-	// Simulate an hour at SF12/30B: the device should manage ~24 frames
-	// (paper §3.2).
-	s := testSession()
-	p := lora.DefaultParams(12)
-	d := NewDevice(s, p)
-	now, frames := 0.0, 0
-	for now < 3600 {
-		if _, err := d.Transmit(now, 30); err == nil {
-			frames++
-		}
-		now = d.NextTxTime()
-	}
-	if frames < 20 || frames > 28 {
-		t.Errorf("frames in an hour = %d, want ~24", frames)
-	}
-}
-
-func TestRXWindows(t *testing.T) {
-	d := NewDevice(testSession(), lora.DefaultParams(7))
-	rx1, rx2 := d.RXWindows(10)
-	if rx1 != 11 || rx2 != 12 {
-		t.Errorf("rx windows = %f, %f", rx1, rx2)
 	}
 }
 

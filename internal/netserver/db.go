@@ -355,13 +355,13 @@ var (
 	ErrNoDevice       = errors.New("netserver: observation without a device ID")
 )
 
-// ConsistencySigma is the outlier gate of Fuse: an observation whose FB
-// disagrees with the best receiver's by more than this many combined
-// standard deviations is excluded from the weighted mean. Estimation errors
-// are jitter-sized Gaussians only while a receiver holds the tone; a
-// receiver that lost it (deep-fade link) returns a gross outlier that
-// inverse-variance weighting alone cannot discount enough. A replay's bias
-// shift is common-mode across receivers, so the gate never masks one.
+// ConsistencySigma is the outlier gate of the fusion (fuseDetail): an
+// observation whose FB disagrees with the best receiver's by more than this
+// many combined standard deviations is excluded from the weighted mean.
+// Estimation errors are jitter-sized Gaussians only while a receiver holds
+// the tone; a receiver that lost it (deep-fade link) returns a gross outlier
+// that inverse-variance weighting alone cannot discount enough. A replay's
+// bias shift is common-mode across receivers, so the gate never masks one.
 const ConsistencySigma = 8
 
 // effJitter returns an observation's usable jitter: DefaultJitterHz when
@@ -374,31 +374,28 @@ func effJitter(o PHYObservation) float64 {
 	return j
 }
 
-// Fuse combines multi-receiver observations of one frame into a fused FB
-// estimate: the lowest-jitter receiver with a finite estimate anchors the
-// fusion (and provides the PHY timestamp), observations inconsistent with
-// it beyond ConsistencySigma — or with a non-finite FB — are rejected as
-// outliers, and the rest are averaged by inverse-variance weight. If no
-// receiver produced a finite estimate the fused FB is NaN, which the
-// verdict stage fails closed on (core.CheckRecord flags non-finite
-// estimates as replays without touching the database). Fuse itself does
-// not touch the database. Observations without a device ID are rejected
-// with ErrNoDevice: a nameless frame would fold every such device into
-// one shared record.
-func Fuse(obs []PHYObservation) (FrameVerdict, error) {
-	return fuseDetail(obs, nil, nil)
-}
-
-// fuseDetail is Fuse with two optional slices. When rejected is non-nil
-// (len(obs)), rejected[i] reports whether the fusion's consistency gate
-// excluded obs[i] — the health tracker's raw material. When elect is
-// non-nil (len(obs)), elect[i] multiplies obs[i]'s jitter in the anchor
-// election ONLY (the health tracker's per-gateway penalty, see
-// electWeightLocked): a sick receiver stops winning the lowest-jitter
-// election — and with it the frame's PHY timestamp — by reporting an
-// optimistic jitter, while the consistency gate and the inverse-variance
-// averaging still use every copy's raw jitter, so the fused numbers are
-// unchanged unless the anchor actually moves.
+// fuseDetail combines multi-receiver observations of one frame into a
+// fused FB estimate: the lowest-jitter receiver with a finite estimate
+// anchors the fusion (and provides the PHY timestamp), observations
+// inconsistent with it beyond ConsistencySigma — or with a non-finite FB —
+// are rejected as outliers, and the rest are averaged by inverse-variance
+// weight. If no receiver produced a finite estimate the fused FB is NaN,
+// which the verdict stage fails closed on (core.CheckRecord flags
+// non-finite estimates as replays without touching the database). Fusion
+// itself does not touch the database. Observations without a device ID are
+// rejected with ErrNoDevice: a nameless frame would fold every such device
+// into one shared record.
+//
+// Both slices are optional. When rejected is non-nil (len(obs)),
+// rejected[i] reports whether the fusion's consistency gate excluded
+// obs[i] — the health tracker's raw material. When elect is non-nil
+// (len(obs)), elect[i] multiplies obs[i]'s jitter in the anchor election
+// ONLY (the health tracker's per-gateway penalty, see electWeightLocked): a
+// sick receiver stops winning the lowest-jitter election — and with it the
+// frame's PHY timestamp — by reporting an optimistic jitter, while the
+// consistency gate and the inverse-variance averaging still use every
+// copy's raw jitter, so the fused numbers are unchanged unless the anchor
+// actually moves.
 func fuseDetail(obs []PHYObservation, rejected []bool, elect []float64) (FrameVerdict, error) {
 	if len(obs) == 0 {
 		return FrameVerdict{}, ErrNoObservations

@@ -200,8 +200,8 @@ func skewOf(o PHYObservation, ref float64) float64 {
 }
 
 // shadowOutlier judges a quarantined gateway's copy against the fused
-// estimate it was excluded from, with the same gate Fuse applies: would
-// this copy have been rejected? Non-finite estimates always count as
+// estimate it was excluded from, with the same gate fuseDetail applies:
+// would this copy have been rejected? Non-finite estimates always count as
 // outliers.
 func shadowOutlier(o PHYObservation, fv *FrameVerdict) bool {
 	if math.IsNaN(o.FBHz) || math.IsInf(o.FBHz, 0) {

@@ -231,7 +231,7 @@ func TestHealthElectionPenalizesOutlierProneAnchor(t *testing.T) {
 	}
 	// Control: raw fusion (no health signal) hands gx the anchor on its
 	// optimistic jitter alone.
-	raw, err := Fuse(obs)
+	raw, err := fuseDetail(obs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestFuseWeightsByJitter(t *testing.T) {
 		{GatewayID: "far", DeviceID: "n", FrameID: "f1", FBHz: -21800, JitterHz: 300, ArrivalTime: 10.002},
 		{GatewayID: "near", DeviceID: "n", FrameID: "f1", FBHz: -22000, JitterHz: 30, ArrivalTime: 10.001},
 	}
-	fv, err := Fuse(obs)
+	fv, err := fuseDetail(obs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestFuseWeightsByJitter(t *testing.T) {
 }
 
 func TestFuseErrors(t *testing.T) {
-	if _, err := Fuse(nil); !errors.Is(err, ErrNoObservations) {
+	if _, err := fuseDetail(nil, nil, nil); !errors.Is(err, ErrNoObservations) {
 		t.Errorf("err = %v, want ErrNoObservations", err)
 	}
 	mixed := []PHYObservation{{DeviceID: "a"}, {DeviceID: "b"}}
-	if _, err := Fuse(mixed); !errors.Is(err, ErrMixedFrame) {
+	if _, err := fuseDetail(mixed, nil, nil); !errors.Is(err, ErrMixedFrame) {
 		t.Errorf("err = %v, want ErrMixedFrame", err)
 	}
 }
@@ -103,7 +103,7 @@ func TestFuseUnknownJitterFallsBack(t *testing.T) {
 		{DeviceID: "n", FBHz: -22000, JitterHz: 0},
 		{DeviceID: "n", FBHz: -21000, JitterHz: math.NaN()},
 	}
-	fv, err := Fuse(obs)
+	fv, err := fuseDetail(obs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,9 +120,6 @@ func newWindow(cfg WindowConfig) *window {
 // collision across devices yields separate frames, never a mixed one.
 func frameKey(deviceID, frameID string) string { return deviceID + "\x00" + frameID }
 
-// WindowEnabled reports whether the streaming dedup window is active.
-func (s *NetworkServer) WindowEnabled() bool { return s.win != nil }
-
 // PendingFrames returns how many frames are currently held open in the
 // window (0 when the window is disabled).
 func (s *NetworkServer) PendingFrames() int {

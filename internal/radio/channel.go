@@ -56,9 +56,6 @@ type Capture struct {
 	Start float64
 }
 
-// TimeOf returns the channel-timeline time of sample i.
-func (c *Capture) TimeOf(i int) float64 { return c.Start + float64(i)/c.Rate }
-
 // SampleAt returns the (fractional) sample index corresponding to channel
 // time t.
 func (c *Capture) SampleAt(t float64) float64 { return (t - c.Start) * c.Rate }

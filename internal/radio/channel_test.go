@@ -181,9 +181,6 @@ func TestReceiveErrors(t *testing.T) {
 
 func TestCaptureTimeMapping(t *testing.T) {
 	c := Capture{Rate: 1e6, Start: 0.5}
-	if got := c.TimeOf(1000); math.Abs(got-0.501) > 1e-12 {
-		t.Errorf("TimeOf = %f", got)
-	}
 	if got := c.SampleAt(0.501); math.Abs(got-1000) > 1e-9 {
 		t.Errorf("SampleAt = %f", got)
 	}

@@ -41,12 +41,6 @@ func (l LogDistance) LossdB(d float64) float64 {
 // for d meters.
 func PropagationDelay(d float64) float64 { return d / SpeedOfLight }
 
-// ThermalNoiseFloordBm returns the thermal noise power in dBm for the given
-// bandwidth (Hz) and receiver noise figure (dB): −174 + 10*log10(BW) + NF.
-func ThermalNoiseFloordBm(bandwidth, noiseFigure float64) float64 {
-	return -174 + 10*math.Log10(bandwidth) + noiseFigure
-}
-
 // DBmToPower converts dBm to the linear sample-power convention of this
 // package (0 dBm → 1.0).
 func DBmToPower(dbm float64) float64 { return math.Pow(10, dbm/10) }

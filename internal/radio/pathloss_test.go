@@ -57,14 +57,6 @@ func TestPropagationDelayMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestThermalNoiseFloor(t *testing.T) {
-	// 125 kHz, NF 6: −174 + 51 + 6 ≈ −117 dBm.
-	got := ThermalNoiseFloordBm(125e3, 6)
-	if math.Abs(got+117.03) > 0.05 {
-		t.Errorf("noise floor = %f, want ~-117", got)
-	}
-}
-
 func TestDBmConversionRoundTrip(t *testing.T) {
 	for _, dbm := range []float64{-120, -30, 0, 14} {
 		if got := PowerTodBm(DBmToPower(dbm)); math.Abs(got-dbm) > 1e-9 {

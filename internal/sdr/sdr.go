@@ -158,14 +158,3 @@ func quantize(x []complex128, bits int, gauss *dsp.GaussianSource) {
 		x[i] = complex(re*inv, im*inv)
 	}
 }
-
-// NewTypicalReceiver returns an RTL-SDR with a bias drawn uniformly from
-// ±maxPPM ppm of the given carrier, 8-bit ADC, matching commodity dongles.
-func NewTypicalReceiver(carrierHz, maxPPM float64, rng *rand.Rand) *Receiver {
-	ppm := (rng.Float64()*2 - 1) * maxPPM
-	return &Receiver{
-		FrequencyBias: ppm * 1e-6 * carrierHz,
-		ADCBits:       8,
-		Rand:          rng,
-	}
-}

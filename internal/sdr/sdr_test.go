@@ -132,20 +132,6 @@ func TestReceiverNoise(t *testing.T) {
 	}
 }
 
-func TestNewTypicalReceiver(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	for i := 0; i < 20; i++ {
-		r := NewTypicalReceiver(869.75e6, 30, rng)
-		ppm := r.FrequencyBias / 869.75e6 * 1e6
-		if ppm < -30 || ppm > 30 {
-			t.Errorf("bias = %f ppm, want within ±30", ppm)
-		}
-		if r.ADCBits != 8 {
-			t.Errorf("ADC bits = %d", r.ADCBits)
-		}
-	}
-}
-
 func TestEndToEndChirpThroughSDR(t *testing.T) {
 	// A chirp with δTx through a channel and an SDR with δRx must show a
 	// dechirped tone at δTx − δRx (the paper's observable δ).

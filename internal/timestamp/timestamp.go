@@ -77,9 +77,6 @@ func (d *Device) Take(globalNow float64, value []byte) {
 	})
 }
 
-// Pending returns the number of buffered records.
-func (d *Device) Pending() int { return len(d.buffer) }
-
 // FrameRecord is one record as shipped in an uplink frame.
 type FrameRecord struct {
 	// Elapsed is the 18-bit elapsed-time value.

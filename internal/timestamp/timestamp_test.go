@@ -66,15 +66,15 @@ func TestDeviceFlushAndReconstruct(t *testing.T) {
 	// Data taken at global t=100 and t=130; transmitted at t=160.
 	d.Take(100, []byte("a"))
 	d.Take(130, []byte("b"))
-	if d.Pending() != 2 {
-		t.Fatalf("pending = %d", d.Pending())
+	if len(d.buffer) != 2 {
+		t.Fatalf("pending = %d", len(d.buffer))
 	}
 	recs, err := d.Flush(160)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || d.Pending() != 0 {
-		t.Fatalf("flush returned %d records, pending %d", len(recs), d.Pending())
+	if len(recs) != 2 || len(d.buffer) != 0 {
+		t.Fatalf("flush returned %d records, pending %d", len(recs), len(d.buffer))
 	}
 	// The gateway receives the frame essentially at t=160 (propagation is
 	// microseconds).

@@ -1,7 +1,6 @@
 package softlora
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -190,45 +189,6 @@ func (r *MultiUplinkReport) Resolve(fv netserver.FrameVerdict, records []timesta
 			r.Timestamps[i] = timestamp.Reconstruct(fv.ArrivalTime, rec)
 		}
 	}
-}
-
-// MultiSimUplink queues one device transmission for UplinkBatch.
-type MultiSimUplink struct {
-	Device   *SimDevice
-	Position radio.Position
-	// Time is the device's transmit time t0 on the global timeline.
-	Time float64
-}
-
-// UplinkBatch transmits the queued uplinks through the whole fleet.
-// Rendering and PHY observation stay serial per uplink; the server's
-// batch commit orders frames by sequence number, so results are
-// deterministic. Results are positionally aligned with ups; entries whose
-// frame no gateway received carry the error.
-func (m *MultiGatewaySimulation) UplinkBatch(ctx context.Context, ups []MultiSimUplink) ([]SimBatchResult, error) {
-	results := make([]SimBatchResult, len(ups))
-	for i, u := range ups {
-		if err := ctx.Err(); err != nil {
-			results[i].Err = err
-			continue
-		}
-		report, records, err := m.Uplink(u.Device, u.Position, u.Time)
-		if err != nil {
-			results[i].Err = err
-			continue
-		}
-		results[i].Records = records
-		results[i].Report = &UplinkReport{
-			ArrivalTime:      report.Frame.ArrivalTime,
-			FrequencyBiasHz:  report.Frame.FBHz,
-			FrequencyBiasPPM: m.Sites[0].Gateway.params.PPM(report.Frame.FBHz),
-			FBJitterHz:       report.Frame.JitterHz,
-			Verdict:          report.Verdict,
-			Accepted:         report.Accepted,
-			Timestamps:       report.Timestamps,
-		}
-	}
-	return results, nil
 }
 
 // firstErr returns the first non-nil error of errs (nil if none).

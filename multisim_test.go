@@ -2,7 +2,6 @@ package softlora
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,30 +176,6 @@ func TestMultiGatewayDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(db1, db2) {
 		t.Error("database bytes differ across identical runs")
-	}
-}
-
-func TestMultiGatewayUplinkBatch(t *testing.T) {
-	m, dev, pos := multiFixture(t, 2, 203)
-	ups := make([]MultiSimUplink, 3)
-	for i := range ups {
-		dev.Record(float64(20*i)+9, []byte{byte(i)})
-		ups[i] = MultiSimUplink{Device: dev, Position: pos, Time: float64(20*i) + 10}
-	}
-	results, err := m.UplinkBatch(context.Background(), ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("uplink %d: %v", i, r.Err)
-		}
-		if r.Report.Verdict != VerdictGenuine {
-			t.Errorf("uplink %d: verdict = %s", i, r.Report.Verdict)
-		}
-		if len(r.Report.Timestamps) != len(r.Records) {
-			t.Errorf("uplink %d: %d timestamps for %d records", i, len(r.Report.Timestamps), len(r.Records))
-		}
 	}
 }
 
