@@ -53,13 +53,15 @@ determinism:
 # retry and silent-bit-flip quarantine paths; the delivery chaos harness
 # (TestChaos*) drives the streaming dedup window through duplicated,
 # reordered, delayed and dropped schedules and asserts one committed
-# verdict per frame with schedule-independent database bytes; then a short
-# fuzz pass over the snapshot decoder. The contracts in
-# internal/netserver/doc.go are exactly what this target enforces.
+# verdict per frame with schedule-independent database bytes; then short
+# fuzz passes over the snapshot decoder and LoadFile's format sniff. The
+# contracts in internal/netserver/doc.go are exactly what this target
+# enforces.
 faults:
 	$(GO) test -count=1 ./internal/faultinject
 	$(GO) test -count=1 -run 'TestCrash|TestFault|TestChaos' ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadShard$$' -fuzztime 10s ./internal/netserver
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadFile$$' -fuzztime 10s ./internal/netserver
 
 # bench refreshes BENCH_softlora.json (the cross-PR perf trajectory).
 bench:

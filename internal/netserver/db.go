@@ -546,20 +546,16 @@ func (s *NetworkServer) CheckBatch(obs []PHYObservation) ([]FrameVerdict, error)
 		return s.ingestBatch(obs)
 	}
 	type group struct {
-		key   string
 		index int64 // min UplinkIndex of the group
 		obs   []PHYObservation
 	}
 	var groups []*group
-	byKey := make(map[string]*group, len(obs))
+	byKey := make(map[frameKey]*group, len(obs))
 	for _, o := range obs {
-		key := ""
+		// The key holds the device ID, so a FrameID collision across
+		// devices yields separate frames rather than a mixed group.
+		key := frameKey{o.DeviceID, o.FrameID}
 		if o.FrameID != "" {
-			// The key embeds the device ID, so a FrameID collision across
-			// devices yields separate frames rather than a mixed group.
-			key = o.DeviceID + "\x00" + o.FrameID
-		}
-		if key != "" {
 			if g, ok := byKey[key]; ok {
 				g.obs = append(g.obs, o)
 				if o.UplinkIndex < g.index {
@@ -568,9 +564,9 @@ func (s *NetworkServer) CheckBatch(obs []PHYObservation) ([]FrameVerdict, error)
 				continue
 			}
 		}
-		g := &group{key: key, index: o.UplinkIndex, obs: []PHYObservation{o}}
+		g := &group{index: o.UplinkIndex, obs: []PHYObservation{o}}
 		groups = append(groups, g)
-		if key != "" {
+		if o.FrameID != "" {
 			byKey[key] = g
 		}
 	}
@@ -649,8 +645,9 @@ func (s *NetworkServer) Stats() Stats {
 // existed, or enrolled offline — are stamped with now on the first sweep
 // instead of evicted, so a freshly migrated fleet gets a full TTL of grace
 // rather than being wiped by its first sweep. ttl <= 0 is a no-op. Shards
-// that lose records are marked dirty so the next flush persists the
-// eviction.
+// that lose or stamp records are marked dirty so the next flush persists
+// the eviction and the grace stamp (a restart must not grant the grace
+// again).
 func (s *NetworkServer) EvictExpired(now, ttl float64) int {
 	if ttl <= 0 || math.IsNaN(now) || math.IsInf(now, 0) {
 		return 0
@@ -660,11 +657,12 @@ func (s *NetworkServer) EvictExpired(now, ttl float64) int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n := 0
+		n, stamped := 0, false
 		//softlora:nondeterministic-ok per-record predicate; the surviving set and count are order-independent
 		for id, rec := range sh.devices {
 			if rec.LastSeen == 0 {
 				rec.LastSeen = now
+				stamped = true
 				continue
 			}
 			if rec.LastSeen < horizon {
@@ -672,7 +670,7 @@ func (s *NetworkServer) EvictExpired(now, ttl float64) int {
 				n++
 			}
 		}
-		if n > 0 {
+		if n > 0 || stamped {
 			sh.markDirty()
 		}
 		sh.mu.Unlock()
@@ -690,30 +688,23 @@ func (s *NetworkServer) Sweep() int {
 	return s.EvictExpired(s.LatestObservation(), s.ttl)
 }
 
-// snapshotShard copies shard i's records under its read lock, appending to
-// dst — the flusher serializes and writes the copy outside the lock so a
-// slow disk never stalls verdict traffic. Records are deep-copied: the
-// originals keep mutating under Check while the flush encodes.
-func (s *NetworkServer) snapshotShard(i int, dst map[string]core.BiasRecord) map[string]core.BiasRecord {
+// snapshotShard appends shard i's records to dst under the shard's read
+// lock — the flusher sorts, encodes and writes the copy outside the lock
+// so a slow disk never stalls verdict traffic. Records are copied by
+// value: the originals keep mutating under Check while the flush encodes.
+func (s *NetworkServer) snapshotShard(i int, dst []snapRecord) []snapRecord {
 	sh := &s.shards[i]
 	sh.mu.RLock()
-	if dst == nil {
-		dst = make(map[string]core.BiasRecord, len(sh.devices))
-	}
-	//softlora:nondeterministic-ok copies into a map; encodeSnapshot sorts IDs before encoding
+	//softlora:nondeterministic-ok appends in map order; callers sort by ID before encoding
 	for id, rec := range sh.devices {
-		dst[id] = *rec
+		dst = append(dst, snapRecord{id: id, rec: *rec})
 	}
 	sh.mu.RUnlock()
 	return dst
 }
 
 // installShards replaces the whole database with devices, re-hashed onto
-// the current shard count: a concurrent Check serializes against each
-// shard's lock and sees either the old or the new record set for its
-// shard, never a torn mix within one. Every shard is marked dirty so the
-// first flush after a load persists the full database (this is also what
-// migrates a legacy monolithic snapshot to sharded files).
+// the current shard count (see installStaged).
 func (s *NetworkServer) installShards(devices map[string]*core.BiasRecord) {
 	staged := make([]map[string]*core.BiasRecord, len(s.shards))
 	for i := range staged {
@@ -723,6 +714,52 @@ func (s *NetworkServer) installShards(devices map[string]*core.BiasRecord) {
 	for id, rec := range devices {
 		staged[fnv32a(id)&uint32(len(s.shards)-1)][id] = rec
 	}
+	s.installStaged(staged)
+}
+
+// installRecords replaces the whole database with decoded snapshot files —
+// a later file wins on a repeated ID — and advances the observation clock
+// to the newest LastSeen installed. It returns how many devices it
+// installed. Records go straight into per-shard maps presized from their
+// IDs' hashes, and each map value points into its file's decoded slice
+// (which stays allocated while any of its records is in the database).
+func (s *NetworkServer) installRecords(files [][]snapRecord) int {
+	mask := uint32(len(s.shards) - 1)
+	sizes := make([]int, len(s.shards))
+	for _, recs := range files {
+		for i := range recs {
+			sizes[fnv32a(recs[i].id)&mask]++
+		}
+	}
+	staged := make([]map[string]*core.BiasRecord, len(s.shards))
+	for i := range staged {
+		staged[i] = make(map[string]*core.BiasRecord, sizes[i])
+	}
+	for _, recs := range files {
+		for i := range recs {
+			staged[fnv32a(recs[i].id)&mask][recs[i].id] = &recs[i].rec
+		}
+	}
+	devices, latest := 0, math.Inf(-1)
+	for _, m := range staged {
+		devices += len(m)
+		//softlora:nondeterministic-ok max over values is order-independent
+		for _, rec := range m {
+			latest = max(latest, rec.LastSeen)
+		}
+	}
+	s.installStaged(staged)
+	s.observeTime(latest)
+	return devices
+}
+
+// installStaged swaps in one staged map per shard: a concurrent Check
+// serializes against each shard's lock and sees either the old or the new
+// record set for its shard, never a torn mix within one. Every shard is
+// marked dirty so the first flush after a load persists the full database
+// (this is also what migrates a legacy monolithic snapshot, or version-1
+// shard files, to version-2 sharded files).
+func (s *NetworkServer) installStaged(staged []map[string]*core.BiasRecord) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()

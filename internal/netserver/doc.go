@@ -115,11 +115,14 @@
 //
 // The persistent form is a directory of per-shard snapshot files plus a
 // manifest, written exclusively through the atomic protocol: serialize to
-// <file>.tmp, fsync, close, rename into place. Shard files carry a
-// CRC32-C per record and a whole-file CRC32-C trailer; generation numbers
-// increase per flush and the previous generation is retained, so for every
-// shard there are normally two independently valid snapshots on disk.
-// What survives a crash at each point of a flush:
+// <file>.tmp, fsync, close, rename into place. A shard file ("SLNSNAP2"
+// container, see persist.go) holds its records in ascending ID order, each
+// a length-prefixed ID and core.BiasRecord's six fields at fixed width
+// (48 bytes) under its own CRC32-C, and ends in a whole-file CRC32-C
+// trailer; generation numbers increase per flush and the previous
+// generation is retained, so for every shard there are normally two
+// independently valid snapshots on disk. What survives a crash at each
+// point of a flush:
 //
 //   - Before a shard's rename: that shard's previous generation, intact
 //     (the .tmp is swept on the next Snapshotter open).
@@ -143,12 +146,18 @@
 // generation-consistent database each time.
 //
 // Single-file snapshots (SaveFile/LoadFile) use the same container and
-// atomic-write protocol. Legacy monolithic JSON databases (one object of
-// core.BiasRecord values keyed by device ID, as Save writes and Load
-// reads) keep loading: LoadFile auto-detects the
-// format, and LoadDir falls back to a legacy .json in the directory and
-// migrates it — a load marks every shard dirty, so the first flush
-// rewrites the database sharded.
+// atomic-write protocol. Older formats are read-only, and loading one
+// migrates it, because a load marks every shard dirty and the first flush
+// rewrites the whole database as version-2 shard files:
+//
+//   - Version-1 containers ("SLNSNAP1", each record as JSON) — shard
+//     files, manifests and SaveFile files written before version 2 —
+//     load through LoadDir and LoadFile under the same checks.
+//   - Legacy monolithic JSON databases (one object of core.BiasRecord
+//     values keyed by device ID, as Save writes and Load reads) load
+//     through LoadFile, which auto-detects the format, and through
+//     LoadDir, which falls back to a legacy .json in a directory holding
+//     no shard file.
 //
 // # Flushing
 //

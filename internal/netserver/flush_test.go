@@ -1,6 +1,7 @@
 package netserver
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -227,6 +228,40 @@ func TestEvictionPersistsThroughFlush(t *testing.T) {
 	}
 	if _, ok := fresh.Record("new"); !ok {
 		t.Error("live record lost")
+	}
+}
+
+func TestSweepGraceStampPersists(t *testing.T) {
+	// Regression: the sweep stamped a never-seen record's LastSeen with
+	// the sweep time (the TTL grace) without dirtying its shard, so the
+	// stamp never reached disk and every restart granted the grace again.
+	dir := t.TempDir()
+	s := New(Config{RecordTTL: 100})
+	s.Enroll("offline", -22000, 10)
+	f, err := StartFlusher(s, dir, FlusherOptions{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.FlushNow(); err != nil {
+		t.Fatal(err)
+	}
+	s.observeTime(50)
+	s.Sweep()
+	if rec, _ := s.Record("offline"); rec.LastSeen != 50 {
+		t.Fatalf("live LastSeen = %v, want the sweep's stamp 50", rec.LastSeen)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(Config{})
+	if _, err := fresh.LoadDir(nil, dir); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := fresh.Record("offline"); rec.LastSeen != 50 {
+		t.Errorf("recovered LastSeen = %v, want 50", rec.LastSeen)
+	}
+	if live, got := saveBytes(t, s), saveBytes(t, fresh); !bytes.Equal(live, got) {
+		t.Errorf("recovered database differs from the live one:\n%s\nwant\n%s", got, live)
 	}
 }
 

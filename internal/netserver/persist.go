@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,22 +21,37 @@ import (
 // Snapshot container format. One container file holds the records of one
 // shard (or, for single-file snapshots, the whole fleet):
 //
-//	magic    8  "SLNSNAP1"
+//	magic    8  "SLNSNAP2"
 //	kind     u32 (kindShard | kindManifest | kindMono)
 //	shard    u32 shard index
 //	gen      u64 generation number
 //	count    u32 record count
-//	records  count × { idLen u32 | id | recLen u32 | recJSON | crc u32 }
+//	records  count × { idLen u32 | id | record 48 B | crc u32 }
 //	trailer  u32 CRC32-C of every preceding byte
 //
-// Integers are little-endian; CRCs are CRC32-Castagnoli. The per-record
-// CRC covers id+recJSON (catches a bit flip inside one record and names
-// it); the whole-file trailer catches truncation, framing damage and torn
-// tails. A container either decodes completely and checksums clean, or it
-// is rejected whole — there is no partial acceptance, because a shard file
-// is only ever installed by an atomic rename and must therefore represent
-// exactly one consistent flush.
-const snapMagic = "SLNSNAP1"
+// A record is core.BiasRecord's six fields at fixed width: mean, dev, min
+// and max as float64 bits, count as int64, last_seen as float64 bits.
+// Integers are little-endian; CRCs are CRC32-Castagnoli. Records are in
+// ascending ID order, so equal states encode to equal bytes. The
+// per-record CRC covers id+record (catches a bit flip inside one record
+// and names it); the whole-file trailer catches truncation, framing damage
+// and torn tails. A container either decodes completely and checksums
+// clean, or it is rejected whole — there is no partial acceptance, because
+// a shard file is only ever installed by an atomic rename and must
+// therefore represent exactly one consistent flush.
+//
+// Version 1 ("SLNSNAP1") framed each record as { idLen u32 | id | recLen
+// u32 | recJSON | crc u32 }, the record as JSON and the CRC over
+// id+recJSON. It is read-only: decodeSnapshot still accepts it, so
+// snapshot directories and SaveFile files written before version 2 keep
+// loading, and a load marks every shard dirty, so the next flush rewrites
+// them as version 2. The manifest container (kindManifest) holds one
+// raw-payload record in that framing, { idLen u32 | id | payloadLen u32 |
+// payload | crc u32 }, under either magic.
+const (
+	snapMagic   = "SLNSNAP2"
+	snapMagicV1 = "SLNSNAP1"
+)
 
 // Container kinds.
 const (
@@ -44,8 +60,21 @@ const (
 	kindMono
 )
 
+// Container geometry: the header, a version-2 record's fixed-width fields,
+// and the smallest record frame of each version (idLen, recLen, a "{}"
+// record and crc in version 1; idLen, record and crc in version 2), which
+// bounds how many records a container of a given size can hold.
+const (
+	headerLen  = 8 + 4 + 4 + 8 + 4
+	recordLen  = 6 * 8
+	minFrameV1 = 4 + 4 + 2 + 4
+	minFrameV2 = 4 + recordLen + 4
+)
+
 // Decode hard limits: a hostile or garbage header must not make the
-// decoder allocate unbounded memory before the CRC check can reject it.
+// decoder allocate unbounded memory. The CRC does not stop a crafted file,
+// so a header's record count is also checked against the bytes present
+// before anything is sized by it.
 const (
 	maxIDLen  = 1 << 12
 	maxRecLen = 1 << 16
@@ -65,119 +94,194 @@ type snapHeader struct {
 	count uint32
 }
 
-// encodeSnapshot serializes records into a container. IDs are sorted so
-// equal states encode to equal bytes (flush determinism is testable).
-func encodeSnapshot(kind, shard uint32, gen uint64, records map[string]core.BiasRecord) ([]byte, error) {
-	ids := make([]string, 0, len(records))
-	//softlora:nondeterministic-ok keys are sorted before encoding
-	for id := range records {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	var buf bytes.Buffer
-	buf.WriteString(snapMagic)
-	var u32 [4]byte
-	var u64 [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		buf.Write(u32[:])
-	}
-	put32(kind)
-	put32(shard)
-	binary.LittleEndian.PutUint64(u64[:], gen)
-	buf.Write(u64[:])
-	put32(uint32(len(ids)))
-	for _, id := range ids {
-		rec := records[id]
-		js, err := json.Marshal(&rec)
-		if err != nil {
-			return nil, fmt.Errorf("netserver: encoding record %q: %w", id, err)
-		}
-		if len(id) > maxIDLen || len(js) > maxRecLen {
-			return nil, fmt.Errorf("netserver: record %q exceeds container frame limits", id)
-		}
-		put32(uint32(len(id)))
-		buf.WriteString(id)
-		put32(uint32(len(js)))
-		buf.Write(js)
-		crc := crc32.Update(0, crcTable, []byte(id))
-		crc = crc32.Update(crc, crcTable, js)
-		put32(crc)
-	}
-	put32(crc32.Checksum(buf.Bytes(), crcTable))
-	return buf.Bytes(), nil
+// snapRecord is one device's record as the snapshot codec sees it.
+type snapRecord struct {
+	id  string
+	rec core.BiasRecord
 }
 
-// decodeSnapshot parses and verifies a container. Every failure — wrong
-// magic, truncation anywhere, a flipped bit in a record or the framing, an
-// invalid record — rejects the whole container with ErrBadSnapshot; a nil
-// error guarantees the returned records passed core.BiasRecord.Validate.
-func decodeSnapshot(data []byte) (snapHeader, map[string]core.BiasRecord, error) {
-	var h snapHeader
-	fail := func(format string, args ...any) (snapHeader, map[string]core.BiasRecord, error) {
-		return h, nil, fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
-	}
-	const headerLen = 8 + 4 + 4 + 8 + 4
+// sortRecords puts records in the container's ascending-ID order.
+func sortRecords(recs []snapRecord) {
+	slices.SortFunc(recs, func(a, b snapRecord) int { return strings.Compare(a.id, b.id) })
+}
+
+// appendHeader starts a version-2 container.
+func appendHeader(dst []byte, kind, shard uint32, gen uint64, count uint32) []byte {
+	dst = append(dst, snapMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, kind)
+	dst = binary.LittleEndian.AppendUint32(dst, shard)
+	dst = binary.LittleEndian.AppendUint64(dst, gen)
+	return binary.LittleEndian.AppendUint32(dst, count)
+}
+
+// appendTrailer seals a container that starts at c[0] with the CRC of
+// every byte of it.
+func appendTrailer(c []byte) []byte {
+	return binary.LittleEndian.AppendUint32(c, crc32.Checksum(c, crcTable))
+}
+
+// openContainer checks a container's magic, size and whole-file CRC and
+// parses its header, returning the format version (1 or 2) and the record
+// bytes between header and trailer. The CRC rejects accidental damage
+// (torn tails, flipped bits) before any record is parsed; it does not stop
+// a crafted file, so the record decoders still bound every length.
+func openContainer(data []byte) (h snapHeader, version int, body []byte, err error) {
 	if len(data) < headerLen+4 {
-		return fail("short file (%d bytes)", len(data))
+		return h, 0, nil, fmt.Errorf("%w: short file (%d bytes)", ErrBadSnapshot, len(data))
 	}
-	if string(data[:8]) != snapMagic {
-		return fail("bad magic")
+	switch string(data[:8]) {
+	case snapMagic:
+		version = 2
+	case snapMagicV1:
+		version = 1
+	default:
+		return h, 0, nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	// Whole-file CRC first: everything after this point may assume the
-	// bytes are exactly what a flush wrote.
-	body, trailer := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != trailer {
-		return fail("file checksum mismatch")
+	end := len(data) - 4
+	if crc32.Checksum(data[:end], crcTable) != binary.LittleEndian.Uint32(data[end:]) {
+		return h, 0, nil, fmt.Errorf("%w: file checksum mismatch", ErrBadSnapshot)
 	}
 	h.kind = binary.LittleEndian.Uint32(data[8:])
 	h.shard = binary.LittleEndian.Uint32(data[12:])
 	h.gen = binary.LittleEndian.Uint64(data[16:])
 	h.count = binary.LittleEndian.Uint32(data[24:])
-	p := data[headerLen : len(data)-4]
-	records := make(map[string]core.BiasRecord, h.count)
-	for i := uint32(0); i < h.count; i++ {
-		if len(p) < 4 {
-			return fail("truncated record %d", i)
+	return h, version, data[headerLen:end], nil
+}
+
+// encodeSnapshot encodes recs, which must be in ascending-ID order
+// (sortRecords), as a version-2 container, reusing dst's storage. A record
+// that would fail core.BiasRecord.Validate on load, or an ID over the
+// frame limit, fails the encode: a flush must never install a file that
+// recovery would quarantine.
+func encodeSnapshot(dst []byte, kind, shard uint32, gen uint64, recs []snapRecord) ([]byte, error) {
+	dst = appendHeader(dst[:0], kind, shard, gen, uint32(len(recs)))
+	for i := range recs {
+		r := &recs[i]
+		if len(r.id) > maxIDLen {
+			return dst, fmt.Errorf("netserver: record %q exceeds container frame limits", r.id)
 		}
-		idLen := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		if idLen > maxIDLen || uint32(len(p)) < idLen+4 {
-			return fail("record %d: bad id length %d", i, idLen)
+		if err := r.rec.Validate(); err != nil {
+			return dst, fmt.Errorf("netserver: encoding record %q: %w", r.id, err)
 		}
-		id := string(p[:idLen])
-		p = p[idLen:]
-		recLen := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		if recLen > maxRecLen || uint32(len(p)) < recLen+4 {
-			return fail("record %d: bad record length %d", i, recLen)
+		dst = appendRecord(dst, r)
+	}
+	return appendTrailer(dst), nil
+}
+
+// appendRecord appends one version-2 record frame.
+func appendRecord(dst []byte, r *snapRecord) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.id)))
+	start := len(dst)
+	dst = append(dst, r.id...)
+	for _, v := range [...]uint64{
+		math.Float64bits(r.rec.Mean), math.Float64bits(r.rec.Dev),
+		math.Float64bits(r.rec.Min), math.Float64bits(r.rec.Max),
+		uint64(int64(r.rec.Count)), math.Float64bits(r.rec.LastSeen),
+	} {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
+}
+
+// decodeSnapshot parses and verifies a container of either version. Every
+// failure — wrong magic, truncation anywhere, a flipped bit in a record or
+// the framing, an invalid record, a duplicate or out-of-order ID, a count
+// that does not match the records — rejects the whole container with
+// ErrBadSnapshot; a nil error guarantees the returned records, in
+// ascending-ID order, passed core.BiasRecord.Validate.
+func decodeSnapshot(data []byte) (snapHeader, []snapRecord, error) {
+	h, version, p, err := openContainer(data)
+	fail := func(format string, args ...any) (snapHeader, []snapRecord, error) {
+		return h, nil, fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
+	}
+	if err != nil {
+		return h, nil, err
+	}
+	decode, minFrame := decodeRecordV2, minFrameV2
+	if version == 1 {
+		decode, minFrame = decodeRecordV1, minFrameV1
+	}
+	if uint64(h.count) > uint64(len(p)/minFrame) {
+		return fail("count %d exceeds what %d record bytes can hold", h.count, len(p))
+	}
+	recs := make([]snapRecord, h.count)
+	for i := range recs {
+		r := &recs[i]
+		n, err := decode(p, r)
+		if err != nil {
+			return fail("record %d: %v", i, err)
 		}
-		js := p[:recLen]
-		p = p[recLen:]
-		crc := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		want := crc32.Update(0, crcTable, []byte(id))
-		want = crc32.Update(want, crcTable, js)
-		if crc != want {
-			return fail("record %q: checksum mismatch", id)
+		p = p[n:]
+		if err := r.rec.Validate(); err != nil {
+			return fail("record %q: %v", r.id, err)
 		}
-		var rec core.BiasRecord
-		if err := json.Unmarshal(js, &rec); err != nil {
-			return fail("record %q: %v", id, err)
+		if i > 0 && r.id <= recs[i-1].id {
+			return fail("record %q: duplicate or out of order", r.id)
 		}
-		if err := rec.Validate(); err != nil {
-			return fail("record %q: %v", id, err)
-		}
-		if _, dup := records[id]; dup {
-			return fail("record %q: duplicate", id)
-		}
-		records[id] = rec
 	}
 	if len(p) != 0 {
 		return fail("%d trailing bytes after last record", len(p))
 	}
-	return h, records, nil
+	return h, recs, nil
+}
+
+// decodeRecordV2 decodes the version-2 record frame at the head of p into
+// r and returns the frame's length.
+func decodeRecordV2(p []byte, r *snapRecord) (int, error) {
+	if len(p) < 4 {
+		return 0, errors.New("truncated")
+	}
+	idLen := binary.LittleEndian.Uint32(p)
+	if idLen > maxIDLen || uint64(len(p)) < 4+uint64(idLen)+recordLen+4 {
+		return 0, fmt.Errorf("bad id length %d", idLen)
+	}
+	body := p[4 : 4+idLen+recordLen]
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(p[4+idLen+recordLen:]) {
+		return 0, fmt.Errorf("%q: checksum mismatch", body[:idLen])
+	}
+	r.id = string(body[:idLen])
+	f := body[idLen:]
+	count := int64(binary.LittleEndian.Uint64(f[32:]))
+	if int64(int(count)) != count {
+		return 0, fmt.Errorf("%q: count %d overflows int", r.id, count)
+	}
+	r.rec = core.BiasRecord{
+		Mean:     math.Float64frombits(binary.LittleEndian.Uint64(f)),
+		Dev:      math.Float64frombits(binary.LittleEndian.Uint64(f[8:])),
+		Min:      math.Float64frombits(binary.LittleEndian.Uint64(f[16:])),
+		Max:      math.Float64frombits(binary.LittleEndian.Uint64(f[24:])),
+		Count:    int(count),
+		LastSeen: math.Float64frombits(binary.LittleEndian.Uint64(f[40:])),
+	}
+	return int(4 + idLen + recordLen + 4), nil
+}
+
+// decodeRecordV1 decodes the version-1 (JSON record) frame at the head of
+// p into r and returns the frame's length.
+func decodeRecordV1(p []byte, r *snapRecord) (int, error) {
+	if len(p) < 4 {
+		return 0, errors.New("truncated")
+	}
+	idLen := binary.LittleEndian.Uint32(p)
+	if idLen > maxIDLen || uint64(len(p)) < 4+uint64(idLen)+4 {
+		return 0, fmt.Errorf("bad id length %d", idLen)
+	}
+	id := p[4 : 4+idLen]
+	q := p[4+idLen:]
+	recLen := binary.LittleEndian.Uint32(q)
+	if recLen > maxRecLen || uint64(len(q)) < 4+uint64(recLen)+4 {
+		return 0, fmt.Errorf("bad record length %d", recLen)
+	}
+	js := q[4 : 4+recLen]
+	crc := crc32.Update(crc32.Checksum(id, crcTable), crcTable, js)
+	if crc != binary.LittleEndian.Uint32(q[4+recLen:]) {
+		return 0, fmt.Errorf("%q: checksum mismatch", id)
+	}
+	r.id = string(id)
+	if err := json.Unmarshal(js, &r.rec); err != nil {
+		return 0, fmt.Errorf("%q: %v", r.id, err)
+	}
+	return int(4 + idLen + 4 + recLen + 4), nil
 }
 
 // atomicWrite writes data to path crash-safely: write to path+".tmp",
@@ -284,6 +388,10 @@ type Snapshotter struct {
 	// keep is how many generations to retain per shard (≥2 so a corrupt
 	// newest file always has a fallback).
 	keep int
+	// recs and buf are one shard's record copy and encoding, reused from
+	// shard to shard and flush to flush.
+	recs []snapRecord
+	buf  []byte
 }
 
 // NewSnapshotter opens (creating if needed) a snapshot directory. Stale
@@ -320,9 +428,11 @@ func (sn *Snapshotter) Dir() string { return sn.dir }
 
 // flushShard snapshots and installs shard i at the next generation.
 func (sn *Snapshotter) flushShard(s *NetworkServer, i int) error {
-	records := s.snapshotShard(i, nil)
+	sn.recs = s.snapshotShard(i, sn.recs[:0])
+	sortRecords(sn.recs)
 	gen := sn.gens[i] + 1
-	data, err := encodeSnapshot(kindShard, uint32(i), gen, records)
+	data, err := encodeSnapshot(sn.buf, kindShard, uint32(i), gen, sn.recs)
+	sn.buf = data
 	if err != nil {
 		return err
 	}
@@ -351,29 +461,15 @@ func (sn *Snapshotter) writeManifest(shards int) error {
 	if err != nil {
 		return fmt.Errorf("netserver: encoding manifest: %w", err)
 	}
-	var buf bytes.Buffer
-	buf.WriteString(snapMagic)
-	var u32 [4]byte
-	var u64 [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		buf.Write(u32[:])
-	}
-	put32(kindManifest)
-	put32(0)
-	binary.LittleEndian.PutUint64(u64[:], 0)
-	buf.Write(u64[:])
-	put32(1)
 	const id = "manifest"
-	put32(uint32(len(id)))
-	buf.WriteString(id)
-	put32(uint32(len(js)))
-	buf.Write(js)
-	crc := crc32.Update(0, crcTable, []byte(id))
-	crc = crc32.Update(crc, crcTable, js)
-	put32(crc)
-	put32(crc32.Checksum(buf.Bytes(), crcTable))
-	return atomicWrite(sn.fsys, vfs.Join(sn.dir, manifestName), buf.Bytes())
+	buf := appendHeader(sn.buf[:0], kindManifest, 0, 0, 1)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(id)))
+	buf = append(buf, id...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(js)))
+	buf = append(buf, js...)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Update(crc32.Checksum([]byte(id), crcTable), crcTable, js))
+	sn.buf = appendTrailer(buf)
+	return atomicWrite(sn.fsys, vfs.Join(sn.dir, manifestName), sn.buf)
 }
 
 // FlushDirty writes every dirty shard to a new generation and updates the
@@ -423,40 +519,22 @@ func (sn *Snapshotter) readManifest() (manifest, bool) {
 	return decodeManifestPayload(data)
 }
 
-// decodeManifestContainer verifies only the container-level checksums of a
-// manifest file (its payload is manifest JSON, not a BiasRecord).
-func decodeManifestContainer(data []byte) (snapHeader, []byte, error) {
-	var h snapHeader
-	const headerLen = 8 + 4 + 4 + 8 + 4
-	if len(data) < headerLen+4 || string(data[:8]) != snapMagic {
-		return h, nil, fmt.Errorf("%w: bad manifest container", ErrBadSnapshot)
-	}
-	body, trailer := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != trailer {
-		return h, nil, fmt.Errorf("%w: manifest checksum mismatch", ErrBadSnapshot)
-	}
-	h.kind = binary.LittleEndian.Uint32(data[8:])
-	h.shard = binary.LittleEndian.Uint32(data[12:])
-	h.gen = binary.LittleEndian.Uint64(data[16:])
-	h.count = binary.LittleEndian.Uint32(data[24:])
-	return h, data[headerLen : len(data)-4], nil
-}
-
-// decodeManifestPayload extracts the manifest JSON from a verified
-// container.
+// decodeManifestPayload extracts the manifest JSON from a manifest
+// container of either version; only the container-level checksums are
+// verified.
 func decodeManifestPayload(data []byte) (manifest, bool) {
 	var m manifest
-	h, p, err := decodeManifestContainer(data)
+	h, _, p, err := openContainer(data)
 	if err != nil || h.kind != kindManifest || len(p) < 4 {
 		return m, false
 	}
 	idLen := binary.LittleEndian.Uint32(p)
-	if uint32(len(p)) < 4+idLen+4 {
+	if uint64(len(p)) < 4+uint64(idLen)+4 {
 		return m, false
 	}
 	p = p[4+idLen:]
 	recLen := binary.LittleEndian.Uint32(p)
-	if uint32(len(p)) < 4+recLen+4 {
+	if uint64(len(p)) < 4+uint64(recLen)+4 {
 		return m, false
 	}
 	if err := json.Unmarshal(p[4:4+recLen], &m); err != nil {
@@ -525,11 +603,11 @@ func (sn *Snapshotter) Load(s *NetworkServer) (RecoveryStats, error) {
 		return sn.loadLegacy(s, legacy, stats)
 	}
 	man, haveMan := sn.readManifest()
-	all := make(map[string]*core.BiasRecord)
 	// Walk shards in ascending order: stale files from a different
 	// shard-count era can hold the same device ID under two shard
-	// numbers, and last-write-wins into all must not depend on map
-	// iteration order.
+	// numbers, and last-write-wins in installRecords must not depend on
+	// map iteration order.
+	var files [][]snapRecord
 	shardNums := make([]int, 0, len(byShard))
 	//softlora:nondeterministic-ok keys are sorted before use
 	for shard := range byShard {
@@ -544,7 +622,7 @@ func (sn *Snapshotter) Load(s *NetworkServer) (RecoveryStats, error) {
 			name := shardFileName(shard, gen)
 			data, err := readAll(sn.fsys, vfs.Join(sn.dir, name))
 			var h snapHeader
-			var records map[string]core.BiasRecord
+			var records []snapRecord
 			if err == nil {
 				h, records, err = decodeSnapshot(data)
 			}
@@ -555,11 +633,7 @@ func (sn *Snapshotter) Load(s *NetworkServer) (RecoveryStats, error) {
 				sn.quarantine(name, &stats)
 				continue
 			}
-			//softlora:nondeterministic-ok IDs are unique within one shard file; merge into a map
-			for id, rec := range records {
-				cp := rec
-				all[id] = &cp
-			}
+			files = append(files, records)
 			if gi == 0 {
 				stats.ShardsLoaded++
 			} else {
@@ -578,9 +652,7 @@ func (sn *Snapshotter) Load(s *NetworkServer) (RecoveryStats, error) {
 			stats.ShardsLost++
 		}
 	}
-	stats.DevicesLoaded = len(all)
-	s.installShards(all)
-	s.observeTime(maxLastSeen(all))
+	stats.DevicesLoaded = s.installRecords(files)
 	return stats, nil
 }
 
@@ -613,21 +685,6 @@ func (sn *Snapshotter) loadLegacy(s *NetworkServer, candidates []string, stats R
 // bias database inside a snapshot directory.
 const LegacyDatabaseName = "biasdb.json"
 
-// maxLastSeen scans loaded records for the newest observation stamp.
-func maxLastSeen(devices map[string]*core.BiasRecord) float64 {
-	latest := math.Inf(-1)
-	//softlora:nondeterministic-ok max over values is order-independent
-	for _, rec := range devices {
-		if rec.LastSeen > latest {
-			latest = rec.LastSeen
-		}
-	}
-	if math.IsInf(latest, -1) {
-		return 0
-	}
-	return latest
-}
-
 // SaveDir writes a full sharded checkpoint of the database to dir — the
 // one-shot form of Snapshotter.SaveAll for callers that do not keep a
 // flusher running. A nil fsys selects the real filesystem.
@@ -659,11 +716,12 @@ func (s *NetworkServer) SaveFile(fsys vfs.FS, path string) error {
 	if fsys == nil {
 		fsys = vfs.OS{}
 	}
-	merged := make(map[string]core.BiasRecord, s.Devices())
+	recs := make([]snapRecord, 0, s.Devices())
 	for i := range s.shards {
-		s.snapshotShard(i, merged)
+		recs = s.snapshotShard(i, recs)
 	}
-	data, err := encodeSnapshot(kindMono, 0, 0, merged)
+	sortRecords(recs)
+	data, err := encodeSnapshot(nil, kindMono, 0, 0, recs)
 	if err != nil {
 		return err
 	}
@@ -671,11 +729,11 @@ func (s *NetworkServer) SaveFile(fsys vfs.FS, path string) error {
 }
 
 // LoadFile replaces the database from path, auto-detecting the format: a
-// checksummed container written by SaveFile, or a legacy monolithic JSON
-// database in the format Save writes. A truncated or
-// bit-flipped container is rejected whole (ErrBadSnapshot) and the current
-// database is kept — there is no silent partial load. A nil fsys selects
-// the real filesystem.
+// checksummed container written by SaveFile (either container version), or
+// a legacy monolithic JSON database in the format Save writes. A truncated
+// or bit-flipped container is rejected whole (ErrBadSnapshot) and the
+// current database is kept — there is no silent partial load. A nil fsys
+// selects the real filesystem.
 func (s *NetworkServer) LoadFile(fsys vfs.FS, path string) error {
 	if fsys == nil {
 		fsys = vfs.OS{}
@@ -684,7 +742,7 @@ func (s *NetworkServer) LoadFile(fsys vfs.FS, path string) error {
 	if err != nil {
 		return fmt.Errorf("netserver: reading %s: %w", path, err)
 	}
-	if len(data) >= len(snapMagic) && string(data[:len(snapMagic)]) == snapMagic {
+	if magic := string(data[:min(len(data), len(snapMagic))]); magic == snapMagic || magic == snapMagicV1 {
 		h, records, err := decodeSnapshot(data)
 		if err != nil {
 			return err
@@ -692,14 +750,7 @@ func (s *NetworkServer) LoadFile(fsys vfs.FS, path string) error {
 		if h.kind != kindMono {
 			return fmt.Errorf("%w: %s is not a single-file snapshot", ErrBadSnapshot, path)
 		}
-		devices := make(map[string]*core.BiasRecord, len(records))
-		//softlora:nondeterministic-ok map-to-map copy; IDs are unique
-		for id, rec := range records {
-			cp := rec
-			devices[id] = &cp
-		}
-		s.installShards(devices)
-		s.observeTime(maxLastSeen(devices))
+		s.installRecords([][]snapRecord{records})
 		return nil
 	}
 	return s.Load(bytes.NewReader(data))

@@ -2,8 +2,11 @@ package netserver
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -32,11 +35,35 @@ func populate(s *NetworkServer, n int, seed int64) {
 
 // dump copies the full database for equality comparison.
 func dump(s *NetworkServer) map[string]core.BiasRecord {
-	out := make(map[string]core.BiasRecord)
+	var recs []snapRecord
 	for i := range s.shards {
-		s.snapshotShard(i, out)
+		recs = s.snapshotShard(i, recs)
+	}
+	return recordMap(recs)
+}
+
+// recordMap indexes decoded or snapshotted records by ID.
+func recordMap(recs []snapRecord) map[string]core.BiasRecord {
+	out := make(map[string]core.BiasRecord, len(recs))
+	for _, r := range recs {
+		out[r.id] = r.rec
 	}
 	return out
+}
+
+// encodeMap encodes records as a container, as a flush would.
+func encodeMap(t testing.TB, kind, shard uint32, gen uint64, records map[string]core.BiasRecord) []byte {
+	t.Helper()
+	recs := make([]snapRecord, 0, len(records))
+	for id, rec := range records {
+		recs = append(recs, snapRecord{id: id, rec: rec})
+	}
+	sortRecords(recs)
+	data, err := encodeSnapshot(nil, kind, shard, gen, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func equalDB(t *testing.T, want, got map[string]core.BiasRecord, label string) {
@@ -60,17 +87,21 @@ func TestSnapshotContainerRoundTrip(t *testing.T) {
 		"a": {Mean: -22000, Dev: 35, Min: -22100, Max: -21900, Count: 17, LastSeen: 1234.5},
 		"b": {Mean: 4000, Dev: 0, Min: 4000, Max: 4000, Count: 1},
 	}
-	data, err := encodeSnapshot(kindShard, 7, 42, records)
-	if err != nil {
-		t.Fatal(err)
+	data := encodeMap(t, kindShard, 7, 42, records)
+	if string(data[:8]) != snapMagic {
+		t.Fatalf("magic = %q, want %q", data[:8], snapMagic)
 	}
-	h, got, err := decodeSnapshot(data)
+	if want := headerLen + 2*minFrameV2 + 2 + 4; len(data) != want {
+		t.Fatalf("container is %d bytes, want %d", len(data), want)
+	}
+	h, recs, err := decodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.kind != kindShard || h.shard != 7 || h.gen != 42 || int(h.count) != len(records) {
 		t.Fatalf("header = %+v", h)
 	}
+	got := recordMap(recs)
 	for id, w := range records {
 		if got[id] != w {
 			t.Errorf("record %s = %+v, want %+v", id, got[id], w)
@@ -78,11 +109,7 @@ func TestSnapshotContainerRoundTrip(t *testing.T) {
 	}
 	// Equal states must encode to equal bytes (the flush determinism the
 	// crash tests lean on).
-	again, err := encodeSnapshot(kindShard, 7, 42, records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, again) {
+	if again := encodeMap(t, kindShard, 7, 42, records); !bytes.Equal(data, again) {
 		t.Error("encoding is not deterministic")
 	}
 }
@@ -92,27 +119,301 @@ func TestSnapshotContainerRejectsDamage(t *testing.T) {
 		"dev-1": {Mean: -22000, Dev: 35, Min: -22100, Max: -21900, Count: 9, LastSeen: 50},
 		"dev-2": {Mean: -21000, Dev: 12, Min: -21050, Max: -20950, Count: 4, LastSeen: 60},
 	}
-	data, err := encodeSnapshot(kindShard, 3, 9, records)
+	// A version-1 shard file, written by the version-1 encoder, must stay
+	// as well guarded as a version-2 one.
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1dir", shardFileName(2, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncation at every byte boundary must be rejected — a torn write
-	// can stop anywhere.
-	for n := 0; n < len(data); n++ {
-		if _, _, err := decodeSnapshot(data[:n]); err == nil {
-			t.Fatalf("truncation to %d/%d bytes silently accepted", n, len(data))
+	for _, data := range [][]byte{encodeMap(t, kindShard, 3, 9, records), v1} {
+		if _, _, err := decodeSnapshot(data); err != nil {
+			t.Fatalf("%s container rejected intact: %v", data[:8], err)
 		}
-	}
-	// Any single flipped bit must be rejected.
-	for i := 0; i < len(data); i++ {
-		for bit := 0; bit < 8; bit++ {
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			cp[i] ^= 1 << bit
-			if _, _, err := decodeSnapshot(cp); err == nil {
-				t.Fatalf("bit flip at byte %d bit %d silently accepted", i, bit)
+		// Truncation at every byte boundary must be rejected — a torn
+		// write can stop anywhere.
+		for n := 0; n < len(data); n++ {
+			if _, _, err := decodeSnapshot(data[:n]); err == nil {
+				t.Fatalf("%s: truncation to %d/%d bytes silently accepted", data[:8], n, len(data))
 			}
 		}
+		// Any single flipped bit must be rejected.
+		for i := 0; i < len(data); i++ {
+			for bit := 0; bit < 8; bit++ {
+				cp := make([]byte, len(data))
+				copy(cp, data)
+				cp[i] ^= 1 << bit
+				if _, _, err := decodeSnapshot(cp); err == nil {
+					t.Fatalf("%s: bit flip at byte %d bit %d silently accepted", data[:8], i, bit)
+				}
+			}
+		}
+	}
+}
+
+func TestDecodeRejectsCountBeyondBytesPresent(t *testing.T) {
+	// Regression: a header-only container claiming 2³¹−1 records under a
+	// recomputed trailer passed the CRC, and the decoder presized its
+	// output by the claimed count before reading a record — enough to get
+	// the process killed for memory. The count is now bounded by the
+	// bytes present.
+	for _, magic := range []string{snapMagicV1, snapMagic} {
+		data := countBomb(magic)
+		if len(data) != 32 {
+			t.Fatalf("count bomb is %d bytes, want 32", len(data))
+		}
+		// Rejected for its count, before anything is sized by it.
+		if _, _, err := decodeSnapshot(data); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "count") {
+			t.Fatalf("%s: err = %v, want ErrBadSnapshot naming the count", magic, err)
+		}
+		path := filepath.Join(t.TempDir(), "bomb.snap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := New(Config{}).LoadFile(nil, path); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("%s: LoadFile err = %v, want ErrBadSnapshot", magic, err)
+		}
+	}
+}
+
+func TestDecodeRejectsCraftedContainers(t *testing.T) {
+	// Containers whose every CRC is right, so only the decoder's own
+	// checks stand between them and the database.
+	rec := core.BiasRecord{Mean: -22000, Dev: 35, Min: -22100, Max: -21900, Count: 12, LastSeen: 50}
+	craft := func(count uint32, recs ...snapRecord) []byte {
+		c := appendHeader(nil, kindShard, 0, 1, count)
+		for i := range recs {
+			c = appendRecord(c, &recs[i])
+		}
+		return appendTrailer(c)
+	}
+	a, b := snapRecord{id: "a", rec: rec}, snapRecord{id: "b", rec: rec}
+	nan, inverted := a, a
+	nan.rec.Dev = math.NaN()
+	inverted.rec.Min, inverted.rec.Max = 1, -1
+	// A flipped ID byte under a recomputed trailer: only the record's
+	// own CRC catches it, in either version.
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1dir", shardFileName(2, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipID := func(c []byte) []byte {
+		c = bytes.Clone(c)
+		c[headerLen+4] ^= 1
+		return appendTrailer(c[:len(c)-4])
+	}
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"duplicate id", "duplicate", craft(2, a, a)},
+		{"ids out of order", "out of order", craft(2, b, a)},
+		{"count short of records", "trailing bytes", craft(1, a, b)},
+		{"count beyond records", "count 3", craft(3, a, b)},
+		{"non-finite field", "not finite", craft(1, nan)},
+		{"inverted range", "exceeds max_hz", craft(1, inverted)},
+		{"id over the limit", "bad id length", craft(1, snapRecord{id: strings.Repeat("x", maxIDLen+1)})},
+		{"record checksum", "checksum mismatch", flipID(craft(1, a))},
+		{"version-1 record checksum", "checksum mismatch", flipID(v1)},
+	} {
+		_, _, err := decodeSnapshot(tc.data)
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot naming %q", tc.name, err, tc.want)
+		}
+	}
+	if _, recs, err := decodeSnapshot(craft(2, a, b)); err != nil || len(recs) != 2 {
+		t.Fatalf("well-formed crafted container: %d records, err %v", len(recs), err)
+	}
+}
+
+func TestDecodeAcceptsSmallestFrames(t *testing.T) {
+	// The count bound must never reject a valid container: records of
+	// the smallest frame each version allows still decode.
+	v2 := appendHeader(nil, kindShard, 0, 1, 1)
+	v2 = appendTrailer(appendRecord(v2, &snapRecord{}))
+	v1 := appendHeader(nil, kindShard, 0, 1, 2)
+	copy(v1, snapMagicV1)
+	for _, id := range []string{"", "a"} {
+		const js = "{}"
+		v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(id)))
+		v1 = append(v1, id...)
+		v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(js)))
+		v1 = append(v1, js...)
+		v1 = binary.LittleEndian.AppendUint32(v1, crc32.Update(crc32.Checksum([]byte(id), crcTable), crcTable, []byte(js)))
+	}
+	v1 = appendTrailer(v1)
+	for _, c := range []struct {
+		data    []byte
+		records int
+	}{{v2, 1}, {v1, 2}} {
+		if _, recs, err := decodeSnapshot(c.data); err != nil || len(recs) != c.records {
+			t.Errorf("%s container of smallest frames: %d records, err %v; want %d", c.data[:8], len(recs), err, c.records)
+		}
+	}
+}
+
+func TestEncodeRefusesRecordsLoadWouldReject(t *testing.T) {
+	// A flush must never install a file recovery would quarantine.
+	for _, rec := range []core.BiasRecord{
+		{Mean: math.NaN(), Count: 1},
+		{Mean: 5, Min: 10, Max: 0, Count: 1},
+		{Dev: -1, Count: 1},
+	} {
+		if _, err := encodeSnapshot(nil, kindShard, 0, 1, []snapRecord{{id: "d", rec: rec}}); err == nil {
+			t.Errorf("record %+v encoded", rec)
+		}
+	}
+	long := snapRecord{id: strings.Repeat("x", maxIDLen+1)}
+	if _, err := encodeSnapshot(nil, kindShard, 0, 1, []snapRecord{long}); err == nil {
+		t.Error("over-limit ID encoded")
+	}
+}
+
+// copyDir copies a flat directory of test fixtures.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// snapshotMagics maps every snapshot file in dir to its magic.
+func snapshotMagics(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	names, err := vfs.OS{}.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, name := range names {
+		if !strings.HasSuffix(name, ".snap") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = string(data[:min(len(data), len(snapMagic))])
+	}
+	return out
+}
+
+func TestLoadDirMigratesVersion1Snapshots(t *testing.T) {
+	// testdata/v1dir was written by the version-1 encoder: two flush
+	// generations over four shards (shard 2 has only its first), 43
+	// devices. v1dir.save.json is Save's output for that database.
+	want, err := os.ReadFile(filepath.Join("testdata", "v1dir.save.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "v1dir"), dir)
+	before := snapshotMagics(t, dir)
+	for name, magic := range before {
+		if magic != snapMagicV1 {
+			t.Fatalf("fixture %s has magic %q, want %q", name, magic, snapMagicV1)
+		}
+	}
+
+	s := New(Config{Shards: 4})
+	stats, err := s.LoadDir(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ShardsLoaded != 4 || stats.FilesQuarantined != 0 || stats.BehindManifest != 0 || stats.DevicesLoaded != 43 {
+		t.Fatalf("stats = %+v, want 4 clean shards and 43 devices", stats)
+	}
+	if got := saveBytes(t, s); !bytes.Equal(got, want) {
+		t.Fatalf("version-1 directory loaded to\n%s\nwant\n%s", got, want)
+	}
+
+	// The next flush rewrites every shard (a load leaves all dirty), and
+	// everything it writes is version 2.
+	sn, err := NewSnapshotter(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := sn.FlushDirty(s); err != nil || n != 4 {
+		t.Fatalf("migration flush wrote %d shards (err %v), want 4", n, err)
+	}
+	written := 0
+	for name, magic := range snapshotMagics(t, dir) {
+		if _, ok := before[name]; ok && name != manifestName {
+			continue
+		}
+		written++
+		if magic != snapMagic {
+			t.Errorf("migration flush wrote %s with magic %q, want %q", name, magic, snapMagic)
+		}
+	}
+	if written != 5 {
+		t.Errorf("migration flush wrote %d files, want 4 shards and the manifest", written)
+	}
+	for _, shards := range []int{4, DefaultShards} {
+		fresh := New(Config{Shards: shards})
+		stats, err := fresh.LoadDir(nil, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ShardsRecoveredOlder != 0 || stats.FilesQuarantined != 0 {
+			t.Fatalf("reload stats = %+v, want newest generations", stats)
+		}
+		if got := saveBytes(t, fresh); !bytes.Equal(got, want) {
+			t.Fatalf("migrated directory (%d shards) loaded to\n%s\nwant\n%s", shards, got, want)
+		}
+	}
+
+	// One more flush retires the last version-1 generation.
+	if err := sn.SaveAll(s); err != nil {
+		t.Fatal(err)
+	}
+	for name, magic := range snapshotMagics(t, dir) {
+		if magic != snapMagic {
+			t.Errorf("%s still has magic %q after two flushes", name, magic)
+		}
+	}
+}
+
+func TestLoadFileReadsVersion1(t *testing.T) {
+	// testdata/v1mono.snap is a SaveFile container written by the
+	// version-1 encoder, v1mono.save.json its database's Save output.
+	want, err := os.ReadFile(filepath.Join("testdata", "v1mono.save.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	if err := s.LoadFile(nil, filepath.Join("testdata", "v1mono.snap")); err != nil {
+		t.Fatal(err)
+	}
+	if got := saveBytes(t, s); !bytes.Equal(got, want) {
+		t.Fatalf("version-1 SaveFile loaded to\n%s\nwant\n%s", got, want)
+	}
+	if s.LatestObservation() != 99.5 {
+		t.Errorf("latest observation = %v, want the newest LastSeen 99.5", s.LatestObservation())
+	}
+	// Written back, it is version 2 and loads to the same bytes.
+	path := filepath.Join(t.TempDir(), "v2.snap")
+	if err := s.SaveFile(nil, path); err != nil {
+		t.Fatal(err)
+	}
+	if magics := snapshotMagics(t, filepath.Dir(path)); magics["v2.snap"] != snapMagic {
+		t.Fatalf("SaveFile wrote magic %q, want %q", magics["v2.snap"], snapMagic)
+	}
+	fresh := New(Config{})
+	if err := fresh.LoadFile(nil, path); err != nil {
+		t.Fatal(err)
+	}
+	if got := saveBytes(t, fresh); !bytes.Equal(got, want) {
+		t.Fatalf("version-2 rewrite loaded to\n%s\nwant\n%s", got, want)
 	}
 }
 

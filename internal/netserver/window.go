@@ -1,9 +1,10 @@
 package netserver
 
 import (
-	"container/list"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"softlora/internal/core"
 )
@@ -45,27 +46,78 @@ type WindowConfig struct {
 	MaxCommitted int
 }
 
-// pendingFrame is one open window entry: the copies of a frame gathered so
-// far, at most one per gateway.
-type pendingFrame struct {
-	key      string
-	deviceID string
-	index    int64   // min UplinkIndex seen
-	opened   float64 // watermark when the first copy arrived
-	obs      []PHYObservation
-	full     bool // reached MaxReceivers distinct gateways
-	ready    bool // queued for commit (expired or full)
-	done     bool // committed or shed
-	elem     *list.Element
+// frameKey is the dedup identity. It holds the device ID, so a FrameID
+// collision across devices yields separate frames, never a mixed one; and
+// as a pair of fields, no two distinct (DeviceID, FrameID) pairs can share
+// a key, whatever bytes the IDs contain.
+type frameKey struct{ DeviceID, FrameID string }
+
+// compare orders keys canonically: by DeviceID, then FrameID.
+func (k frameKey) compare(o frameKey) int {
+	if c := strings.Compare(k.DeviceID, o.DeviceID); c != 0 {
+		return c
+	}
+	return strings.Compare(k.FrameID, o.FrameID)
 }
 
-// committedFrame remembers a committed frame for late-copy reconciliation.
-type committedFrame struct {
-	key         string
+// maxPresizedCopies bounds the copy-set capacity a new frame reserves, for
+// MaxReceivers settings far above any real deployment's receiver count.
+const maxPresizedCopies = 16
+
+// frame is one frame's window entry for its whole life: pending while its
+// copies gather, then committed while late copies may still reconcile
+// against it.
+type frame struct {
+	key    frameKey
+	index  int64   // min UplinkIndex seen
+	opened float64 // watermark when the first copy arrived
+	// obs is the copy set, at most one observation per gateway.
+	obs   []PHYObservation
+	full  bool // reached MaxReceivers distinct gateways
+	ready bool // queued for commit (expired or full)
+	done  bool // committed or shed
+	// prev and next link the frame into window.openOrder while it is
+	// pending, then into window.commitOrder while it is committed; it is
+	// never on both lists.
+	prev, next *frame
+	// nextOfDevice chains the pending frames of one device
+	// (window.byDevice).
+	nextOfDevice *frame
+	// committedAt and fused are set at commit, for late reconciliation.
 	committedAt float64
 	fused       FrameVerdict
-	obs         []PHYObservation
-	elem        *list.Element
+}
+
+// frameList is an intrusive FIFO of frames linked through prev/next.
+type frameList struct {
+	head, tail *frame
+	len        int
+}
+
+func (l *frameList) pushBack(f *frame) {
+	f.prev, f.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = f
+	} else {
+		l.head = f
+	}
+	l.tail = f
+	l.len++
+}
+
+func (l *frameList) remove(f *frame) {
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		l.head = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		l.tail = f.prev
+	}
+	f.prev, f.next = nil, nil
+	l.len--
 }
 
 // window is the cross-call dedup state, guarded by NetworkServer.winMu.
@@ -75,15 +127,19 @@ type committedFrame struct {
 type window struct {
 	cfg WindowConfig
 
-	pending   map[string]*pendingFrame
-	openOrder *list.List // *pendingFrame, in open (≈ watermark) order
-	byDevice  map[string][]*pendingFrame
-	ready     []*pendingFrame
+	pending   map[frameKey]*frame
+	openOrder frameList // pending frames, in open (≈ watermark) order
+	// byDevice heads each device's chain of pending frames.
+	byDevice map[string]*frame
+	ready    []*frame
 
-	committed   map[string]*committedFrame
-	commitOrder *list.List // *committedFrame, in commit order
+	committed   map[frameKey]*frame
+	commitOrder frameList // committed frames, in commit order
 
+	// events[head:] is the queue of committed verdicts not yet taken;
+	// dropping the oldest advances head.
 	events    []FrameVerdict
+	head      int
 	maxEvents int
 }
 
@@ -106,19 +162,13 @@ func newWindow(cfg WindowConfig) *window {
 		maxEvents = defaultEventQueueFloor
 	}
 	return &window{
-		cfg:         cfg,
-		pending:     make(map[string]*pendingFrame),
-		openOrder:   list.New(),
-		byDevice:    make(map[string][]*pendingFrame),
-		committed:   make(map[string]*committedFrame),
-		commitOrder: list.New(),
-		maxEvents:   maxEvents,
+		cfg:       cfg,
+		pending:   make(map[frameKey]*frame),
+		byDevice:  make(map[string]*frame),
+		committed: make(map[frameKey]*frame),
+		maxEvents: maxEvents,
 	}
 }
-
-// frameKey is the dedup identity: the device ID is embedded so a FrameID
-// collision across devices yields separate frames, never a mixed one.
-func frameKey(deviceID, frameID string) string { return deviceID + "\x00" + frameID }
 
 // PendingFrames returns how many frames are currently held open in the
 // window (0 when the window is disabled).
@@ -135,7 +185,6 @@ func (s *NetworkServer) PendingFrames() int {
 // return this frame's verdict if it committed during the call (leaving
 // every other queued event for the next poll), VerdictPending otherwise.
 func (s *NetworkServer) ingestOne(obs PHYObservation) core.Verdict {
-	key := frameKey(obs.DeviceID, obs.FrameID)
 	s.winMu.Lock()
 	defer s.winMu.Unlock()
 	if err := s.ingestLocked(obs); err != nil {
@@ -144,11 +193,15 @@ func (s *NetworkServer) ingestOne(obs PHYObservation) core.Verdict {
 	}
 	s.processWindowLocked()
 	w := s.win
-	for i := len(w.events) - 1; i >= 0; i-- {
-		ev := w.events[i]
-		if !ev.Revised && frameKey(ev.DeviceID, ev.FrameID) == key {
-			w.events = append(w.events[:i], w.events[i+1:]...)
-			return ev.Verdict
+	for i := len(w.events) - 1; i >= w.head; i-- {
+		ev := &w.events[i]
+		if !ev.Revised && ev.DeviceID == obs.DeviceID && ev.FrameID == obs.FrameID {
+			v := ev.Verdict
+			last := len(w.events) - 1
+			copy(w.events[i:], w.events[i+1:])
+			w.events[last] = FrameVerdict{}
+			w.events = w.events[:last]
+			return v
 		}
 	}
 	return core.VerdictPending
@@ -210,9 +263,9 @@ func (s *NetworkServer) TickWindow() {
 	s.processWindowLocked()
 }
 
-// DrainWindow force-commits every pending frame — in (UplinkIndex, key)
-// order, the same canonical order timed commits use — and returns all
-// queued events. The shutdown / end-of-run flush.
+// DrainWindow force-commits every pending frame — in (UplinkIndex,
+// DeviceID, FrameID) order, the same canonical order timed commits use —
+// and returns all queued events. The shutdown / end-of-run flush.
 func (s *NetworkServer) DrainWindow() []FrameVerdict {
 	if s.win == nil {
 		return nil
@@ -220,7 +273,7 @@ func (s *NetworkServer) DrainWindow() []FrameVerdict {
 	s.winMu.Lock()
 	defer s.winMu.Unlock()
 	w := s.win
-	all := make([]*pendingFrame, 0, len(w.pending))
+	all := make([]*frame, 0, len(w.pending))
 	//softlora:nondeterministic-ok entries are sorted into canonical commit order below
 	for _, e := range w.pending {
 		all = append(all, e)
@@ -252,7 +305,7 @@ func (s *NetworkServer) ingestLocked(o PHYObservation) error {
 		s.pushEventLocked(fv)
 		return nil
 	}
-	key := frameKey(o.DeviceID, o.FrameID)
+	key := frameKey{o.DeviceID, o.FrameID}
 	if e, ok := w.pending[key]; ok {
 		s.winMerged.Add(1)
 		s.duplicates.Add(1)
@@ -274,28 +327,25 @@ func (s *NetworkServer) ingestLocked(o PHYObservation) error {
 		return nil
 	}
 	// New frame: shed the oldest pending entry if the cap is hit.
-	for len(w.pending) >= w.cfg.MaxPending {
-		front := w.openOrder.Front()
-		if front == nil {
-			break
-		}
+	for len(w.pending) >= w.cfg.MaxPending && w.openOrder.head != nil {
 		s.shed.Add(1)
-		s.commitEntryLocked(front.Value.(*pendingFrame))
+		s.commitEntryLocked(w.openOrder.head)
 	}
-	e := &pendingFrame{
-		key:      key,
-		deviceID: o.DeviceID,
-		index:    o.UplinkIndex,
-		opened:   s.LatestObservation(),
-		obs:      []PHYObservation{o},
+	e := &frame{
+		key:          key,
+		index:        o.UplinkIndex,
+		opened:       s.LatestObservation(),
+		obs:          make([]PHYObservation, 1, min(w.cfg.MaxReceivers, maxPresizedCopies)),
+		nextOfDevice: w.byDevice[key.DeviceID],
 	}
+	e.obs[0] = o
 	if len(e.obs) >= w.cfg.MaxReceivers {
 		e.full, e.ready = true, true
 		w.ready = append(w.ready, e)
 	}
 	w.pending[key] = e
-	e.elem = w.openOrder.PushBack(e)
-	w.byDevice[o.DeviceID] = append(w.byDevice[o.DeviceID], e)
+	w.openOrder.pushBack(e)
+	w.byDevice[key.DeviceID] = e
 	return nil
 }
 
@@ -330,31 +380,40 @@ func betterCopy(a, b PHYObservation) bool {
 	return a.ArrivalTime < b.ArrivalTime
 }
 
-// sortPending orders entries canonically: ascending UplinkIndex, ties by
-// key. Commits always happen in this order among eligible entries, which
-// is what makes database bytes schedule-independent.
-func sortPending(entries []*pendingFrame) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].index != entries[j].index {
-			return entries[i].index < entries[j].index
-		}
-		return entries[i].key < entries[j].key
-	})
+// compareCommit orders frames canonically: ascending UplinkIndex, ties by
+// key (for IDs without NUL bytes, the byte order of the former
+// "device\x00frame" string keys). Commits always happen in this order
+// among eligible entries, which is what makes database bytes
+// schedule-independent.
+func compareCommit(a, b *frame) int {
+	if c := cmp.Compare(a.index, b.index); c != 0 {
+		return c
+	}
+	return a.key.compare(b.key)
+}
+
+// sortPending puts entries in canonical commit order.
+func sortPending(entries []*frame) { slices.SortFunc(entries, compareCommit) }
+
+// sortCopies puts a copy set in canonical fusion order. The set is
+// one-per-gateway, so gateway ID is a total order and the weighted sums
+// accumulate identically for every delivery schedule.
+func sortCopies(obs []PHYObservation) {
+	slices.SortFunc(obs, func(a, b PHYObservation) int { return strings.Compare(a.GatewayID, b.GatewayID) })
 }
 
 // processWindowLocked expires pending frames against the watermark and
 // commits every eligible ready frame. A ready frame is held back while a
-// pending frame of the same device with a smaller (UplinkIndex, key)
-// exists — per-device commits happen in uplink order, so the database
-// folds of a device are a pure function of the copies delivered, not of
-// the delivery schedule. Caller holds winMu.
+// pending frame of the same device precedes it in canonical order —
+// per-device commits happen in uplink order, so the database folds of a
+// device are a pure function of the copies delivered, not of the delivery
+// schedule. Caller holds winMu.
 func (s *NetworkServer) processWindowLocked() {
 	w := s.win
 	wm := s.LatestObservation()
 	// Expiry scan: openOrder is in watermark order, stop at the first
 	// still-held entry.
-	for el := w.openOrder.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*pendingFrame)
+	for e := w.openOrder.head; e != nil; e = e.next {
 		if e.opened+w.cfg.Hold > wm {
 			break
 		}
@@ -391,12 +450,9 @@ func (s *NetworkServer) processWindowLocked() {
 
 // earlierPendingLocked reports whether a pending frame of the same device
 // precedes e in canonical order — the per-device commit gate.
-func (s *NetworkServer) earlierPendingLocked(e *pendingFrame) bool {
-	for _, f := range s.win.byDevice[e.deviceID] {
-		if f == e || f.done {
-			continue
-		}
-		if f.index < e.index || (f.index == e.index && f.key < e.key) {
+func (s *NetworkServer) earlierPendingLocked(e *frame) bool {
+	for f := s.win.byDevice[e.key.DeviceID]; f != nil; f = f.nextOfDevice {
+		if f != e && !f.done && compareCommit(f, e) < 0 {
 			return true
 		}
 	}
@@ -406,46 +462,50 @@ func (s *NetworkServer) earlierPendingLocked(e *pendingFrame) bool {
 // commitEntryLocked removes e from the pending structures, commits its
 // fused verdict (one database fold), queues the event, and remembers the
 // frame for late reconciliation. Caller holds winMu.
-func (s *NetworkServer) commitEntryLocked(e *pendingFrame) {
+func (s *NetworkServer) commitEntryLocked(e *frame) {
 	w := s.win
 	e.done = true
 	delete(w.pending, e.key)
-	if e.elem != nil {
-		w.openOrder.Remove(e.elem)
-		e.elem = nil
-	}
-	devs := w.byDevice[e.deviceID]
-	for i, f := range devs {
-		if f == e {
-			devs[i] = devs[len(devs)-1]
-			devs = devs[:len(devs)-1]
-			break
-		}
-	}
-	if len(devs) == 0 {
-		delete(w.byDevice, e.deviceID)
-	} else {
-		w.byDevice[e.deviceID] = devs
-	}
-	// Canonical fusion order: the copy set is one-per-gateway, so gateway
-	// ID is a total order and the weighted sums accumulate identically
-	// for every delivery schedule.
-	sort.Slice(e.obs, func(i, j int) bool { return e.obs[i].GatewayID < e.obs[j].GatewayID })
+	w.openOrder.remove(e)
+	s.unchainDeviceLocked(e)
+	sortCopies(e.obs)
 	fv, err := s.commitObs(e.obs)
 	if err != nil {
-		// Unreachable: the key embeds the device ID and ingest validated
+		// Unreachable: the key holds the device ID and ingest validated
 		// it. Drop rather than poison the queue.
 		s.eventsDropped.Add(1)
 		return
 	}
 	s.pushEventLocked(fv)
-	wm := s.LatestObservation()
-	cf := &committedFrame{key: e.key, committedAt: wm, fused: fv, obs: e.obs}
-	w.committed[e.key] = cf
-	cf.elem = w.commitOrder.PushBack(cf)
-	for w.commitOrder.Len() > w.cfg.MaxCommitted {
-		s.forgetCommittedLocked(w.commitOrder.Front().Value.(*committedFrame))
+	e.committedAt = s.LatestObservation()
+	e.fused = fv
+	w.committed[e.key] = e
+	w.commitOrder.pushBack(e)
+	for w.commitOrder.len > w.cfg.MaxCommitted {
+		s.forgetCommittedLocked(w.commitOrder.head)
 	}
+}
+
+// unchainDeviceLocked unlinks a committing frame from its device's chain
+// of pending frames. Caller holds winMu.
+func (s *NetworkServer) unchainDeviceLocked(e *frame) {
+	w := s.win
+	dev := e.key.DeviceID
+	if head := w.byDevice[dev]; head == e {
+		if e.nextOfDevice == nil {
+			delete(w.byDevice, dev)
+		} else {
+			w.byDevice[dev] = e.nextOfDevice
+		}
+	} else {
+		for f := head; f != nil; f = f.nextOfDevice {
+			if f.nextOfDevice == e {
+				f.nextOfDevice = e.nextOfDevice
+				break
+			}
+		}
+	}
+	e.nextOfDevice = nil
 }
 
 // reconcileLocked handles a copy that arrived after its frame committed:
@@ -453,11 +513,11 @@ func (s *NetworkServer) commitEntryLocked(e *pendingFrame) {
 // verdict read-only against the current database. A flip emits a Revised
 // FrameVerdict; the original fold is never undone and the late copy is
 // never folded — one frame, one database update, always.
-func (s *NetworkServer) reconcileLocked(cf *committedFrame, o PHYObservation) {
+func (s *NetworkServer) reconcileLocked(cf *frame, o PHYObservation) {
 	s.lateObs.Add(1)
 	s.duplicates.Add(1)
 	mergeCopy(&cf.obs, o)
-	sort.Slice(cf.obs, func(i, j int) bool { return cf.obs[i].GatewayID < cf.obs[j].GatewayID })
+	sortCopies(cf.obs)
 	active, excluded := cf.obs, []PHYObservation(nil)
 	var elect []float64
 	if s.health != nil {
@@ -487,12 +547,10 @@ func (s *NetworkServer) reconcileLocked(cf *committedFrame, o PHYObservation) {
 // horizon. Caller holds winMu.
 func (s *NetworkServer) evictCommittedLocked(wm float64) {
 	w := s.win
-	for el := w.commitOrder.Front(); el != nil; {
-		cf := el.Value.(*committedFrame)
+	for cf := w.commitOrder.head; cf != nil; cf = w.commitOrder.head {
 		if cf.committedAt+w.cfg.LateHorizon > wm {
 			break
 		}
-		el = el.Next()
 		s.forgetCommittedLocked(cf)
 	}
 }
@@ -500,24 +558,28 @@ func (s *NetworkServer) evictCommittedLocked(wm float64) {
 // forgetCommittedLocked drops one committed identity. A copy arriving
 // after this re-opens the frame and re-verdicts — the documented memory/
 // exactness trade of the late horizon.
-func (s *NetworkServer) forgetCommittedLocked(cf *committedFrame) {
+func (s *NetworkServer) forgetCommittedLocked(cf *frame) {
 	w := s.win
 	delete(w.committed, cf.key)
-	if cf.elem != nil {
-		w.commitOrder.Remove(cf.elem)
-		cf.elem = nil
-	}
+	w.commitOrder.remove(cf)
 }
 
 // pushEventLocked queues a committed verdict, dropping the oldest beyond
 // the queue cap (a Check-only caller that never polls must not grow the
-// queue without bound). Caller holds winMu.
+// queue without bound). A drop advances the head index; the live part
+// slides down only once the dropped prefix reaches the cap, so a push is
+// amortized O(1) even on a full queue. Caller holds winMu.
 func (s *NetworkServer) pushEventLocked(fv FrameVerdict) {
 	w := s.win
-	if len(w.events) >= w.maxEvents {
-		n := copy(w.events, w.events[1:])
-		w.events = w.events[:n]
+	if len(w.events)-w.head >= w.maxEvents {
+		w.events[w.head] = FrameVerdict{} // release its strings
+		w.head++
 		s.eventsDropped.Add(1)
+		if w.head >= w.maxEvents {
+			n := copy(w.events, w.events[w.head:])
+			clear(w.events[n:])
+			w.events, w.head = w.events[:n], 0
+		}
 	}
 	w.events = append(w.events, fv)
 }
@@ -525,10 +587,11 @@ func (s *NetworkServer) pushEventLocked(fv FrameVerdict) {
 // takeEventsLocked drains the event queue. Caller holds winMu.
 func (s *NetworkServer) takeEventsLocked() []FrameVerdict {
 	w := s.win
-	if len(w.events) == 0 {
+	if len(w.events) == w.head {
+		w.events, w.head = w.events[:0], 0
 		return nil
 	}
-	evs := w.events
-	w.events = nil
+	evs := w.events[w.head:]
+	w.events, w.head = nil, 0
 	return evs
 }

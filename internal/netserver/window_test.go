@@ -1,6 +1,7 @@
 package netserver
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -169,19 +170,28 @@ func TestWindowEmptyFrameIDJudgedImmediately(t *testing.T) {
 }
 
 func TestWindowDrainCommitsInUplinkOrder(t *testing.T) {
+	// Canonical commit order: UplinkIndex, then DeviceID, then FrameID,
+	// whatever the delivery order.
 	s := windowed(t, WindowConfig{Hold: 1000})
-	for _, i := range []int{3, 0, 2, 1} {
-		s.Check(PHYObservation{GatewayID: "g1", DeviceID: "n", FrameID: frameID(i),
-			UplinkIndex: int64(i), FBHz: -22000, JitterHz: 40, ArrivalTime: float64(i)})
+	for _, f := range []struct {
+		dev, frame string
+		index      int64
+	}{{"n", "fd", 3}, {"n", "fbb", 1}, {"n", "fa", 0}, {"n", "fc", 2}, {"m", "fe", 2}, {"n", "fb", 1}} {
+		s.Check(PHYObservation{GatewayID: "g1", DeviceID: f.dev, FrameID: f.frame,
+			UplinkIndex: f.index, FBHz: -22000, JitterHz: 40, ArrivalTime: float64(f.index)})
 	}
 	evs := s.DrainWindow()
-	if len(evs) != 4 {
-		t.Fatalf("drained %d, want 4", len(evs))
+	want := []string{"n/fa", "n/fb", "n/fbb", "m/fe", "n/fc", "n/fd"}
+	if len(evs) != len(want) {
+		t.Fatalf("drained %d, want %d", len(evs), len(want))
 	}
 	for i, fv := range evs {
-		if fv.FrameID != frameID(i) {
-			t.Fatalf("drain order: event %d is frame %s", i, fv.FrameID)
+		if got := fv.DeviceID + "/" + fv.FrameID; got != want[i] {
+			t.Fatalf("drain order: event %d is %s, want %s", i, got, want[i])
 		}
+	}
+	if w := s.win; len(w.pending) != 0 || len(w.byDevice) != 0 || w.openOrder.head != nil {
+		t.Fatalf("drained window still holds %d pending frames, %d device chains", len(w.pending), len(w.byDevice))
 	}
 }
 
@@ -226,6 +236,66 @@ func TestCheckBatchPartialVerdictsOnError(t *testing.T) {
 	}
 	if rec, _ := s.Record("n"); rec.Count != 11 {
 		t.Fatalf("f1's fold missing: count = %d", rec.Count)
+	}
+}
+
+func TestFrameKeysDoNotCollide(t *testing.T) {
+	// Regression: the dedup key was DeviceID + "\x00" + FrameID, so
+	// device "a\x00b" with frame "c" and device "a" with frame "b\x00c"
+	// shared a key. The window dropped both frames, and the immediate
+	// CheckBatch failed the whole batch with ErrMixedFrame.
+	obs := []PHYObservation{
+		{GatewayID: "g1", DeviceID: "a\x00b", FrameID: "c", UplinkIndex: 0, FBHz: -22000, JitterHz: 40},
+		{GatewayID: "g1", DeviceID: "a", FrameID: "b\x00c", UplinkIndex: 1, FBHz: -21000, JitterHz: 40},
+	}
+	for _, cfg := range []WindowConfig{{}, {Hold: 1000}} {
+		s := New(Config{Window: cfg})
+		evs, err := s.CheckBatch(obs)
+		if err != nil {
+			t.Fatalf("window hold %v: %v", cfg.Hold, err)
+		}
+		evs = append(evs, s.DrainWindow()...)
+		if len(evs) != 2 || evs[0].DeviceID != "a\x00b" || evs[1].DeviceID != "a" {
+			t.Fatalf("window hold %v: verdicts %+v, want one per device", cfg.Hold, evs)
+		}
+		if st := s.Stats(); st.FramesChecked != 2 || st.WindowEventsDropped != 0 {
+			t.Fatalf("window hold %v: stats = %+v", cfg.Hold, st)
+		}
+	}
+}
+
+func TestWindowEventQueueDropsOldest(t *testing.T) {
+	// A Check-only caller that never polls: each new frame's arrival
+	// expires the previous one, whose verdict queues. Past the cap
+	// (4×MaxPending, at least 1,024) the oldest verdicts drop.
+	s := New(Config{Window: WindowConfig{Hold: 0.5, MaxPending: 8}})
+	const frames = 5000
+	for i := 0; i < frames; i++ {
+		if v := s.Check(PHYObservation{GatewayID: "g1", DeviceID: "n", FrameID: fmt.Sprintf("f%05d", i),
+			UplinkIndex: int64(i), FBHz: -22000, JitterHz: 40, ArrivalTime: float64(i)}); v != core.VerdictPending {
+			t.Fatalf("frame %d: verdict %v, want pending", i, v)
+		}
+	}
+	// The queue's storage stays within a small multiple of its cap.
+	if c := cap(s.win.events); c > 3*defaultEventQueueFloor {
+		t.Fatalf("event queue storage grew to %d verdicts, cap %d", c, defaultEventQueueFloor)
+	}
+	// The last frame is still held; every earlier one committed.
+	evs := s.PollWindow()
+	const queued = defaultEventQueueFloor
+	if len(evs) != queued {
+		t.Fatalf("polled %d verdicts, want the newest %d", len(evs), queued)
+	}
+	for i, ev := range evs {
+		if want := fmt.Sprintf("f%05d", frames-1-queued+i); ev.FrameID != want {
+			t.Fatalf("verdict %d is frame %s, want %s", i, ev.FrameID, want)
+		}
+	}
+	if st := s.Stats(); st.WindowEventsDropped != frames-1-queued {
+		t.Fatalf("WindowEventsDropped = %d, want %d", st.WindowEventsDropped, frames-1-queued)
+	}
+	if evs := s.PollWindow(); len(evs) != 0 {
+		t.Fatalf("second poll returned %d verdicts, want 0", len(evs))
 	}
 }
 
