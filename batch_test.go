@@ -18,8 +18,16 @@ import (
 // identical regardless of worker count.
 func batchFixture(t *testing.T, workers, nUplinks int) (*Gateway, []Uplink) {
 	t.Helper()
+	return batchFixtureWith(t, Config{FB: FBDechirpFFT, Workers: workers}, nUplinks)
+}
+
+// batchFixtureWith is batchFixture for any gateway configuration; cfg.Rand
+// is set from the fixture's seed.
+func batchFixtureWith(t *testing.T, cfg Config, nUplinks int) (*Gateway, []Uplink) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(77))
-	gw, err := NewGateway(Config{Rand: rng, FB: FBDechirpFFT, Workers: workers})
+	cfg.Rand = rng
+	gw, err := NewGateway(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,22 +72,44 @@ func TestProcessBatchReportsAllUplinks(t *testing.T) {
 
 // TestProcessBatchDeterministicAcrossWorkerCounts is the reproducibility
 // contract: per-uplink seeds are derived from Config.Rand, so results must
-// not depend on the worker pool size or scheduling order.
+// not depend on the worker pool size or scheduling order. It runs both
+// gateway pipelines: the default AIC onset with the dechirp-FFT estimator,
+// and the low-SNR dechirp onset with the up/down estimator.
 func TestProcessBatchDeterministicAcrossWorkerCounts(t *testing.T) {
-	gw1, jobs1 := batchFixture(t, 1, 8)
-	gw8, jobs8 := batchFixture(t, 8, 8)
-	res1 := gw1.ProcessBatch(context.Background(), jobs1)
-	res8 := gw8.ProcessBatch(context.Background(), jobs8)
-	for i := range res1 {
-		if (res1[i].Err == nil) != (res8[i].Err == nil) {
-			t.Fatalf("uplink %d: error mismatch: %v vs %v", i, res1[i].Err, res8[i].Err)
+	for _, pipe := range []struct {
+		onset OnsetMethod
+		fb    FBMethod
+	}{
+		{OnsetAIC, FBDechirpFFT},
+		{OnsetDechirp, FBUpDown},
+	} {
+		run := func(workers int) ([]BatchResult, []byte) {
+			t.Helper()
+			gw, jobs := batchFixtureWith(t, Config{Onset: pipe.onset, FB: pipe.fb, Workers: workers}, 8)
+			res := gw.ProcessBatch(context.Background(), jobs)
+			var buf bytes.Buffer
+			if err := gw.SaveBiasDatabase(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return res, buf.Bytes()
 		}
-		if res1[i].Err != nil {
-			continue
+		res1, db1 := run(1)
+		res8, db8 := run(8)
+		for i := range res1 {
+			// The fixture's uplinks are all clean, so an error on either
+			// side would leave nothing to compare.
+			if res1[i].Err != nil || res8[i].Err != nil {
+				t.Fatalf("%s+%s uplink %d: errors %v (1 worker), %v (8 workers)", pipe.onset, pipe.fb, i, res1[i].Err, res8[i].Err)
+			}
+			a, b := res1[i].Report, res8[i].Report
+			if math.Float64bits(a.FrequencyBiasHz) != math.Float64bits(b.FrequencyBiasHz) ||
+				math.Float64bits(a.ArrivalTime) != math.Float64bits(b.ArrivalTime) ||
+				a.OnsetSample != b.OnsetSample {
+				t.Errorf("%s+%s uplink %d: 1-worker %+v vs 8-worker %+v", pipe.onset, pipe.fb, i, a, b)
+			}
 		}
-		a, b := res1[i].Report, res8[i].Report
-		if a.FrequencyBiasHz != b.FrequencyBiasHz || a.ArrivalTime != b.ArrivalTime || a.OnsetSample != b.OnsetSample {
-			t.Errorf("uplink %d: 1-worker %+v vs 8-worker %+v", i, a, b)
+		if !bytes.Equal(db1, db8) {
+			t.Errorf("%s+%s: serialized bias database differs between 1 and 8 workers:\n%s\nvs\n%s", pipe.onset, pipe.fb, db1, db8)
 		}
 	}
 }

@@ -116,12 +116,14 @@ type DechirpOnsetDetector struct {
 	// spectrum is the trace's windowed spectrum up to a frequency shift of
 	// μ·start (μ = 2πk/rate², k the chirp slope) — which is what lets a
 	// fixed-frequency sliding DFT replace per-window FFTs.
-	zPar     lora.Params
-	zRate    float64
-	zConj    []complex128 // conjugate infinite-chirp template, grow-only
-	z        []complex128 // globally dechirped capture
-	sliding  dsp.SlidingDFT
-	thetaBuf []float64
+	zPar       lora.Params
+	zRate      float64
+	zConj      []complex128 // conjugate infinite-chirp template, grow-only
+	z          []complex128 // globally dechirped capture
+	sliding    dsp.SlidingDFT
+	thetaBuf   []float64
+	toneOmegas []float64    // toneMetric's shifted frequency set
+	toneSums   []complex128 // toneMetric's per-frequency DFT sums
 }
 
 var _ OnsetDetector = (*DechirpOnsetDetector)(nil)
@@ -241,8 +243,20 @@ func (d *DechirpOnsetDetector) dechirpWindow(iq []complex128, start, n int) []co
 func aliasPairMaxSq(magSq []float64, wBins int) float64 {
 	nb := len(magSq)
 	best := 0.0
-	for b := 0; b < nb; b++ {
-		if s := magSq[b] + magSq[(b+nb-wBins)%nb]; s > best {
+	// Bin b pairs with bin (b−wBins) mod nb: the first wBins bins with the
+	// top wBins, every later bin with the bin wBins below it.
+	low := magSq[:wBins]
+	wrapped := magSq[nb-wBins:]
+	wrapped = wrapped[:len(low)]
+	for b, v := range low {
+		if s := v + wrapped[b]; s > best {
+			best = s
+		}
+	}
+	high := magSq[wBins:]
+	below := magSq[:len(high)]
+	for b, v := range high {
+		if s := v + below[b]; s > best {
 			best = s
 		}
 	}
@@ -570,7 +584,7 @@ func (d *DechirpOnsetDetector) refineApex(iq []complex128, guess, n int, sampleR
 // [at, at+n) on the globally dechirped trace, using the frequency set of
 // the most recent refineApex call (the adjacent-chirp tones sit in it by
 // construction) shifted by shift radians/sample. Both detector variants
-// evaluate it with per-window Goertzel sums — a handful of O(n) passes —
+// evaluate it with per-window Goertzel sums — one dsp.GoertzelMany call —
 // so anchor-validation and walk-back decisions are identical across
 // evaluation strategies. Returns 0 when the window does not fit the
 // capture.
@@ -578,10 +592,18 @@ func (d *DechirpOnsetDetector) toneMetric(at, n int, shift float64) float64 {
 	if at < 0 || at+n > len(d.z) || len(d.thetaBuf) == 0 {
 		return 0
 	}
-	win := d.z[at : at+n]
-	best := 0.0
+	omegas := d.toneOmegas[:0]
 	for _, th := range d.thetaBuf {
-		v := dsp.GoertzelDFT(win, th+shift)
+		omegas = append(omegas, th+shift)
+	}
+	d.toneOmegas = omegas
+	if cap(d.toneSums) < len(omegas) {
+		d.toneSums = make([]complex128, len(omegas))
+	}
+	sums := d.toneSums[:len(omegas)]
+	dsp.GoertzelMany(sums, d.z[at:at+n], omegas)
+	best := 0.0
+	for _, v := range sums {
 		if m := real(v)*real(v) + imag(v)*imag(v); m > best {
 			best = m
 		}

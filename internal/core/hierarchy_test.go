@@ -141,3 +141,30 @@ func abs(v int) int {
 	}
 	return v
 }
+
+// TestAliasPairMaxSqMatchesModuloForm pins the split-range alias-pair scan
+// to the one-loop form it replaced, where bin b pairs with bin
+// (b+nb−wBins) mod nb, at both ends of the wBins range and at nb/2 (the
+// fallback the fill metrics use).
+func TestAliasPairMaxSqMatchesModuloForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(311))
+	for _, nb := range []int{64, 1024} {
+		magSq := make([]float64, nb)
+		for trial := 0; trial < 20; trial++ {
+			for i := range magSq {
+				magSq[i] = rng.ExpFloat64()
+			}
+			for _, wBins := range []int{1, nb / 2, nb - 1} {
+				want := 0.0
+				for b := 0; b < nb; b++ {
+					if s := magSq[b] + magSq[(b+nb-wBins)%nb]; s > want {
+						want = s
+					}
+				}
+				if got := aliasPairMaxSq(magSq, wBins); got != want {
+					t.Fatalf("nb=%d wBins=%d: got %v, modulo form %v", nb, wBins, got, want)
+				}
+			}
+		}
+	}
+}

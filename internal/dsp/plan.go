@@ -326,12 +326,16 @@ func (s *DechirpScratch[K]) Dechirp(seg []complex128) []complex128 {
 func (s *DechirpScratch[K]) DechirpDecimateInto(dst []complex128, seg []complex128, d int) []complex128 {
 	m := s.n / d
 	dst = dst[:m]
-	conj := s.conj
-	for i := 0; i < m; i++ {
+	seg = seg[:m*d]
+	conj := s.conj[:len(seg)]
+	for i := range dst {
+		// Re-slicing once per group lets the inner loop run without
+		// per-sample bounds checks.
+		blk, tpl := seg[i*d:i*d+d], conj[i*d:i*d+d]
+		tpl = tpl[:len(blk)]
 		var acc complex128
-		base := i * d
-		for r := 0; r < d; r++ {
-			acc += seg[base+r] * conj[base+r]
+		for r, v := range blk {
+			acc += v * tpl[r]
 		}
 		dst[i] = acc
 	}

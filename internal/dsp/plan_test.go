@@ -238,6 +238,47 @@ func TestDechirpDecimatedPreservesTone(t *testing.T) {
 	}
 }
 
+// TestDechirpDecimateIntoBitIdentical pins the decimation kernel to the
+// plain per-sample loop it replaced: one accumulator per group, summed in
+// sample order, so every output is bit-identical. 2457 (the SF7 chirp at
+// 2.4 Msps) leaves a remainder for every d > 1; 2048 leaves none.
+func TestDechirpDecimateIntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{2048, 2457} {
+		phase := make([]float64, n)
+		for i := range phase {
+			phase[i] = 1e-4 * float64(i) * float64(i)
+		}
+		var s DechirpScratch[int]
+		s.Init(1, n, 2.4e6, 1, phase)
+		x := randComplex(rng, n+5)
+		for _, d := range []int{1, 2, 4, 8, 16} {
+			m := n / d
+			want := make([]complex128, m)
+			for i := 0; i < m; i++ {
+				var acc complex128
+				for r := 0; r < d; r++ {
+					acc += x[i*d+r] * s.conj[i*d+r]
+				}
+				want[i] = acc
+			}
+			dst := make([]complex128, m+1)
+			got := s.DechirpDecimateInto(dst, x, d)
+			if len(got) != m {
+				t.Fatalf("n=%d d=%d: %d outputs, want %d", n, d, len(got), m)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d d=%d: output %d is %v, per-sample loop %v", n, d, i, got[i], want[i])
+				}
+			}
+			if dst[m] != 0 {
+				t.Errorf("n=%d d=%d: wrote past n/d outputs", n, d)
+			}
+		}
+	}
+}
+
 func TestBoxcarDroopSq(t *testing.T) {
 	if g := BoxcarDroopSq(1, 0.3); g != 1 {
 		t.Errorf("d=1 droop = %g, want 1", g)

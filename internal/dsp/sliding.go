@@ -34,7 +34,7 @@ type SlidingDFT struct {
 
 // Reset points the tracker at window [start, start+n) of x and evaluates
 // the initial sums for the given frequencies (O(len(thetas)·n) via
-// Goertzel). It reuses the tracker's slices when their capacity allows, so
+// GoertzelMany). It reuses the tracker's slices when their capacity allows, so
 // steady-state Reset does not allocate for a bin count it has seen before.
 // The window must fit the trace.
 func (s *SlidingDFT) Reset(x []complex128, start, n int, thetas []float64) {
@@ -49,8 +49,8 @@ func (s *SlidingDFT) Reset(x []complex128, start, n int, thetas []float64) {
 	s.tail = s.tail[:k]
 	s.n = n
 	s.start = start
+	GoertzelMany(s.sums, x[start:start+n], thetas)
 	for i, th := range thetas {
-		s.sums[i] = GoertzelDFT(x[start:start+n], th)
 		sin, cos := math.Sincos(th)
 		s.rot[i] = complex(cos, sin)
 		sinN, cosN := math.Sincos(th * float64(n))

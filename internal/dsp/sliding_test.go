@@ -104,3 +104,68 @@ func TestSlidingDFTZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("SlidingDFT Reset/Advance allocated %v times per run in steady state", allocs)
 	}
 }
+
+// TestGoertzelManyBitIdentical pins GoertzelMany's contract: every output
+// equals GoertzelDFT at the same frequency bit for bit. The frequency
+// counts 0–10 run every short-last-group case several times over, and the
+// lengths cover the empty window, the one- and two-sample recurrences and
+// the SF7 chirp at 2.4 Msps.
+func TestGoertzelManyBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, n := range []int{0, 1, 2, 2457} {
+		x := randComplex(rng, n)
+		for k := 0; k <= 10; k++ {
+			omegas := make([]float64, k)
+			for i := range omegas {
+				omegas[i] = (rng.Float64()*2 - 1) * math.Pi
+			}
+			dst := make([]complex128, k+1)
+			sentinel := complex(7, -7)
+			dst[k] = sentinel
+			GoertzelMany(dst, x, omegas)
+			for i, w := range omegas {
+				if want := GoertzelDFT(x, w); dst[i] != want {
+					t.Errorf("n=%d k=%d: frequency %d: GoertzelMany %v, GoertzelDFT %v", n, k, i, dst[i], want)
+				}
+			}
+			if dst[k] != sentinel {
+				t.Errorf("n=%d k=%d: wrote past the last frequency", n, k)
+			}
+		}
+	}
+}
+
+func TestGoertzelManyZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	x := randComplex(rng, 2457)
+	omegas := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
+	dst := make([]complex128, len(omegas))
+	if allocs := testing.AllocsPerRun(10, func() { GoertzelMany(dst, x, omegas) }); allocs != 0 {
+		t.Errorf("GoertzelMany allocated %v times per run", allocs)
+	}
+}
+
+// BenchmarkGoertzelMany times the onset refinement's nine-tone readout of
+// one SF7 chirp window at 2.4 Msps, as one GoertzelMany call and as nine
+// GoertzelDFT calls.
+func BenchmarkGoertzelMany(b *testing.B) {
+	rng := rand.New(rand.NewSource(26))
+	x := randComplex(rng, 2457)
+	omegas := make([]float64, 9)
+	for i := range omegas {
+		omegas[i] = 0.3 + 0.01*float64(i)
+	}
+	dst := make([]complex128, len(omegas))
+	b.Run("many", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GoertzelMany(dst, x, omegas)
+		}
+	})
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k, w := range omegas {
+				dst[k] = GoertzelDFT(x, w)
+			}
+		}
+	})
+}
