@@ -56,12 +56,14 @@ determinism:
 # verdict per frame with schedule-independent database bytes; then short
 # fuzz passes over the snapshot decoder and LoadFile's format sniff. The
 # contracts in internal/netserver/doc.go are exactly what this target
-# enforces.
+# enforces. -fuzzminimizetime caps how long a pass may spend minimizing a
+# new input: at the default 60 s, one minimization can eat the rest of a
+# 10-s pass.
 faults:
 	$(GO) test -count=1 ./internal/faultinject
 	$(GO) test -count=1 -run 'TestCrash|TestFault|TestChaos' ./internal/netserver
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadShard$$' -fuzztime 10s ./internal/netserver
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadFile$$' -fuzztime 10s ./internal/netserver
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadShard$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/netserver
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadFile$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/netserver
 
 # bench refreshes BENCH_softlora.json (the cross-PR perf trajectory).
 bench:

@@ -53,8 +53,8 @@ func TestDechirpFFTEstimatorZeroAllocSteadyState(t *testing.T) {
 	if _, err := est.EstimateFB(iq, testRate); err != nil {
 		t.Fatal(err)
 	}
-	if est.dec < 2 {
-		t.Fatalf("fast path decimation = %d at %g Msps; decimated branch not exercised", est.dec, testRate/1e6)
+	if est.tone.dec < 2 {
+		t.Fatalf("fast path decimation = %d at %g Msps; decimated branch not exercised", est.tone.dec, testRate/1e6)
 	}
 }
 

@@ -25,7 +25,10 @@
 //     envelope across SF 7–12 × SNR × δ. Both paths fold interpolated
 //     frequencies into (−rate/2, +rate/2] (the Nyquist readout fix) and
 //     derotate θ by the fractional-bin offset so phase stays unbiased for
-//     off-grid δ.
+//     off-grid δ. The coarse-to-fine readout is the package's one
+//     dechirped-tone readout: the up/down estimator, which cancels the
+//     onset error by averaging a preamble up chirp's tone with an SFD down
+//     chirp's, reads both of its tones through it as well.
 //
 //   - Frame delay attack detection (§7.2): a per-device frequency-bias
 //     database; a received frame whose estimated bias falls outside the

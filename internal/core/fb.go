@@ -273,46 +273,35 @@ func (l *LeastSquaresEstimator) EstimateFB(chirp []complex128, sampleRate float6
 	return FBEstimate{DeltaHz: res.X[0], Theta: res.X[1], Quality: quality}, nil
 }
 
-// DechirpFFTEstimator is an extension beyond the paper (DESIGN.md §6): the
-// chirp is multiplied by the conjugate ideal chirp, collapsing it to a tone
-// at δ whose frequency is read off an interpolated spectral peak. It is
-// orders of magnitude faster than the DE least squares and nearly as
-// robust, and serves as the ablation baseline for the estimator comparison
-// bench.
-//
-// The default path is a two-stage coarse-to-fine estimate. Stage one
-// dechirps and boxcar-decimates the chirp (dsp.DechirpScratch.
-// DechirpDecimateInto — every sample stays in the coherent sum, so the full
-// despreading gain survives) and picks the coarse peak from an n/D-point
-// FFT with the boxcar's sinc droop divided out per bin. Stage two
-// re-evaluates the decimated series on a chirp-Z zoom grid (dsp.ZoomDFT)
-// spanning ±2 coarse bins at a spacing at least 4× finer than the legacy
-// padded FFT's bins, interpolates the zoom peak parabolically, folds the
-// result into the principal alias band, and reads θ from one Goertzel
-// evaluation at the final frequency (bias-free for off-grid δ, after
-// removing the boxcar's (D−1)/2-sample group delay). The decimation factor
-// is capped so the ±BW/2 bias range stays well inside the decimated band.
-//
-// Exhaustive keeps the original single-stage reference: one monolithic
-// 4×-zero-padded full-rate FFT with parabolic interpolation — several times
-// slower, retained as the accuracy fallback and ablation baseline. Both
-// paths apply the Nyquist fold and the fractional-bin θ derotation.
-//
-// An estimator instance holds reusable scratch (conjugate chirp template,
-// FFT plans, decimation/zoom buffers) and is not safe for concurrent use:
-// one instance per worker goroutine.
-type DechirpFFTEstimator struct {
-	Params lora.Params
-	// Exhaustive selects the legacy monolithic padded-FFT reference path
-	// instead of the decimated coarse→zoom hierarchy.
-	Exhaustive bool
+// toneKey keys a toneFinder's template: the chirp geometry's parameters
+// and whether the segment is dechirped against the down chirp instead of
+// the up chirp.
+type toneKey struct {
+	params lora.Params
+	down   bool
+}
 
-	scratch dechirpScratch
-	// scratchExh records which path the scratch was initialized for (the
-	// two differ in FFT padding), so toggling Exhaustive rebuilds it.
-	scratchExh bool
+// toneFinder reads the frequency of the tone a chirp-long segment
+// dechirps into: the gateway's one dechirped-tone readout, shared by
+// DechirpFFTEstimator (against the up chirp) and UpDownEstimator (one
+// finder per template, up and down).
+//
+// It runs coarse to fine. The coarse stage dechirps and boxcar-decimates
+// the segment (dsp.DechirpScratch.DechirpDecimateInto — every sample stays
+// in the coherent sum, so the full despreading gain survives) and picks
+// the peak of an n/D-point FFT with the boxcar's sinc droop divided out
+// per bin, over the fingerprint band ±BW/2 only. The zoom stage
+// re-evaluates the decimated series on a chirp-Z grid (dsp.ZoomDFT)
+// spanning ±2 coarse bins at 1/16 coarse-bin spacing, interpolates the
+// zoom peak parabolically and folds the result into the principal alias
+// band of the decimated rate. The decimation factor is capped so the
+// ±BW/2 bias range stays well inside the decimated band.
+//
+// A finder holds its template and every buffer of both stages, and is
+// not safe for concurrent use: one instance per worker goroutine.
+type toneFinder struct {
+	scratch dsp.DechirpScratch[toneKey]
 
-	// Fast-path scratch, rebuilt alongside the dechirp scratch.
 	dec        int          // boxcar decimation factor D
 	decTime    []complex128 // n/D decimated dechirped samples (time domain)
 	coarsePlan *dsp.Plan
@@ -323,15 +312,162 @@ type DechirpFFTEstimator struct {
 	zoomStep   float64 // zoom grid spacing (Hz)
 }
 
+// maxFBDecimation caps the coarse stage's boxcar factor; with the band
+// constraint in toneFinder.ensure it resolves to 8 at the default
+// 2.4 Msps / 125 kHz geometry (a 19.2× oversampled chirp).
+const maxFBDecimation = 16
+
+// ensure builds the template and sizes the decimation, coarse-FFT, droop
+// and zoom scratch for one chirp geometry and template, and does nothing
+// when they are unchanged.
+func (t *toneFinder) ensure(p lora.Params, n int, sampleRate float64, down bool) {
+	key := toneKey{params: p, down: down}
+	if !t.scratch.Stale(key, n, sampleRate) {
+		return
+	}
+	// The down chirp's phase is the up chirp's negated.
+	phase := chirpBasePhase(p, sampleRate, n)
+	if down {
+		for i := range phase {
+			phase[i] = -phase[i]
+		}
+	}
+	t.scratch.Init(key, n, sampleRate, 1, phase)
+	// Largest power-of-two decimation that keeps the ±BW/2 bias span
+	// inside 70 % of the decimated band (droop ≥ −2 dB there, and the
+	// coarse peak cannot park legitimate tones at the decimated Nyquist),
+	// with at least 64 decimated samples for a meaningful coarse FFT.
+	dec := 1
+	for dec*2 <= maxFBDecimation && n/(dec*2) >= 64 &&
+		p.Bandwidth*float64(dec*2) <= 0.7*sampleRate {
+		dec *= 2
+	}
+	t.dec = dec
+	m := n / dec
+	if cap(t.decTime) < m {
+		t.decTime = make([]complex128, m)
+	}
+	t.decTime = t.decTime[:m]
+	t.coarsePlan = dsp.PlanFor(m)
+	cl := t.coarsePlan.Size()
+	if cap(t.coarseBuf) < cl {
+		t.coarseBuf = make([]complex128, cl)
+	}
+	t.coarseBuf = t.coarseBuf[:cl]
+	if cap(t.droopInv) < cl {
+		t.droopInv = make([]float64, cl)
+	}
+	t.droopInv = t.droopInv[:cl]
+	decRate := sampleRate / float64(dec)
+	// The coarse search covers the fingerprint band ±BW/2 (plus a few
+	// bins of guard), not the whole decimated spectrum: bins beyond it
+	// carry no legitimate δ, and compensating their deeper droop would
+	// boost pure noise into false coarse peaks at low SNR. Out-of-band
+	// bins get zero weight.
+	coarseBinHz := decRate / float64(cl)
+	maxAbsHz := p.Bandwidth/2 + 3*coarseBinHz
+	for k := 0; k < cl; k++ {
+		f := dsp.BinFrequency(k, cl, decRate)
+		if math.Abs(f) > maxAbsHz && maxAbsHz < decRate/2 {
+			t.droopInv[k] = 0
+			continue
+		}
+		t.droopInv[k] = 1 / dsp.BoxcarDroopSq(dec, f/sampleRate)
+	}
+	// Zoom grid: ±2 coarse bins at 1/16 coarse-bin spacing. The coarse
+	// length is within a factor two of NextPow2(n)/D, so this spacing is
+	// always ≥4× finer than a 4×-padded full-rate FFT's rate/NextPow2(4n)
+	// bins (the accuracy harness asserts the resulting error envelope).
+	t.zoomStep = coarseBinHz / 16
+	const points = 2*32 + 1
+	if cap(t.zoomOut) < points {
+		t.zoomOut = make([]complex128, points)
+	}
+	t.zoomOut = t.zoomOut[:points]
+	domega := 2 * math.Pi * t.zoomStep / decRate
+	if t.zoom.Stale(m, points, domega) {
+		t.zoom.Init(m, points, domega)
+	}
+}
+
+// find returns the frequency in Hz of the tone seg dechirps into, folded
+// into the decimated band, and leaves the decimated dechirped series in
+// t.decTime. seg must hold the n samples ensure was sized for. It returns
+// ErrNoEstimate for a segment with no energy in the searched band.
+//
+//softlora:allocfree
+func (t *toneFinder) find(seg []complex128, sampleRate float64) (float64, error) {
+	dec := t.dec
+	t.scratch.DechirpDecimateInto(t.decTime, seg, dec)
+
+	// Coarse stage: droop-compensated peak over the n/D-point spectrum
+	// (Transform zero-pads the shorter decimated series into the buffer).
+	buf := t.coarseBuf
+	t.coarsePlan.Transform(buf, t.decTime)
+	bin, best := 0, 0.0
+	for k, v := range buf {
+		re, im := real(v), imag(v)
+		if mm := (re*re + im*im) * t.droopInv[k]; mm > best {
+			best, bin = mm, k
+		}
+	}
+	if best == 0 {
+		return 0, ErrNoEstimate
+	}
+	decRate := sampleRate / float64(dec)
+	coarseHz := dsp.BinFrequency(bin, len(buf), decRate)
+
+	// Zoom stage: chirp-Z grid over ±2 coarse bins around the pick.
+	points := len(t.zoomOut)
+	f0 := coarseHz - float64(points/2)*t.zoomStep
+	t.zoom.Transform(t.zoomOut, t.decTime, 2*math.Pi*f0/decRate)
+	zb, zbest := dsp.PeakBinSq(t.zoomOut)
+	if zbest == 0 {
+		return 0, ErrNoEstimate
+	}
+	frac := 0.0
+	if zb > 0 && zb < points-1 {
+		frac = dsp.InterpolatePeak(t.zoomOut, zb)
+	}
+	return dsp.FoldFrequency(f0+(float64(zb)+frac)*t.zoomStep, decRate), nil
+}
+
+// DechirpFFTEstimator is an extension beyond the paper (DESIGN.md §6): the
+// chirp is multiplied by the conjugate ideal chirp, collapsing it to a tone
+// at δ whose frequency is read off an interpolated spectral peak. It is
+// orders of magnitude faster than the DE least squares and nearly as
+// robust, and serves as the ablation baseline for the estimator comparison
+// bench.
+//
+// The default path reads δ through the gateway's one dechirped-tone
+// readout (toneFinder: a droop-compensated coarse peak of the
+// boxcar-decimated dechirp, refined on a chirp-Z zoom grid at least 4×
+// finer than a 4×-padded FFT's bins), then reads θ from one Goertzel
+// evaluation of the decimated series at the final frequency (bias-free for
+// off-grid δ, after removing the boxcar's (D−1)/2-sample group delay).
+//
+// Exhaustive keeps the original single-stage reference: one monolithic
+// 4×-zero-padded full-rate FFT with parabolic interpolation — several times
+// slower, retained as the accuracy fallback and ablation baseline. Both
+// paths apply the Nyquist fold and the fractional-bin θ derotation.
+//
+// An estimator instance holds reusable scratch (conjugate chirp templates,
+// FFT plans, decimation/zoom buffers) and is not safe for concurrent use:
+// one instance per worker goroutine.
+type DechirpFFTEstimator struct {
+	Params lora.Params
+	// Exhaustive selects the legacy monolithic padded-FFT reference path
+	// instead of the decimated coarse→zoom hierarchy.
+	Exhaustive bool
+
+	tone toneFinder     // default path
+	exh  dechirpScratch // Exhaustive path: 4×-padded template and FFT
+}
+
 var _ FBEstimator = (*DechirpFFTEstimator)(nil)
 
 // Name implements FBEstimator.
 func (d *DechirpFFTEstimator) Name() string { return "dechirp-fft" }
-
-// maxFBDecimation caps the coarse stage's boxcar factor; with the band
-// constraint in initFast it resolves to 8 at the default 2.4 Msps / 125 kHz
-// geometry (a 19.2× oversampled chirp).
-const maxFBDecimation = 16
 
 // wrapTwoPi maps an angle into [0, 2π), the estimator's θ convention.
 func wrapTwoPi(th float64) float64 {
@@ -342,66 +478,6 @@ func wrapTwoPi(th float64) float64 {
 	return th
 }
 
-// initFast sizes the decimation, coarse-FFT, droop and zoom scratch for one
-// chirp geometry.
-func (d *DechirpFFTEstimator) initFast(n int, sampleRate float64) {
-	// Largest power-of-two decimation that keeps the ±BW/2 bias span
-	// inside 70 % of the decimated band (droop ≥ −2 dB there, and the
-	// coarse peak cannot park legitimate tones at the decimated Nyquist),
-	// with at least 64 decimated samples for a meaningful coarse FFT.
-	dec := 1
-	for dec*2 <= maxFBDecimation && n/(dec*2) >= 64 &&
-		d.Params.Bandwidth*float64(dec*2) <= 0.7*sampleRate {
-		dec *= 2
-	}
-	d.dec = dec
-	m := n / dec
-	if cap(d.decTime) < m {
-		d.decTime = make([]complex128, m)
-	}
-	d.decTime = d.decTime[:m]
-	d.coarsePlan = dsp.PlanFor(m)
-	cl := d.coarsePlan.Size()
-	if cap(d.coarseBuf) < cl {
-		d.coarseBuf = make([]complex128, cl)
-	}
-	d.coarseBuf = d.coarseBuf[:cl]
-	if cap(d.droopInv) < cl {
-		d.droopInv = make([]float64, cl)
-	}
-	d.droopInv = d.droopInv[:cl]
-	decRate := sampleRate / float64(dec)
-	// The coarse search covers the fingerprint band ±BW/2 (plus a few
-	// bins of guard), not the whole decimated spectrum: bins beyond it
-	// carry no legitimate δ, and compensating their deeper droop would
-	// boost pure noise into false coarse peaks at low SNR. Out-of-band
-	// bins get zero weight; Exhaustive remains the full-band reference.
-	coarseBinHz := decRate / float64(cl)
-	maxAbsHz := d.Params.Bandwidth/2 + 3*coarseBinHz
-	for k := 0; k < cl; k++ {
-		f := dsp.BinFrequency(k, cl, decRate)
-		if math.Abs(f) > maxAbsHz && maxAbsHz < decRate/2 {
-			d.droopInv[k] = 0
-			continue
-		}
-		d.droopInv[k] = 1 / dsp.BoxcarDroopSq(dec, f/sampleRate)
-	}
-	// Zoom grid: ±2 coarse bins at 1/16 coarse-bin spacing. The coarse
-	// length is within a factor two of NextPow2(n)/D, so this spacing is
-	// always ≥4× finer than the legacy padded FFT's rate/NextPow2(4n) bins
-	// (the accuracy harness asserts the resulting error envelope).
-	d.zoomStep = coarseBinHz / 16
-	const points = 2*32 + 1
-	if cap(d.zoomOut) < points {
-		d.zoomOut = make([]complex128, points)
-	}
-	d.zoomOut = d.zoomOut[:points]
-	domega := 2 * math.Pi * d.zoomStep / decRate
-	if d.zoom.Stale(m, points, domega) {
-		d.zoom.Init(m, points, domega)
-	}
-}
-
 // EstimateFB implements FBEstimator. Both paths run entirely on the
 // estimator's reusable scratch — allocation-free in steady state.
 func (d *DechirpFFTEstimator) EstimateFB(chirp []complex128, sampleRate float64) (FBEstimate, error) {
@@ -409,30 +485,22 @@ func (d *DechirpFFTEstimator) EstimateFB(chirp []complex128, sampleRate float64)
 	if n < 8 || len(chirp) < n {
 		return FBEstimate{}, fmt.Errorf("%w: need %d samples, have %d", ErrChirpTooShort, n, len(chirp))
 	}
-	if d.scratch.Stale(d.Params, n, sampleRate) || d.scratchExh != d.Exhaustive {
-		// The reference path zero-pads 4× for finer bins before
-		// interpolation; the zoom path needs no padding (its fine grid
-		// comes from the chirp-Z stage).
-		pad := 1
-		if d.Exhaustive {
-			pad = 4
-		}
-		d.scratch.Init(d.Params, n, sampleRate, pad, chirpBasePhase(d.Params, sampleRate, n))
-		d.scratchExh = d.Exhaustive
-		if !d.Exhaustive {
-			d.initFast(n, sampleRate)
-		}
-	}
 	if d.Exhaustive {
+		if d.exh.Stale(d.Params, n, sampleRate) {
+			// The reference path zero-pads 4× for finer bins before
+			// interpolation.
+			d.exh.Init(d.Params, n, sampleRate, 4, chirpBasePhase(d.Params, sampleRate, n))
+		}
 		return d.estimateExhaustive(chirp[:n], sampleRate, n)
 	}
-	return d.estimateZoom(chirp[:n], sampleRate, n)
+	d.tone.ensure(d.Params, n, sampleRate, false)
+	return d.estimateZoom(chirp[:n], sampleRate)
 }
 
 // estimateExhaustive is the legacy single-stage reference: full-rate
 // dechirp, monolithic padded FFT, parabolic interpolation.
 func (d *DechirpFFTEstimator) estimateExhaustive(seg []complex128, sampleRate float64, n int) (FBEstimate, error) {
-	spec := d.scratch.Dechirp(seg)
+	spec := d.exh.Dechirp(seg)
 	bin, magSq := dsp.PeakBinSq(spec)
 	if magSq == 0 {
 		return FBEstimate{}, ErrNoEstimate
@@ -451,47 +519,19 @@ func (d *DechirpFFTEstimator) estimateExhaustive(seg []complex128, sampleRate fl
 	}, nil
 }
 
-// estimateZoom is the decimated coarse→zoom fast path.
-func (d *DechirpFFTEstimator) estimateZoom(seg []complex128, sampleRate float64, n int) (FBEstimate, error) {
-	dec := d.dec
-	m := len(d.decTime)
-	d.scratch.DechirpDecimateInto(d.decTime, seg, dec)
-
-	// Coarse stage: droop-compensated peak over the n/D-point spectrum
-	// (Transform zero-pads the shorter decimated series into the buffer).
-	buf := d.coarseBuf
-	d.coarsePlan.Transform(buf, d.decTime)
-	bin, best := 0, 0.0
-	for k, v := range buf {
-		re, im := real(v), imag(v)
-		if mm := (re*re + im*im) * d.droopInv[k]; mm > best {
-			best, bin = mm, k
-		}
+// estimateZoom is the default path: δ from the tone finder, θ and Quality
+// from the decimated series it leaves behind.
+func (d *DechirpFFTEstimator) estimateZoom(seg []complex128, sampleRate float64) (FBEstimate, error) {
+	f, err := d.tone.find(seg, sampleRate)
+	if err != nil {
+		return FBEstimate{}, err
 	}
-	if best == 0 {
-		return FBEstimate{}, ErrNoEstimate
-	}
-	decRate := sampleRate / float64(dec)
-	coarseHz := dsp.BinFrequency(bin, len(buf), decRate)
-
-	// Zoom stage: chirp-Z grid over ±2 coarse bins around the pick.
-	points := len(d.zoomOut)
-	f0 := coarseHz - float64(points/2)*d.zoomStep
-	d.zoom.Transform(d.zoomOut, d.decTime, 2*math.Pi*f0/decRate)
-	zb, zbest := dsp.PeakBinSq(d.zoomOut)
-	if zbest == 0 {
-		return FBEstimate{}, ErrNoEstimate
-	}
-	frac := 0.0
-	if zb > 0 && zb < points-1 {
-		frac = dsp.InterpolatePeak(d.zoomOut, zb)
-	}
-	f := dsp.FoldFrequency(f0+(float64(zb)+frac)*d.zoomStep, decRate)
-
+	dec := d.tone.dec
+	m := len(d.tone.decTime)
 	// θ from one Goertzel evaluation of the decimated series at the final
 	// frequency: no integer-bin phase bias, only the boxcar accumulator's
 	// (D−1)/2-sample group delay to remove.
-	x := dsp.GoertzelDFT(d.decTime, 2*math.Pi*f*float64(dec)/sampleRate)
+	x := dsp.GoertzelDFT(d.tone.decTime, 2*math.Pi*f*float64(dec)/sampleRate)
 	theta := math.Atan2(imag(x), real(x)) - math.Pi*f*float64(dec-1)/sampleRate
 	droopAmp := math.Sqrt(dsp.BoxcarDroopSq(dec, f/sampleRate))
 	quality := 0.0

@@ -122,9 +122,9 @@ func TestFBAccuracyZoomGridFiner(t *testing.T) {
 			t.Fatal(err)
 		}
 		paddedBin := testRate / float64(dsp.NextPow2(4*n))
-		if est.zoomStep > paddedBin/4+1e-9 {
+		if est.tone.zoomStep > paddedBin/4+1e-9 {
 			t.Errorf("SF%d: zoom step %.3f Hz coarser than padded-bin/4 = %.3f Hz",
-				sf, est.zoomStep, paddedBin/4)
+				sf, est.tone.zoomStep, paddedBin/4)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"softlora/internal/dsp"
 	"softlora/internal/lora"
 )
 
@@ -26,14 +25,19 @@ import (
 // The cost is a longer SDR capture: the SFD begins PreambleChirps+2 chirp
 // times after the onset, so the capture must span ~12.5 chirps instead of
 // the paper's 2.
-// An estimator instance holds reusable scratch (conjugate up/down chirp
-// templates, FFT plan and buffer) and is not safe for concurrent use: one
-// instance per worker goroutine.
+//
+// Both tones are read through the gateway's one dechirped-tone readout,
+// the coarse→zoom finder DechirpFFTEstimator runs (toneFinder): one finder
+// keyed to the up-chirp template, one to the down-chirp template.
+//
+// An estimator instance holds reusable scratch (the two finders' templates,
+// FFT plans and buffers) and is not safe for concurrent use: one instance
+// per worker goroutine.
 type UpDownEstimator struct {
 	Params lora.Params
 
-	up   dechirpScratch
-	down dechirpScratch
+	up   toneFinder
+	down toneFinder
 }
 
 // UpDownResult is the joint estimate.
@@ -54,40 +58,6 @@ func (u *UpDownEstimator) sweepRate() float64 {
 	return w * w / float64(u.Params.ChipsPerSymbol())
 }
 
-// chirpPhases samples a chirp's phase at each of n sample instants.
-func chirpPhases(spec lora.ChirpSpec, sampleRate float64, n int) []float64 {
-	dt := 1 / sampleRate
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = spec.PhaseAt(float64(i) * dt)
-	}
-	return out
-}
-
-// dechirpTone multiplies one chirp-long segment by the conjugate base chirp
-// (up or down) and returns the interpolated peak frequency.
-func (u *UpDownEstimator) dechirpTone(seg []complex128, sampleRate float64, down bool) (float64, error) {
-	n := int(u.Params.SamplesPerChirp(sampleRate))
-	if len(seg) < n {
-		return 0, fmt.Errorf("%w: need %d samples, have %d", ErrChirpTooShort, n, len(seg))
-	}
-	sc := &u.up
-	if down {
-		sc = &u.down
-	}
-	if sc.Stale(u.Params, n, sampleRate) {
-		ref := lora.ChirpSpec{SF: u.Params.SF, Bandwidth: u.Params.Bandwidth, Down: down}
-		sc.Init(u.Params, n, sampleRate, 4, chirpPhases(ref, sampleRate, n))
-	}
-	spec := sc.Dechirp(seg[:n])
-	bin, magSq := dsp.PeakBinSq(spec)
-	if magSq == 0 {
-		return 0, ErrNoEstimate
-	}
-	frac := dsp.InterpolatePeak(spec, bin)
-	return dsp.BinFrequency(bin, len(spec), sampleRate) + frac*sampleRate/float64(len(spec)), nil
-}
-
 // Estimate runs the joint estimation on a capture whose preamble onset was
 // detected at onsetSample. The capture must extend at least
 // PreambleChirps + 3 chirp times past the onset (through the first full
@@ -98,6 +68,9 @@ func (u *UpDownEstimator) Estimate(iq []complex128, onsetSample int, sampleRate 
 	}
 	spc := u.Params.SamplesPerChirp(sampleRate) // fractional at 2.4 Msps
 	n := int(spc)
+	if n < 8 {
+		return UpDownResult{}, fmt.Errorf("%w: %d samples per chirp", ErrChirpTooShort, n)
+	}
 	if onsetSample < 0 {
 		return UpDownResult{}, fmt.Errorf("core: negative onset sample %d", onsetSample)
 	}
@@ -109,11 +82,13 @@ func (u *UpDownEstimator) Estimate(iq []complex128, onsetSample int, sampleRate 
 	if downStart+n > len(iq) {
 		return UpDownResult{}, fmt.Errorf("%w: capture ends before the SFD (need %d samples)", ErrChirpTooShort, downStart+n)
 	}
-	fUp, err := u.dechirpTone(iq[upStart:upStart+n], sampleRate, false)
+	u.up.ensure(u.Params, n, sampleRate, false)
+	u.down.ensure(u.Params, n, sampleRate, true)
+	fUp, err := u.up.find(iq[upStart:upStart+n], sampleRate)
 	if err != nil {
 		return UpDownResult{}, err
 	}
-	fDown, err := u.dechirpTone(iq[downStart:downStart+n], sampleRate, true)
+	fDown, err := u.down.find(iq[downStart:downStart+n], sampleRate)
 	if err != nil {
 		return UpDownResult{}, err
 	}

@@ -15,7 +15,7 @@
 // Hot paths transform through Plan: per-size cached twiddle factors and
 // permutation tables whose Transform/TransformInPlace/InverseInPlace entry
 // points never allocate after construction. A plan whose size's log2 is
-// even (4, 16, …, 1024, 4096, 16384 — every hot gateway size) runs a
+// even (4, 16, …, 256, 1024, 4096 — every hot gateway size) runs a
 // radix-4 butterfly kernel, ~25 % fewer multiplies than radix-2; odd-log2
 // sizes fall back to the radix-2 kernel.
 // Plans are immutable, so the process-wide cache behind PlanFor may hand
@@ -24,17 +24,22 @@
 // helpers (SpectrogramPlan, HilbertScratch, AICScratch, SlidingDFT, a
 // FIRFilter once applied) — and is strictly single-goroutine: one
 // plan/scratch set per worker, no sharing. The one-shot conveniences (FFT,
-// Spectrogram, AICCurve, Apply, GoertzelDFT) allocate nothing or per call
-// and stay safe for casual use.
+// Spectrogram, AICCurve, Apply, GoertzelDFT, GoertzelMany) allocate
+// nothing or per call and stay safe for casual use.
 //
 // # Full-spectrum, few-bin, and decimated evaluation
 //
 // The package offers three cost tiers for spectral evaluation, which is
 // what the onset detector's coarse→fine hierarchy in package core is built
 // from. A Plan transform computes every bin in O(n log n). GoertzelDFT
-// evaluates one arbitrary frequency in O(n), and SlidingDFT tracks a fixed
-// frequency set across a sliding window at O(bins) per one-sample shift —
-// the right shape when successive windows overlap almost entirely.
+// evaluates one arbitrary frequency in O(n). GoertzelMany evaluates a
+// frequency set of one window, reading the window once per three
+// frequencies: a lone Goertzel recurrence waits on its previous sample, and
+// three interleaved ones fill that wait, while each keeps GoertzelDFT's
+// operation order, so every output is bit-identical to GoertzelDFT's.
+// SlidingDFT tracks a fixed frequency set across a sliding window at
+// O(bins) per one-sample shift — the right shape when successive windows
+// overlap almost entirely; its Reset seeds the sums with GoertzelMany.
 // DechirpScratch.DechirpDecimateInto trades frequency span instead of
 // resolution: it boxcar-sums the dechirped product by the decimation
 // factor, so a proportionally smaller transform of the result keeps the
@@ -61,12 +66,13 @@
 // frequencies anywhere in the band at O((m+points)·log(m+points)) — two
 // planned FFTs per call — against O(points·m) for one Goertzel evaluation
 // per grid point (BenchmarkZoomGrid times it at the FB estimator's
-// 307-sample/65-point geometry). The frequency-bias estimator's
-// coarse-to-fine path is the canonical composition: DechirpDecimateInto
-// shrinks the band, a small plan transform localizes the tone to a coarse
-// bin, and ZoomDFT refines it on a grid finer than any affordable padded
-// FFT, with FoldFrequency wrapping interpolated readouts back into the
-// principal alias band.
+// 307-sample/65-point geometry). The gateway's dechirped-tone readout in
+// package core — the one both frequency-bias estimators (dechirp-FFT and
+// up/down) read their tones through — is the canonical composition:
+// DechirpDecimateInto shrinks the band, a small plan transform localizes
+// the tone to a coarse bin, and ZoomDFT refines it on a grid finer than
+// any affordable padded FFT, with FoldFrequency wrapping interpolated
+// readouts back into the principal alias band.
 //
 // # Synthesis-path cost tiers and the oscillator drift contract
 //

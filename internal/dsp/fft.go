@@ -78,18 +78,9 @@ func InterpolatePeak(spectrum []complex128, bin int) float64 {
 	if n < 3 {
 		return 0
 	}
-	// Log magnitudes from squared magnitudes: log|X| = log(|X|²)/2, saving
-	// the square root per neighbor.
-	mag := func(i int) float64 {
-		v := spectrum[((i%n)+n)%n]
-		re, im := real(v), imag(v)
-		m := re*re + im*im
-		if m <= 0 {
-			m = 1e-300
-		}
-		return 0.5 * math.Log(m)
-	}
-	alpha, beta, gamma := mag(bin-1), mag(bin), mag(bin+1)
+	alpha := logMag(spectrum[((bin-1)%n+n)%n])
+	beta := logMag(spectrum[(bin%n+n)%n])
+	gamma := logMag(spectrum[((bin+1)%n+n)%n])
 	denom := alpha - 2*beta + gamma
 	if denom == 0 {
 		return 0
@@ -101,6 +92,17 @@ func InterpolatePeak(spectrum []complex128, bin int) float64 {
 		d = -0.5
 	}
 	return d
+}
+
+// logMag returns log|v| from the squared magnitude, log|v| = log(|v|²)/2,
+// saving the square root; a zero magnitude reads as a tiny positive one.
+func logMag(v complex128) float64 {
+	re, im := real(v), imag(v)
+	m := re*re + im*im
+	if m <= 0 {
+		m = 1e-300
+	}
+	return 0.5 * math.Log(m)
 }
 
 // Spectrogram computes a short-time Fourier transform power spectrogram of

@@ -16,8 +16,8 @@ import (
 // Sizes whose log2 is even (4, 16, 64, …, 4096, 16384) run a radix-4
 // kernel — one complex multiply per four outputs fewer than radix-2, ~25 %
 // fewer multiplies overall — which covers every hot gateway size (the
-// chirp-window 4096, the 4×-padded 16384, the decimated-scan 1024 and the
-// spectrogram 256). Odd-log2 sizes fall back to the radix-2 kernel.
+// chirp-window 4096, the decimated-scan 1024 and the spectrogram 256).
+// Odd-log2 sizes fall back to the radix-2 kernel.
 //
 // A Plan is immutable after construction and safe for concurrent use by
 // multiple goroutines — only the caller-supplied buffers are mutated. The

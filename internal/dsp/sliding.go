@@ -34,9 +34,9 @@ type SlidingDFT struct {
 
 // Reset points the tracker at window [start, start+n) of x and evaluates
 // the initial sums for the given frequencies (O(len(thetas)·n) via
-// GoertzelMany). It reuses the tracker's slices when their capacity allows, so
-// steady-state Reset does not allocate for a bin count it has seen before.
-// The window must fit the trace.
+// GoertzelMany). It reuses the tracker's slices when their capacity
+// allows, so steady-state Reset does not allocate for a bin count it has
+// seen before. The window must fit the trace.
 func (s *SlidingDFT) Reset(x []complex128, start, n int, thetas []float64) {
 	k := len(thetas)
 	if cap(s.sums) < k {

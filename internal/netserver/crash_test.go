@@ -3,6 +3,7 @@ package netserver
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"softlora/internal/core"
@@ -252,4 +253,36 @@ func TestFaultBitFlipCaughtOnLoad(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNonFiniteEnrollmentKeepsFlushing pins that one non-finite enrollment
+// cannot stop durability: Enroll stores nothing for it, so every shard
+// still flushes and a restart recovers the whole fleet.
+func TestNonFiniteEnrollmentKeepsFlushing(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{Shards: 4})
+	populate(s, 40, 7)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s.Enroll("bad", bad, 10)
+		s.Enroll("dev-00003", bad, 10)
+	}
+	if _, ok := s.Record("bad"); ok {
+		t.Error("a non-finite enrollment stored a record")
+	}
+	want := dump(s)
+	sn, err := NewSnapshotter(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sn.FlushDirty(s); err != nil {
+		t.Fatalf("flush after a non-finite enrollment: %v", err)
+	}
+	fresh := New(Config{Shards: 4})
+	if _, err := fresh.LoadDir(nil, dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Devices(); got != 40 {
+		t.Fatalf("recovered %d devices, want 40", got)
+	}
+	equalDB(t, want, dump(fresh), "after a non-finite enrollment")
 }

@@ -584,7 +584,13 @@ func (s *NetworkServer) CheckBatch(obs []PHYObservation) ([]FrameVerdict, error)
 }
 
 // Enroll pre-loads a device record (offline database construction, §7.2).
+// A non-finite fbHz (NaN or ±Inf) stores nothing and leaves any record the
+// device already has: a non-finite record fails validation, so it could
+// never be snapshotted, and every later flush of its shard would fail.
 func (s *NetworkServer) Enroll(deviceID string, fbHz float64, frames int) {
+	if math.IsNaN(fbHz) || math.IsInf(fbHz, 0) {
+		return
+	}
 	if frames < 1 {
 		frames = 1
 	}

@@ -559,7 +559,8 @@ func (g *Gateway) observation(report *UplinkReport, claimedID, frameID string, u
 func (g *Gateway) NetworkServer() *netserver.NetworkServer { return g.server }
 
 // EnrollDevice pre-loads a device's known bias (offline database
-// construction, §7.2) into the gateway's network server.
+// construction, §7.2) into the gateway's network server. A non-finite
+// bias (NaN or ±Inf) enrolls nothing.
 func (g *Gateway) EnrollDevice(id string, biasHz float64) {
 	g.server.Enroll(id, biasHz, core.DefaultEnrollFrames)
 }
