@@ -42,9 +42,11 @@ race:
 # serialized bias-database bytes must be identical for every worker count
 # (batch pipeline), with the AIC detector's float64 reference lane switched
 # on or off in the batch workers, and for every delivery schedule of the
-# same copies (streaming dedup window).
+# same copies (streaming dedup window). TestGatewayOutputDigests pins both
+# gateway pipelines' outputs to committed digests (amd64 below v3 only), so
+# a change that must not alter outputs can show it here.
 determinism:
-	$(GO) test -count=1 -run 'TestProcessBatchSameDeviceDeterministicCommit|TestProcessBatchDeterministicAcrossWorkerCounts|TestProcessBatchDeterministicAcrossFloatLanes|TestMultiGatewayDeterministic' .
+	$(GO) test -count=1 -run 'TestProcessBatchSameDeviceDeterministicCommit|TestProcessBatchDeterministicAcrossWorkerCounts|TestProcessBatchDeterministicAcrossFloatLanes|TestMultiGatewayDeterministic|TestGatewayOutputDigests' .
 	$(GO) test -count=1 -run 'TestChaosDatabaseBytesScheduleIndependent|TestCheckBatchOrderIndependentDatabase' ./internal/netserver
 
 # faults replays the fault-injection suites: the filesystem injector

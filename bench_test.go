@@ -490,23 +490,25 @@ func BenchmarkSDRDownconvert(b *testing.B) {
 }
 
 // BenchmarkGatewayBatchThroughput processes a pre-rendered 8-uplink batch
-// through ProcessBatch at several worker-pool sizes, plus one configuration
-// running the dechirp onset detector (the hierarchical search) end to end.
-// On a multi-core host the worker counts separate; the planned-DSP savings
-// show at every count.
+// through ProcessBatch at several worker-pool sizes on the default pipeline
+// (AIC onset + dechirp-FFT FB), plus one configuration running the low-SNR
+// pipeline end to end: the dechirp onset detector (the hierarchical search)
+// with the up/down FB estimator. On a multi-core host the worker counts
+// separate; the planned-DSP savings show at every count.
 func BenchmarkGatewayBatchThroughput(b *testing.B) {
 	const batch = 8
 	type config struct {
 		name  string
 		onset OnsetMethod
+		fb    FBMethod
 	}
 	for _, workers := range []int{1, 4, 8} {
-		cfgs := []config{{fmt.Sprintf("workers-%d", workers), ""}}
+		cfgs := []config{{fmt.Sprintf("workers-%d", workers), "", FBDechirpFFT}}
 		if workers == 1 {
-			cfgs = append(cfgs, config{"workers-1-dechirp-onset", OnsetDechirp})
+			cfgs = append(cfgs, config{"workers-1-dechirp-onset-updown", OnsetDechirp, FBUpDown})
 		}
 		for _, c := range cfgs {
-			benchGatewayBatch(b, c.name, c.onset, workers, batch)
+			benchGatewayBatch(b, c.name, c.onset, c.fb, workers, batch)
 		}
 	}
 }
@@ -522,7 +524,7 @@ func BenchmarkGatewayBatchThroughput(b *testing.B) {
 // N > 1). TestGatewayBatchScalingFloor asserts the floor this benchmark
 // measures.
 func BenchmarkGatewayBatchScaling(b *testing.B) {
-	benchGatewayBatch(b, fmt.Sprintf("gomaxprocs-%d", runtime.GOMAXPROCS(0)), "", 0, 8)
+	benchGatewayBatch(b, fmt.Sprintf("gomaxprocs-%d", runtime.GOMAXPROCS(0)), "", FBDechirpFFT, 0, 8)
 }
 
 // BenchmarkNetworkServerCheck measures the network server's sharded-lock
@@ -644,10 +646,10 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	b.ReportMetric(float64(fi.Size())/fleet, "bytes/device")
 }
 
-func benchGatewayBatch(b *testing.B, name string, onset OnsetMethod, workers, batch int) {
+func benchGatewayBatch(b *testing.B, name string, onset OnsetMethod, fb FBMethod, workers, batch int) {
 	b.Run(name, func(b *testing.B) {
 		rng := rand.New(rand.NewSource(10))
-		gw, err := NewGateway(Config{Rand: rng, FB: FBDechirpFFT, Onset: onset, Workers: workers})
+		gw, err := NewGateway(Config{Rand: rng, FB: fb, Onset: onset, Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,17 +1,20 @@
 // Fingerprint: the adversary-side view of §4.2.1/§7.1 — an eavesdropper
 // profiles a fleet of end devices by frequency bias and received signal
 // strength, then identifies which device is transmitting in order to attack
-// it selectively. Devices with near-identical oscillator biases (the
-// paper's nodes 3/8/14 observation) are ambiguous by FB alone but separate
-// once RSSI joins the profile.
+// it selectively. Devices whose oscillator biases lie within about one
+// frame's FB jitter of each other (the paper's nodes 3, 8 and 14) are
+// ambiguous by FB alone but separate once RSSI joins the profile, because
+// they sit at different distances from the eavesdropper.
 //
 //	go run ./examples/fingerprint
 package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"sort"
 
 	"softlora/internal/attack"
 	"softlora/internal/core"
@@ -21,33 +24,71 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if _, err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "fingerprint: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+const (
+	jitterHz      = 25  // per-frame FB jitter of every node
+	rssiNoisedB   = 0.8 // per-frame RSSI spread at the eavesdropper
+	profileFrames = 8   // frames the adversary averages into a profile
+	identFrames   = 60  // frames per node in the identification phase
+)
+
+type node struct {
+	id        string
+	biasPPM   float64
+	rssidBm   float64
+	lookAlike bool
+}
+
+// fleet: nodes 3, 8 and 14 have biases 17–35 Hz apart at the 869.75 MHz
+// carrier, about one frame's 25 Hz jitter, but sit 13 dB and more apart in
+// RSSI; node 11's bias is kHz away from theirs.
+var fleet = []node{
+	{"node-3", -24.150, -62, true},
+	{"node-8", -24.170, -88, true},
+	{"node-11", -20.400, -75, false},
+	{"node-14", -24.130, -75, true},
+}
+
+// attribution is how often the adversary named the true transmitter over
+// the identification frames, with the median margin (runner-up distance
+// over winner distance) of its decisions.
+type attribution struct {
+	rate, margin float64
+}
+
+// confident reports whether attribution is reliable enough to attack one
+// node selectively: nine frames in ten named right, by a clear margin.
+func (a attribution) confident() bool { return a.rate >= 0.9 && a.margin >= 3 }
+
+func (a attribution) String() string {
+	word := "ambiguous"
+	if a.confident() {
+		word = "confident"
+	}
+	return fmt.Sprintf("%3.0f%% right, margin %5.1f — %s", 100*a.rate, a.margin, word)
+}
+
+// summary is the identification result over the look-alike nodes.
+type summary struct {
+	fbOnly, joint attribution
+}
+
+func run(w io.Writer) (summary, error) {
 	rng := rand.New(rand.NewSource(3))
 	p := lora.DefaultParams(7)
 	est := &core.LinearRegressionEstimator{Params: p}
-
-	// A small fleet; two devices share almost the same oscillator bias but
-	// sit at different distances from the eavesdropper.
-	type node struct {
-		id      string
-		biasPPM float64
-		rssidBm float64
-	}
-	fleet := []node{
-		{"node-3", -24.15, -62},
-		{"node-8", -24.22, -88}, // nearly the same bias, much farther away
-		{"node-11", -20.4, -75},
+	tx := make([]*lora.Transmitter, len(fleet))
+	for i, n := range fleet {
+		tx[i] = &lora.Transmitter{ID: n.id, BiasPPM: n.biasPPM, JitterHz: jitterHz}
 	}
 
-	observe := func(n node) (fbHz, rssi float64, err error) {
-		tx := &lora.Transmitter{ID: n.id, BiasPPM: n.biasPPM, JitterHz: 25}
-		imp := tx.NextImpairments(p, rng)
+	observe := func(i int) (fbHz, rssi float64, err error) {
+		imp := tx[i].NextImpairments(p, rng)
 		spec := lora.ChirpSpec{
 			SF: p.SF, Bandwidth: p.Bandwidth,
 			FrequencyOffset: imp.FrequencyBias,
@@ -55,55 +96,90 @@ func run() error {
 		}
 		iq := spec.Synthesize(sdr.DefaultSampleRate)
 		noise := dsp.GaussianNoise(rng, len(iq), 0.01)
-		for i := range iq {
-			iq[i] += noise[i]
+		for k := range iq {
+			iq[k] += noise[k]
 		}
 		e, err := est.EstimateFB(iq, sdr.DefaultSampleRate)
 		if err != nil {
 			return 0, 0, err
 		}
-		return e.DeltaHz, n.rssidBm + rng.NormFloat64()*0.8, nil
+		return e.DeltaHz, fleet[i].rssidBm + rng.NormFloat64()*rssiNoisedB, nil
 	}
 
-	// Profiling phase: the eavesdropper learns each device.
+	// Profiling phase: the eavesdropper averages a few frames per device.
 	var fp attack.Fingerprinter
-	fmt.Println("Adversary profiling phase:")
-	for _, n := range fleet {
-		fb, rssi, err := observe(n)
-		if err != nil {
-			return err
+	fmt.Fprintf(w, "Adversary profiling phase (%d frames per node):\n", profileFrames)
+	for i, n := range fleet {
+		var fbSum, rssiSum float64
+		for f := 0; f < profileFrames; f++ {
+			fb, rssi, err := observe(i)
+			if err != nil {
+				return summary{}, err
+			}
+			fbSum += fb
+			rssiSum += rssi
 		}
+		fb, rssi := fbSum/profileFrames, rssiSum/profileFrames
 		fp.Learn(n.id, fb, rssi)
-		fmt.Printf("  %-8s FB %8.2f kHz  RSSI %6.1f dBm\n", n.id, fb/1e3, rssi)
+		fmt.Fprintf(w, "  %-8s FB %10.3f kHz  RSSI %6.1f dBm\n", n.id, fb/1e3, rssi)
 	}
 
-	// Identification phase: node-8 transmits.
-	fmt.Println("\nnode-8 transmits; the adversary classifies the frame:")
-	fb, rssi, err := observe(fleet[1])
-	if err != nil {
-		return err
+	// Identification phase: every node transmits identFrames frames; the
+	// adversary names the sender of each, by FB alone and by FB + RSSI.
+	fmt.Fprintf(w, "\nIdentification phase (%d frames per node):\n", identFrames)
+	var lookFB, lookJoint tally
+	for i, n := range fleet {
+		var byFB, byJoint tally
+		for f := 0; f < identFrames; f++ {
+			fb, rssi, err := observe(i)
+			if err != nil {
+				return summary{}, err
+			}
+			id, margin, err := fp.ClassifyFB(fb)
+			if err != nil {
+				return summary{}, err
+			}
+			byFB.add(id == n.id, margin)
+			id, margin, err = fp.Classify(fb, rssi)
+			if err != nil {
+				return summary{}, err
+			}
+			byJoint.add(id == n.id, margin)
+		}
+		fmt.Fprintf(w, "  %-8s FB only: %s   FB + RSSI: %s\n", n.id, byFB.result(), byJoint.result())
+		if n.lookAlike {
+			lookFB.merge(byFB)
+			lookJoint.merge(byJoint)
+		}
 	}
-	idFB, marginFB, err := fp.ClassifyFB(fb)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  FB only:   identified %-8s (margin %.1f — %s)\n",
-		idFB, marginFB, confidence(marginFB))
-	idJoint, marginJoint, err := fp.Classify(fb, rssi)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  FB + RSSI: identified %-8s (margin %.1f — %s)\n",
-		idJoint, marginJoint, confidence(marginJoint))
-	fmt.Println("\npaper §7.1: similar FBs (nodes 3, 8, 14) make FB-only fingerprinting")
-	fmt.Println("ambiguous; joint FB+RSSI profiles separate them. SoftLoRa's DEFENSE does")
-	fmt.Println("not need uniqueness — it detects the replay-induced CHANGE per device.")
-	return nil
+	s := summary{fbOnly: lookFB.result(), joint: lookJoint.result()}
+	fmt.Fprintf(w, "\nNodes 3, 8 and 14 together:\n  FB only:   %s\n  FB + RSSI: %s\n", s.fbOnly, s.joint)
+	fmt.Fprintln(w, "\npaper §7.1: similar FBs (nodes 3, 8, 14) make FB-only fingerprinting")
+	fmt.Fprintln(w, "ambiguous; joint FB+RSSI profiles separate them. SoftLoRa's DEFENSE does")
+	fmt.Fprintln(w, "not need uniqueness — it detects the replay-induced CHANGE per device.")
+	return s, nil
 }
 
-func confidence(margin float64) string {
-	if margin >= 3 {
-		return "confident"
+// tally accumulates identification decisions.
+type tally struct {
+	right   int
+	margins []float64
+}
+
+func (t *tally) add(right bool, margin float64) {
+	if right {
+		t.right++
 	}
-	return "ambiguous"
+	t.margins = append(t.margins, margin)
+}
+
+func (t *tally) merge(o tally) {
+	t.right += o.right
+	t.margins = append(t.margins, o.margins...)
+}
+
+func (t *tally) result() attribution {
+	m := append([]float64(nil), t.margins...)
+	sort.Float64s(m)
+	return attribution{rate: float64(t.right) / float64(len(m)), margin: m[len(m)/2]}
 }

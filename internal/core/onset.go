@@ -66,43 +66,26 @@ func componentInto(dst []float64, iq []complex128, c Component) []float64 {
 	return dst
 }
 
-// componentInto32 is componentInto on the float32 decision lane.
-func componentInto32(dst []float32, iq []complex128, c Component) []float32 {
-	if cap(dst) < len(iq) {
-		dst = make([]float32, len(iq))
-	}
-	dst = dst[:len(iq)]
-	if c == ComponentQ {
-		for i, v := range iq {
-			dst[i] = float32(imag(v))
-		}
-	} else {
-		for i, v := range iq {
-			dst[i] = float32(real(v))
-		}
-	}
-	return dst
-}
-
-// componentRangeInto extracts iq[lo:hi]'s selected component at full float64
-// precision — the float32 lane uses it to hand the final AIC refinement the
-// exact raw-trace window without materializing the whole float64 component.
-func componentRangeInto(dst []float64, iq []complex128, c Component, lo, hi int) []float64 {
+// componentRangeInto extracts iq[lo:hi]'s selected component, in float64 or
+// float32. The float32 lane reads just the spans its stages need this way:
+// the mid stage's filter span, and the exact float64 raw-trace window of
+// the final AIC refinement.
+func componentRangeInto[T float32 | float64](dst []T, iq []complex128, c Component, lo, hi int) []T {
 	n := hi - lo
 	if n < 0 {
 		n = 0
 	}
 	if cap(dst) < n {
-		dst = make([]float64, n)
+		dst = make([]T, n)
 	}
 	dst = dst[:n]
 	if c == ComponentQ {
 		for j := range dst {
-			dst[j] = imag(iq[lo+j])
+			dst[j] = T(imag(iq[lo+j]))
 		}
 	} else {
 		for j := range dst {
-			dst[j] = real(iq[lo+j])
+			dst[j] = T(real(iq[lo+j]))
 		}
 	}
 	return dst
@@ -130,9 +113,12 @@ func boxcarDecimate(dst, x []float64, dec int) []float64 {
 	return dst
 }
 
-// boxcarDecimate32 is boxcarDecimate on the float32 lane.
-func boxcarDecimate32(dst, x []float32, dec int) []float32 {
-	n := len(x) / dec
+// boxcarComponent32 is boxcarDecimate on the float32 lane, reading the
+// selected component straight out of the complex capture: dst[j] is the
+// mean of float32 component samples j·dec … j·dec+dec−1, summed in order
+// (len(iq)/dec outputs; a trailing partial block is dropped).
+func boxcarComponent32(dst []float32, iq []complex128, c Component, dec int) []float32 {
+	n := len(iq) / dec
 	if cap(dst) < n {
 		dst = make([]float32, n)
 	}
@@ -140,8 +126,14 @@ func boxcarDecimate32(dst, x []float32, dec int) []float32 {
 	inv := 1 / float32(dec)
 	for j := range dst {
 		var s float32
-		for _, v := range x[j*dec : j*dec+dec] {
-			s += v
+		if c == ComponentQ {
+			for _, v := range iq[j*dec : j*dec+dec] {
+				s += float32(imag(v))
+			}
+		} else {
+			for _, v := range iq[j*dec : j*dec+dec] {
+				s += float32(real(v))
+			}
 		}
 		dst[j] = s * inv
 	}
@@ -381,7 +373,7 @@ type AICDetector struct {
 	// safe for concurrent use.
 	pre    prefilterScratch
 	comp   []float64 // raw-trace component (float64 lane / no-prefilter path)
-	comp32 []float32 // raw-trace component (float32 lane)
+	comp32 []float32 // component over the mid stage's filter span (float32 lane)
 	box    []float64 // boxcar-decimated component (coarse stage input)
 	box32  []float32
 	dec    []float64 // decimated + cleaned-up component (coarse stage)
@@ -412,6 +404,10 @@ func (a *AICDetector) Name() string { return "aic" }
 // Unless Float64 is set, the first two stages run on the float32 lane
 // (single-precision component, filters and AIC log); the final refinement
 // always runs in float64 on the raw trace, so the lanes agree on the onset.
+// The float32 lane reads the capture in three narrow passes instead of
+// materializing a full-length component: the coarse boxcar sums the
+// component straight out of iq, the mid stage extracts its window plus the
+// prefilter's half-length, and the refinement its ±256-sample window.
 func (a *AICDetector) DetectOnset(iq []complex128, sampleRate float64) (Onset, error) {
 	margin := a.Margin
 	if margin <= 0 {
@@ -428,7 +424,6 @@ func (a *AICDetector) DetectOnset(iq []complex128, sampleRate float64) (Onset, e
 	var coarse int
 	f32 := !a.Float64
 	if f32 {
-		a.comp32 = componentInto32(a.comp32, iq, a.Component)
 		coarse = a.coarsePick32(iq, sampleRate, margin)
 	} else {
 		a.comp = componentInto(a.comp, iq, a.Component)
@@ -486,7 +481,7 @@ func (a *AICDetector) coarsePick(iq []complex128, sampleRate float64, margin int
 			a.box = boxcarDecimate(a.box, a.comp, dec)
 			coarseIn := a.box
 			if fir2 := a.pre.decFilter(sampleRate/float64(dec), a.LowPassCutoffHz); fir2 != nil {
-				a.dec = fir2.ApplyRealDecimatedInto(a.dec, a.box, 1)
+				a.dec = fir2.ApplyRealRangeInto(a.dec, a.box, 0, len(a.box))
 				coarseIn = a.dec
 			}
 			if k := a.aic.OnsetStrided(coarseIn, decMargin, aicSearchStride); k >= 0 {
@@ -516,8 +511,12 @@ func (a *AICDetector) coarsePick(iq []complex128, sampleRate float64, margin int
 // coarsePick32 is coarsePick on the float32 lane: identical staging
 // (boxcar-decimate, short cleanup FIR, coarse AIC, full-rate windowed
 // re-pick) over the single-precision component, with the AIC split running
-// on the fast-log Onset32Strided. The decimated-rate fallback drops to the
-// float64 coarsePick — it needs the complex prefilter, which stays double.
+// on the fast-log Onset32Strided. It never extracts the whole component:
+// the boxcar reads it straight out of iq, and the mid stage extracts only
+// its window plus the prefilter's half-length on each side — every sample
+// its outputs read, so they equal the full-trace filter's bit for bit. The
+// decimated-rate fallback drops to the float64 coarsePick — it needs the
+// complex prefilter, which stays double.
 func (a *AICDetector) coarsePick32(iq []complex128, sampleRate float64, margin int) int {
 	dec := a.CoarseDecimation
 	if dec == 0 {
@@ -528,11 +527,11 @@ func (a *AICDetector) coarsePick32(iq []complex128, sampleRate float64, margin i
 		if decMargin < 2 {
 			decMargin = 2
 		}
-		if len(a.comp32)/dec >= 2*decMargin+2 {
-			a.box32 = boxcarDecimate32(a.box32, a.comp32, dec)
+		if len(iq)/dec >= 2*decMargin+2 {
+			a.box32 = boxcarComponent32(a.box32, iq, a.Component, dec)
 			coarseIn := a.box32
 			if fir2 := a.pre.decFilter(sampleRate/float64(dec), a.LowPassCutoffHz); fir2 != nil {
-				a.dec32 = fir2.ApplyRealDecimatedInto32(a.dec32, a.box32, 1)
+				a.dec32 = fir2.ApplyRealRangeInto32(a.dec32, a.box32, 0, len(a.box32))
 				coarseIn = a.dec32
 			}
 			if k := a.aic.Onset32Strided(coarseIn, decMargin, aicSearchStride); k >= 0 {
@@ -542,11 +541,14 @@ func (a *AICDetector) coarsePick32(iq []complex128, sampleRate float64, margin i
 					lo = 0
 				}
 				hi := k*dec + dec/2 + window
-				if hi > len(a.comp32) {
-					hi = len(a.comp32)
+				if hi > len(iq) {
+					hi = len(iq)
 				}
 				fir := a.pre.filter(sampleRate, a.LowPassCutoffHz)
-				a.mid32 = fir.ApplyRealRangeInto32(a.mid32, a.comp32, lo, hi)
+				half := len(fir.Taps) / 2
+				from, to := max(lo-half, 0), min(hi+half, len(iq))
+				a.comp32 = componentRangeInto(a.comp32, iq, a.Component, from, to)
+				a.mid32 = fir.ApplyRealRangeInto32(a.mid32, a.comp32, lo-from, hi-from)
 				if fine := a.aic.Onset32Strided(a.mid32, margin, aicSearchStride); fine >= 0 {
 					return lo + fine
 				}

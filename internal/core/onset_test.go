@@ -321,3 +321,125 @@ func TestAICDetectorFloat32LaneParity(t *testing.T) {
 		}
 	}
 }
+
+// componentInto32Ref and boxcarDecimate32Ref are the float32 lane's
+// whole-trace component extraction and the boxcar over it, as the coarse
+// stage ran them before boxcarComponent32 fused the two.
+func componentInto32Ref(iq []complex128, c Component) []float32 {
+	dst := make([]float32, len(iq))
+	for i, v := range iq {
+		if c == ComponentQ {
+			dst[i] = float32(imag(v))
+		} else {
+			dst[i] = float32(real(v))
+		}
+	}
+	return dst
+}
+
+func boxcarDecimate32Ref(x []float32, dec int) []float32 {
+	dst := make([]float32, len(x)/dec)
+	inv := 1 / float32(dec)
+	for j := range dst {
+		var s float32
+		for _, v := range x[j*dec : j*dec+dec] {
+			s += v
+		}
+		dst[j] = s * inv
+	}
+	return dst
+}
+
+// TestBoxcarComponent32MatchesComponentThenBoxcar pins the fused boxcar to
+// component-then-boxcar with ==, for I and Q, at decimations that leave a
+// trailing partial block (len % dec ≠ 0) and on a capture shorter than one
+// block.
+func TestBoxcarComponent32MatchesComponentThenBoxcar(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	var dst []float32
+	for _, n := range []int{3, 1001, 14629} {
+		iq := make([]complex128, n)
+		for i := range iq {
+			iq[i] = complex(rng.NormFloat64(), rng.NormFloat64()*1e3)
+		}
+		for _, c := range []Component{ComponentI, ComponentQ} {
+			for _, dec := range []int{1, 2, 3, 4, 8} {
+				want := boxcarDecimate32Ref(componentInto32Ref(iq, c), dec)
+				dst = boxcarComponent32(dst, iq, c, dec)
+				if len(dst) != len(want) {
+					t.Fatalf("n %d component %d dec %d: %d outputs, want %d", n, c, dec, len(dst), len(want))
+				}
+				for j := range want {
+					if dst[j] != want[j] {
+						t.Fatalf("n %d component %d dec %d: output %d = %v, want %v", n, c, dec, j, dst[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// coarsePick32Ref is the float32 coarse/mid staging as it ran on the whole
+// float32 component: boxcar of the full component, the cleanup FIR over
+// the decimated trace, and the mid-stage filter evaluated in place on the
+// full-length component. It returns the pick and the mid-stage filter
+// output.
+func coarsePick32Ref(a *AICDetector, iq []complex128, sampleRate float64, margin int) (int, []float32) {
+	const dec = DefaultAICCoarseDecimation
+	comp := componentInto32Ref(iq, a.Component)
+	decMargin := max(margin/dec, 2)
+	if len(comp)/dec < 2*decMargin+2 {
+		return -2, nil // the float64 fallback; not what this oracle covers
+	}
+	coarseIn := boxcarDecimate32Ref(comp, dec)
+	if fir2 := a.pre.decFilter(sampleRate/dec, a.LowPassCutoffHz); fir2 != nil {
+		coarseIn = fir2.ApplyRealRangeInto32(nil, coarseIn, 0, len(coarseIn))
+	}
+	var sc dsp.AICScratch
+	k := sc.Onset32Strided(coarseIn, decMargin, aicSearchStride)
+	if k < 0 {
+		return -2, nil
+	}
+	lo := max(k*dec+dec/2-96*dec, 0)
+	hi := min(k*dec+dec/2+96*dec, len(comp))
+	mid := a.pre.filter(sampleRate, a.LowPassCutoffHz).ApplyRealRangeInto32(nil, comp, lo, hi)
+	if fine := sc.Onset32Strided(mid, margin, aicSearchStride); fine >= 0 {
+		return lo + fine, mid
+	}
+	return k*dec + dec/2, mid
+}
+
+// TestCoarsePick32MatchesWholeComponentForm checks that reading the
+// component only over the mid window plus the prefilter's half-length
+// changes neither the mid-stage filter output, bit for bit, nor the pick:
+// every output reads the same samples, and an output is an edge output
+// (zero-padded, summed serially) exactly when it is one on the whole
+// trace. Onsets near the capture's start and end make the window clamp at
+// either boundary; both components are covered.
+func TestCoarsePick32MatchesWholeComponentForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 120; trial++ {
+		lead := []float64{5e-6, 60e-6, 2e-3}[trial%3]
+		snr := []float64{40, 13, 0, -8}[trial%4]
+		iq, onset := chirpCapture(rng, lead, snr, -22e3, rng.Float64()*2*math.Pi)
+		if trial%5 == 4 {
+			iq = iq[:int(onset)+150] // the onset sits near the capture's end
+		}
+		a := &AICDetector{LowPassCutoffHz: DefaultPrefilterCutoffHz, Component: []Component{ComponentI, ComponentQ}[trial%2]}
+		want, wantMid := coarsePick32Ref(a, iq, testRate, 16)
+		if want == -2 {
+			t.Fatalf("trial %d: fixture misses the decimated path", trial)
+		}
+		if got := a.coarsePick32(iq, testRate, 16); got != want {
+			t.Fatalf("trial %d (lead %v, snr %v, n %d): coarsePick32 = %d, whole-component form %d", trial, lead, snr, len(iq), got, want)
+		}
+		if len(a.mid32) != len(wantMid) {
+			t.Fatalf("trial %d: %d mid-stage outputs, want %d", trial, len(a.mid32), len(wantMid))
+		}
+		for j := range wantMid {
+			if a.mid32[j] != wantMid[j] {
+				t.Fatalf("trial %d (lead %v, n %d): mid-stage output %d = %v, whole-component form %v", trial, lead, len(iq), j, a.mid32[j], wantMid[j])
+			}
+		}
+	}
+}

@@ -82,8 +82,33 @@ func TestAICCurveMinimumAtPick(t *testing.T) {
 	}
 }
 
-// fastLn32 powers the float32 AIC lane; require ~float32 accuracy over the
-// full range of segment statistics the picker can produce.
+// fastLn32 is the float32 AIC lane's log as a scalar function — the form
+// aicScan32 inlines lane by lane (its oracle in
+// TestAICSearchesMatchClosureForms). Range reduction to [√2/2, √2) plus the
+// Cephes logf polynomial in Estrin's form; for strictly positive, finite,
+// normal inputs (the lane floors its arguments at 1e-30).
+func fastLn32(v float32) float32 {
+	bits := math.Float32bits(v)
+	e := int32(bits>>23) - 127
+	m := math.Float32frombits(bits&0x7fffff | 0x3f800000) // mantissa in [1, 2)
+	if m > 1.4142135 {
+		m *= 0.5
+		e++
+	}
+	z := m - 1
+	zz := z * z
+	z4 := zz * zz
+	p01 := 3.3333331174e-1 + z*-2.4999993993e-1
+	p23 := 2.0000714765e-1 + z*-1.6668057665e-1
+	p45 := 1.4249322787e-1 + z*-1.2420140846e-1
+	p67 := 1.1676998740e-1 + z*-1.1514610310e-1
+	p := (p01 + zz*p23) + z4*((p45+zz*p67)+z4*7.0376836292e-2)
+	r := z + zz*z*p - 0.5*zz
+	return r + 0.69314718*float32(e)
+}
+
+// fastLn32 defines the float32 lane's log; require ~float32 accuracy over
+// the full range of segment statistics the picker can produce.
 func TestFastLn32MatchesMathLog(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	check := func(v float32) {
@@ -172,6 +197,221 @@ func TestOnset32ShortTrace(t *testing.T) {
 		if got := sc.Onset32Strided(x, margin, stride); got != margin {
 			t.Errorf("stride %d: %d-sample trace onset = %d, want %d", stride, len(x), got, margin)
 		}
+	}
+}
+
+// prefixRef is the prefix-sum loop aicPrefix replaced: each sum re-read
+// from the slice the previous iteration stored it to.
+func prefixRef[T float32 | float64](x []T) (sum, sumSq []float64) {
+	sum = make([]float64, len(x)+1)
+	sumSq = make([]float64, len(x)+1)
+	for i, v := range x {
+		v64 := float64(v)
+		sum[i+1] = sum[i] + v64
+		sumSq[i+1] = sumSq[i] + v64*v64
+	}
+	return sum, sumSq
+}
+
+// aicAtRef and aicAt32Ref are the per-candidate closures OnsetStrided and
+// Onset32Strided evaluated before their searches became call-free loops;
+// stridedRef is the two-pass search around them, skipping the incumbent in
+// the dense pass as it did.
+func aicAtRef(sum, sumSq []float64) func(k int) float64 {
+	n := len(sum) - 1
+	return func(k int) float64 {
+		m1 := float64(k)
+		v1 := sumSq[k]/m1 - (sum[k]/m1)*(sum[k]/m1)
+		if v1 < 1e-300 {
+			v1 = 1e-300
+		}
+		m2 := float64(n - k)
+		mean2 := (sum[n] - sum[k]) / m2
+		v2 := (sumSq[n]-sumSq[k])/m2 - mean2*mean2
+		if v2 < 1e-300 {
+			v2 = 1e-300
+		}
+		return float64(k)*math.Log(v1) + float64(n-k-1)*math.Log(v2)
+	}
+}
+
+func aicAt32Ref(sum, sumSq []float64, lnLen []float32, invLen []float64) func(k int) float32 {
+	n := len(sum) - 1
+	totSum, totSq := sum[n], sumSq[n]
+	return func(k int) float32 {
+		m2 := n - k
+		s1 := sumSq[k] - sum[k]*(sum[k]*invLen[k])
+		d2 := totSum - sum[k]
+		s2 := (totSq - sumSq[k]) - d2*(d2*invLen[m2])
+		if s1 < 1e-30 {
+			s1 = 1e-30
+		}
+		if s2 < 1e-30 {
+			s2 = 1e-30
+		}
+		return float32(k)*(fastLn32(float32(s1))-lnLen[k]) +
+			float32(n-k-1)*(fastLn32(float32(s2))-lnLen[m2])
+	}
+}
+
+func stridedRef[F float32 | float64](aicAt func(int) F, n, margin, stride int) int {
+	if margin < 1 {
+		margin = 1
+	}
+	if n < 2*margin+2 {
+		return -1
+	}
+	if stride < 1 {
+		stride = 1
+	}
+	best := F(math.Inf(1))
+	bestK := -1
+	for k := margin; k < n-margin; k += stride {
+		if aic := aicAt(k); aic < best {
+			best = aic
+			bestK = k
+		}
+	}
+	if stride > 1 && bestK >= 0 {
+		lo := bestK - stride + 1
+		if lo < margin {
+			lo = margin
+		}
+		hi := bestK + stride
+		if hi > n-margin {
+			hi = n - margin
+		}
+		for k := lo; k < hi; k++ {
+			if k == bestK {
+				continue
+			}
+			if aic := aicAt(k); aic < best {
+				best = aic
+				bestK = k
+			}
+		}
+	}
+	return bestK
+}
+
+// TestAICSearchesMatchClosureForms pins both call-free AIC searches to the
+// closure forms they replaced, with ==: the prefix sums bit for bit, every
+// candidate's AIC value bit for bit (so the inlined float32 log is
+// fastLn32 to the last bit), and the picks of OnsetStrided and
+// Onset32Strided at stride 1 and 4 — over bursts at random onsets and
+// noise levels, onsets within a stride of either margin, noise-only
+// traces, and constant stretches that hit the variance floors.
+func TestAICSearchesMatchClosureForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var sc AICScratch
+	for trial := 0; trial < 1500; trial++ {
+		n := 40 + rng.Intn(4000)
+		margin := 1 + rng.Intn(20)
+		if n < 2*margin+2 {
+			n = 2*margin + 2 + rng.Intn(8)
+		}
+		var x []float64
+		switch trial % 5 {
+		case 0, 1:
+			x = burstTrace(rng, n, rng.Intn(n), 0.01+rng.Float64()*0.5, 1)
+		case 2: // onset within a stride of either margin
+			onset := margin - 3 + rng.Intn(7)
+			if rng.Intn(2) == 0 {
+				onset = n - margin - 3 + rng.Intn(7)
+			}
+			x = burstTrace(rng, n, max(0, min(onset, n-1)), 0.05, 1)
+		case 3: // noise only
+			x = burstTrace(rng, n, n, 0.3, 0)
+		case 4: // silence, then a burst: the first segment's variance floors
+			x = burstTrace(rng, n, n/3, 0, 1)
+		}
+		x32 := make([]float32, n)
+		for i, v := range x {
+			x32[i] = float32(v)
+		}
+		sum, sumSq := prefixRef(x)
+		sum32, sumSq32 := prefixRef(x32)
+		gs, gq := sc.prefixSums(n)
+		aicPrefix(gs, gq, x)
+		for i := range sum {
+			if gs[i] != sum[i] || gq[i] != sumSq[i] {
+				t.Fatalf("trial %d: aicPrefix float64 [%d] = (%v, %v), want (%v, %v)", trial, i, gs[i], gq[i], sum[i], sumSq[i])
+			}
+		}
+		aicPrefix(gs, gq, x32)
+		for i := range sum32 {
+			if gs[i] != sum32[i] || gq[i] != sumSq32[i] {
+				t.Fatalf("trial %d: aicPrefix float32 [%d] = (%v, %v), want (%v, %v)", trial, i, gs[i], gq[i], sum32[i], sumSq32[i])
+			}
+		}
+		sc.ensureLenTables(n)
+		ref64 := aicAtRef(sum, sumSq)
+		ref32 := aicAt32Ref(sum32, sumSq32, sc.lnLen, sc.invLen)
+		for k := margin; k < n-margin; k++ {
+			if got, _ := aicScan(sum, sumSq, k, k+1, 1, math.Inf(1), -1); got != ref64(k) {
+				t.Fatalf("trial %d: aicScan AIC(%d) = %v, want %v", trial, k, got, ref64(k))
+			}
+			if got, _ := aicScan32(sum32, sumSq32, sc.lnLen, sc.invLen, k, k+1, 1, float32(math.Inf(1)), -1); got != ref32(k) {
+				t.Fatalf("trial %d: aicScan32 AIC(%d) = %v, want %v", trial, k, got, ref32(k))
+			}
+		}
+		for _, stride := range []int{1, 4} {
+			if got, want := sc.OnsetStrided(x, margin, stride), stridedRef(ref64, n, margin, stride); got != want {
+				t.Fatalf("trial %d stride %d: OnsetStrided = %d, closure form %d", trial, stride, got, want)
+			}
+			if got, want := sc.Onset32Strided(x32, margin, stride), stridedRef(ref32, n, margin, stride); got != want {
+				t.Fatalf("trial %d stride %d: Onset32Strided = %d, closure form %d", trial, stride, got, want)
+			}
+		}
+	}
+}
+
+// TestAICScan32LogEdges drives aicScan32's inlined log with chosen
+// arguments: with zero sums, the segment statistics are S1 = sumSq[1] and
+// S2 = sumSq[2] − sumSq[1], so both logs see v exactly. The arguments sit
+// on and around the range reduction's √2 threshold, at powers of two, and
+// at the 1e-30 floor.
+func TestAICScan32LogEdges(t *testing.T) {
+	var sc AICScratch
+	sc.ensureLenTables(2)
+	sum := []float64{0, 0, 0}
+	vals := []float32{1e-30, 0.5, 1, 2, 1024, 3e20}
+	for _, base := range []float32{1.4142135, 0.70710677, 2 * 1.4142135} {
+		v := base
+		for i := 0; i < 3; i++ {
+			v = math.Nextafter32(v, 0)
+		}
+		for i := 0; i < 7; i++ {
+			vals = append(vals, v)
+			v = math.Nextafter32(v, 10)
+		}
+	}
+	for _, v := range vals {
+		sumSq := []float64{0, float64(v), 2 * float64(v)}
+		got, _ := aicScan32(sum, sumSq, sc.lnLen, sc.invLen, 1, 2, 1, float32(math.Inf(1)), -1)
+		if want := aicAt32Ref(sum, sumSq, sc.lnLen, sc.invLen)(1); got != want {
+			t.Errorf("S = %v: aicScan32 AIC %v, closure form %v", v, got, want)
+		}
+	}
+}
+
+// TestAICSearchZeroAlloc pins the allocfree searches at run time: once the
+// scratch has grown to the trace length, a pick allocates nothing.
+func TestAICSearchZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	x := burstTrace(rng, 3657, 1200, 0.05, 1)
+	x32 := make([]float32, len(x))
+	for i, v := range x {
+		x32[i] = float32(v)
+	}
+	var sc AICScratch
+	sc.OnsetStrided(x, 8, 4)
+	sc.Onset32Strided(x32, 8, 4)
+	if allocs := testing.AllocsPerRun(20, func() {
+		sc.OnsetStrided(x, 8, 4)
+		sc.Onset32Strided(x32, 8, 4)
+	}); allocs != 0 {
+		t.Errorf("warm AIC searches allocated %v times per run, want 0", allocs)
 	}
 }
 

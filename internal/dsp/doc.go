@@ -52,14 +52,28 @@
 // in cache across blocks (the coarse-scan windows of a capture, a
 // spectrogram's frames). And the decision-stage float32 lanes trade
 // precision for bandwidth where the consumer's error budget allows it:
-// AICScratch.Onset32Strided and the FIRFilter ...32 apply paths
-// run the onset detector's coarse/mid argmin stages on float32 data with a
-// float32 Cephes log (fastLn32, ~4e-7 relative), halving the memory
-// traffic of the widest scans. The contract is that float32 output feeds
-// DECISIONS (an argmin handed to a dense float64 refinement), never values
-// that flow into the bias database. OnsetStrided/Onset32Strided further
-// cut the argmin cost by evaluating every stride-th candidate and densely
-// refining around the winner; stride 1 is the dense search Onset runs.
+// AICScratch.Onset32Strided and FIRFilter.ApplyRealRangeInto32 run the
+// onset detector's coarse/mid argmin stages on float32 data with a float32
+// Cephes log (~4e-7 relative), halving the memory traffic of the widest
+// scans. The contract is that float32 output feeds DECISIONS (an argmin
+// handed to a dense float64 refinement), never values that flow into the
+// bias database.
+//
+// # The AIC search tier
+//
+// OnsetStrided/Onset32Strided cut the argmin cost by evaluating every
+// stride-th candidate and densely refining around the winner; stride 1 is
+// the dense search Onset runs. Both build their prefix sums with the
+// running sums held in registers (aicPrefix) and scan candidates in plain
+// loops (aicScan, aicScan32) with no closure; the float32 scan also runs
+// its two logs inline, lane by lane, so a candidate costs no call at all
+// (as a function, the log costs 144 against the inliner's budget of 80, so
+// the compiler would never inline it). Every AIC value and every pick is
+// bit-identical to a per-candidate closure over a scalar log, which the
+// tests keep as the oracle (TestAICSearchesMatchClosureForms). The range
+// FIR under the mid stage likewise runs its four-accumulator inner product
+// inline for interior outputs, bit-identical to a per-output evaluator
+// (TestFIRRange32MatchesConvRealAt32).
 //
 // ZoomDFT adds the zoom tier between "one bin" and "all bins": a planned
 // chirp-Z transform that evaluates a dense uniform grid of `points`
@@ -89,10 +103,22 @@
 // recurrences run 5–10× faster than direct trig (BenchmarkChirpSynthesize,
 // BenchmarkSDRDownconvert). GaussianSource is the noise-synthesis analogue:
 // a seedable 128-layer ziggurat over a splitmix64 counter whose steady-state
-// Norm draw is a buffered read (~4 ns, zero allocations, O(1) seeding),
-// ~10× cheaper than math/rand's NormFloat64 — the SDR front end burns two
-// draws per complex sample on dither and noise-figure injection, so this is
-// what keeps quantization off the batch profile's top.
+// Norm draw is a buffered read (zero allocations, O(1) seeding), ~10×
+// cheaper than math/rand's NormFloat64 — the SDR front end burns two draws
+// per complex sample on dither and noise-figure injection, so this is what
+// keeps quantization off the batch profile's top. Block consumers call
+// Fill, which generates straight into their slice, two draws per loop
+// iteration with no call in the loop, and resolves a pair with a miss
+// outside it: an accepted first draw is kept and only the missed one is
+// resolved, from its own stream position. BenchmarkGaussianSource times
+// both paths (5.3–5.6 ns per draw with Fill against 6.1–7.8 with Norm,
+// five runs each on a 2-vCPU Xeon VM); Fill, Norm and the serial drawOne
+// definition emit the same stream bit for bit. A draw that misses its layer's rectangle takes
+// the wedge density test y < e^(−x²/2); wedgeBelow brackets the curve
+// between two Taylor partial sums about the wedge's top edge and calls
+// math.Exp only when y lies within a stated margin (2^-40, ~90× every
+// rounding error involved) of the bracket, so its decisions are the exact
+// comparison's (TestWedgeSqueezeMatchesExact).
 //
 // The drift contract: each recurrence step rounds, so magnitude and phase
 // wander as a slow random walk. Every OscRenormInterval (1024) steps the

@@ -263,63 +263,6 @@ func (f *FIRFilter) convRealAt(x, rev []float64, i int) float64 {
 	return acc
 }
 
-// convRealAt32 is convRealAt on the float32 lane. 24-bit mantissas are ample
-// here: the lane feeds changepoint decisions on 8-bit-quantized envelopes
-// whose own noise floor sits ~40 dB above float32 rounding error (see the
-// parity tests' error budget).
-func (f *FIRFilter) convRealAt32(x, rev []float32, i int) float32 {
-	m := len(rev)
-	delay := m / 2
-	base := i + delay - (m - 1)
-	if base >= 0 && base+m <= len(x) {
-		w := x[base : base+m]
-		rev = rev[:len(w)]
-		var a0, a1, a2, a3 float32
-		j := 0
-		for ; j+4 <= len(w); j += 4 {
-			w4 := w[j : j+4 : j+4]
-			r4 := rev[j : j+4 : j+4]
-			a0 += w4[0] * r4[0]
-			a1 += w4[1] * r4[1]
-			a2 += w4[2] * r4[2]
-			a3 += w4[3] * r4[3]
-		}
-		for ; j < len(w); j++ {
-			a0 += w[j] * rev[j]
-		}
-		return (a0 + a1) + (a2 + a3)
-	}
-	var acc float32
-	for j, t := range rev {
-		if k := base + j; k >= 0 && k < len(x) {
-			acc += x[k] * t
-		}
-	}
-	return acc
-}
-
-// ApplyRealDecimatedInto evaluates the delay-compensated real convolution
-// only at output indices 0, dec, 2·dec, … — the polyphase shortcut when the
-// consumer decimates the filtered trace anyway: cost O(n·m/dec) instead of
-// filtering at full rate and discarding dec−1 of every dec outputs.
-// dst[j] is the output Apply computes at index j·dec for the real trace x;
-// dst is grown as needed (pass nil to allocate).
-func (f *FIRFilter) ApplyRealDecimatedInto(dst, x []float64, dec int) []float64 {
-	if dec < 1 {
-		dec = 1
-	}
-	n := (len(x) + dec - 1) / dec
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	rev := f.reversed()
-	for j := range dst {
-		dst[j] = f.convRealAt(x, rev, j*dec)
-	}
-	return dst
-}
-
 // ApplyRealRangeInto evaluates the delay-compensated real convolution at
 // output indices [lo, hi) only, writing the hi−lo results into dst (grown
 // as needed). dst[j] is the output Apply computes at index lo+j for the
@@ -340,27 +283,11 @@ func (f *FIRFilter) ApplyRealRangeInto(dst, x []float64, lo, hi int) []float64 {
 	return dst
 }
 
-// ApplyRealDecimatedInto32 is ApplyRealDecimatedInto on the float32 lane:
-// dst[j] equals the single-precision evaluation of the same delay-
-// compensated convolution at index j·dec.
-func (f *FIRFilter) ApplyRealDecimatedInto32(dst, x []float32, dec int) []float32 {
-	if dec < 1 {
-		dec = 1
-	}
-	n := (len(x) + dec - 1) / dec
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	}
-	dst = dst[:n]
-	rev := f.reversed32()
-	for j := range dst {
-		dst[j] = f.convRealAt32(x, rev, j*dec)
-	}
-	return dst
-}
-
 // ApplyRealRangeInto32 is ApplyRealRangeInto on the float32 lane: dst[j]
-// equals the single-precision evaluation at output index lo+j.
+// equals the single-precision evaluation at output index lo+j. 24-bit
+// mantissas are ample here: the lane feeds changepoint decisions on
+// 8-bit-quantized envelopes whose own noise floor sits ~40 dB above
+// float32 rounding error (see the parity tests' error budget).
 func (f *FIRFilter) ApplyRealRangeInto32(dst, x []float32, lo, hi int) []float32 {
 	n := hi - lo
 	if n < 0 {
@@ -370,11 +297,52 @@ func (f *FIRFilter) ApplyRealRangeInto32(dst, x []float32, lo, hi int) []float32
 		dst = make([]float32, n)
 	}
 	dst = dst[:n]
-	rev := f.reversed32()
-	for j := range dst {
-		dst[j] = f.convRealAt32(x, rev, lo+j)
-	}
+	firRange32(dst, x, f.reversed32(), lo)
 	return dst
+}
+
+// firRange32 writes the delay-compensated convolution of x with the
+// reversed taps rev at output indices lo … lo+len(dst)−1 into dst. An
+// interior output — its kernel window inside x — runs the four-accumulator
+// inner product inline: lanes j mod 4 summed in order, the j ≥ 4⌊m/4⌋ tail
+// folded into lane 0, then (a0+a1)+(a2+a3). The unroll keeps the serial
+// add chain from bounding throughput, and reassociates the sum against a
+// plain loop by the last ulp. An edge output sums the taps that overlap x
+// in order, zero-padding the rest.
+//
+//softlora:allocfree
+func firRange32(dst, x, rev []float32, lo int) {
+	m := len(rev)
+	delay := m / 2
+	for j := range dst {
+		base := lo + j + delay - (m - 1)
+		if base < 0 || base+m > len(x) {
+			var acc float32
+			for t, r := range rev {
+				if k := base + t; k >= 0 && k < len(x) {
+					acc += x[k] * r
+				}
+			}
+			dst[j] = acc
+			continue
+		}
+		w := x[base : base+m]
+		r := rev[:len(w)]
+		var a0, a1, a2, a3 float32
+		t := 0
+		for ; t+4 <= len(w); t += 4 {
+			w4 := w[t : t+4 : t+4]
+			r4 := r[t : t+4 : t+4]
+			a0 += w4[0] * r4[0]
+			a1 += w4[1] * r4[1]
+			a2 += w4[2] * r4[2]
+			a3 += w4[3] * r4[3]
+		}
+		for ; t < len(w); t++ {
+			a0 += w[t] * r[t]
+		}
+		dst[j] = (a0 + a1) + (a2 + a3)
+	}
 }
 
 // BoxcarDroopSq returns the squared magnitude response of a d-sample boxcar

@@ -79,11 +79,11 @@ func TestFilterDelayCompensation(t *testing.T) {
 	}
 }
 
-// TestApplyRealMatchesComplex checks the four real-trace kernels the AIC
-// detector filters every capture with — the float64 pair on the reference
-// lane, the float32 pair on the default lane — against the complex Apply on
-// the same trace, at the edge outputs (where the kernel window overhangs
-// the trace) and in the interior.
+// TestApplyRealMatchesComplex checks the two real-trace kernels the AIC
+// detector filters every capture with — float64 on the reference lane,
+// float32 on the default lane — against the complex Apply on the same
+// trace, at the edge outputs (where the kernel window overhangs the trace)
+// and in the interior.
 func TestApplyRealMatchesComplex(t *testing.T) {
 	const n, taps = 1500, 129
 	f := LowPassFIR(100, 1000, taps)
@@ -117,18 +117,94 @@ func TestApplyRealMatchesComplex(t *testing.T) {
 		}
 		return out
 	}
-	for _, dec := range []int{1, 4} {
-		count := (n + dec - 1) / dec
-		check(fmt.Sprintf("ApplyRealDecimatedInto dec %d", dec),
-			f.ApplyRealDecimatedInto(nil, xr, dec), 0, dec, count, 1e-12)
-		check(fmt.Sprintf("ApplyRealDecimatedInto32 dec %d", dec),
-			widen(f.ApplyRealDecimatedInto32(nil, x32, dec)), 0, dec, count, 1e-5)
-	}
 	for _, r := range [][2]int{{0, taps}, {700, 900}, {n - taps, n}, {0, n}} {
 		lo, hi := r[0], r[1]
 		check(fmt.Sprintf("ApplyRealRangeInto [%d, %d)", lo, hi),
 			f.ApplyRealRangeInto(nil, xr, lo, hi), lo, 1, hi-lo, 1e-12)
 		check(fmt.Sprintf("ApplyRealRangeInto32 [%d, %d)", lo, hi),
 			widen(f.ApplyRealRangeInto32(nil, x32, lo, hi)), lo, 1, hi-lo, 1e-5)
+	}
+}
+
+// convRealAt32 is the per-output float32 evaluator ApplyRealRangeInto32
+// called before firRange32 ran its interior outputs inline: the oracle for
+// TestFIRRange32MatchesConvRealAt32.
+func convRealAt32(x, rev []float32, i int) float32 {
+	m := len(rev)
+	delay := m / 2
+	base := i + delay - (m - 1)
+	if base >= 0 && base+m <= len(x) {
+		w := x[base : base+m]
+		rev = rev[:len(w)]
+		var a0, a1, a2, a3 float32
+		j := 0
+		for ; j+4 <= len(w); j += 4 {
+			w4 := w[j : j+4 : j+4]
+			r4 := rev[j : j+4 : j+4]
+			a0 += w4[0] * r4[0]
+			a1 += w4[1] * r4[1]
+			a2 += w4[2] * r4[2]
+			a3 += w4[3] * r4[3]
+		}
+		for ; j < len(w); j++ {
+			a0 += w[j] * rev[j]
+		}
+		return (a0 + a1) + (a2 + a3)
+	}
+	var acc float32
+	for j, t := range rev {
+		if k := base + j; k >= 0 && k < len(x) {
+			acc += x[k] * t
+		}
+	}
+	return acc
+}
+
+// TestFIRRange32MatchesConvRealAt32 pins the float32 range FIR to the
+// per-output convRealAt32 it replaced, with ==, at the onset detector's tap
+// counts (17 and 129) and a tap count below one unrolled group (3): ranges
+// on the left edge, in the interior, across the right edge, over the whole
+// trace, an empty range, and a trace shorter than the kernel, where every
+// output is an edge output. The taps are random rather than a designed
+// low-pass, whose Hann-windowed end taps are zero and would hide a
+// misplaced tail term.
+func TestFIRRange32MatchesConvRealAt32(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var dst []float32
+	for _, taps := range []int{3, 17, 129} {
+		f := &FIRFilter{Taps: make([]float64, taps)}
+		for i := range f.Taps {
+			f.Taps[i] = rng.NormFloat64()
+		}
+		rev := f.reversed32()
+		for _, n := range []int{taps / 2, 1500} {
+			x := make([]float32, n)
+			for i := range x {
+				x[i] = float32(rng.NormFloat64())
+			}
+			for _, r := range [][2]int{{0, taps}, {0, n}, {n / 3, n/3 + 200}, {n - taps - 5, n}, {n / 2, n / 2}} {
+				lo, hi := max(r[0], 0), min(r[1], n)
+				dst = f.ApplyRealRangeInto32(dst, x, lo, hi)
+				if len(dst) != max(hi-lo, 0) {
+					t.Fatalf("taps %d n %d [%d, %d): %d outputs", taps, n, lo, hi, len(dst))
+				}
+				for j, got := range dst {
+					if want := convRealAt32(x, rev, lo+j); got != want {
+						t.Fatalf("taps %d n %d [%d, %d): output %d = %v, want %v", taps, n, lo, hi, lo+j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestFIRRange32ZeroAlloc(t *testing.T) {
+	f := LowPassFIR(100e3, 2.4e6, 129)
+	x := make([]float32, 1024)
+	dst := f.ApplyRealRangeInto32(nil, x, 100, 900)
+	if allocs := testing.AllocsPerRun(20, func() {
+		dst = f.ApplyRealRangeInto32(dst, x, 100, 900)
+	}); allocs != 0 {
+		t.Errorf("warm ApplyRealRangeInto32 allocated %v times per run, want 0", allocs)
 	}
 }

@@ -10,6 +10,8 @@ import "math"
 //
 // Draws refill an internal block buffer so the steady-state Norm call is a
 // bounds check and a buffer read — zero allocations after construction.
+// Block consumers call Fill instead, which generates straight into their
+// slice; both read the same stream.
 // Seeding is O(1) (splitmix64 state assignment), unlike rand.Rand.Seed which
 // walks the whole lagged-Fibonacci state; pipelines reseeding per uplink get
 // that for free.
@@ -42,6 +44,9 @@ var (
 	zigF [129]float64
 	zigW [128]float64
 	zigK [128]int64
+	// zigT[i] = zigX[i+1]²/2 is wedgeBelow's expansion point for layer i:
+	// the exponent of zigF[i+1], the curve at the wedge's top edge.
+	zigT [128]float64
 )
 
 func init() {
@@ -59,6 +64,7 @@ func init() {
 	for i := range zigW {
 		zigW[i] = zigX[i] * 0x1p-31
 		zigK[i] = int64(math.Floor(0x1p31 * zigX[i+1] / zigX[i]))
+		zigT[i] = 0.5 * zigX[i+1] * zigX[i+1]
 	}
 }
 
@@ -91,19 +97,19 @@ func (g *GaussianSource) Norm() float64 {
 		return g.normRefill()
 	}
 	g.pos--
-	return g.buf[g.pos]
+	return g.buf[gaussBlock-1-g.pos]
 }
 
 // normRefill keeps the refill off Norm's fast path so Norm stays inlinable
-// at call sites (the per-sample loops in sdr depend on that). The noinline
-// pin is what makes that work: without it the compiler inlines this wrapper
-// back into Norm, and Norm itself blows the inlining budget.
+// at call sites. The noinline pin is what makes that work: without it the
+// compiler inlines this wrapper back into Norm, and Norm itself blows the
+// inlining budget.
 //
 //go:noinline
 func (g *GaussianSource) normRefill() float64 {
-	g.refill()
-	g.pos--
-	return g.buf[g.pos]
+	g.fill(g.buf[:])
+	g.pos = gaussBlock - 1
+	return g.buf[0]
 }
 
 // NormPair returns two independent standard-normal draws, in stream order —
@@ -112,28 +118,78 @@ func (g *GaussianSource) NormPair() (float64, float64) {
 	return g.Norm(), g.Norm()
 }
 
-// refill fills back-to-front so consumption order (buf[pos-1] downward)
-// matches draw order. The ~97% rectangle-accept path is flattened into the
-// loop and unrolled two draws wide — the splitmix finalizer chains of a
-// pair interleave instead of serializing, which the single-draw loop was
-// latency-bound on. One next() value feeds both the layer index (low bits)
-// and the signed 31-bit lattice coordinate (high bits). A pair with any
-// rejection replays serially from the pre-pair state (g.state only syncs
-// with the local counter around that fallback), so the emitted stream is
-// bit-identical to the rolled loop's.
-func (g *GaussianSource) refill() {
+// Fill writes the next len(dst) draws into dst, in stream order: dst holds
+// exactly what len(dst) Norm calls would return, and the stream continues
+// after them. Draws already buffered by Norm come first; the rest are
+// generated straight into dst, with no copy through the buffer — the shape
+// for block consumers such as the SDR quantizer's dither.
+//
+//softlora:allocfree
+func (g *GaussianSource) Fill(dst []float64) {
+	n := copy(dst, g.buf[gaussBlock-g.pos:])
+	g.pos -= n
+	g.fill(dst[n:])
+}
+
+// fill generates the next len(dst) draws of the stream into dst. A pair
+// with a miss leaves fillRect's call-free loop and is resolved here. If
+// its first draw was accepted, that draw is kept and only the second is
+// resolved, from its own stream position (the value after the pair). A
+// miss on the first draw consumes the values after it, so the second is
+// redrawn from wherever that resolution stops. Either way the emitted
+// stream is the serial drawOne stream, bit for bit.
+func (g *GaussianSource) fill(dst []float64) {
+	for len(dst) >= 2 {
+		k, z0, z1 := g.fillRect(dst)
+		dst = dst[k:]
+		if len(dst) < 2 {
+			break
+		}
+		i0, j0 := z0&127, int64(int32(z0>>32))
+		a0 := j0
+		if a0 < 0 {
+			a0 = -a0
+		}
+		if a0 < zigK[i0] {
+			dst[0] = float64(j0) * zigW[i0]
+			g.state += 0x3c6ef372fe94f82a
+			dst[1] = g.drawSlow(int64(int32(z1>>32)), z1&127)
+		} else {
+			g.state += 0x9e3779b97f4a7c15
+			dst[0] = g.drawSlow(j0, i0)
+			dst[1] = g.drawOne()
+		}
+		dst = dst[2:]
+	}
+	if len(dst) == 1 {
+		dst[0] = g.drawOne()
+	}
+}
+
+// fillRect writes draws into dst two at a time for as long as both draws
+// of a pair pass their rectangle test (~95% of pairs), and returns how
+// many it wrote. It stops at the first pair with a miss, with g.state at
+// that pair's start, and returns the pair's two stream values z0, z1 for
+// fill to resolve. The loop is unrolled two draws wide — the splitmix
+// finalizer chains of a pair interleave instead of serializing, which a
+// single-draw loop is latency-bound on — and it makes no call, so no
+// register has to be saved across one. One stream value feeds both the
+// layer index (low bits) and the signed 31-bit lattice coordinate (high
+// bits).
+func (g *GaussianSource) fillRect(dst []float64) (k int, z0, z1 uint64) {
 	s := g.state
-	for i := gaussBlock - 1; i >= 1; i -= 2 {
-		z0 := s + 0x9e3779b97f4a7c15
-		z1 := s + 0x3c6ef372fe94f82a
-		z0 = (z0 ^ (z0 >> 30)) * 0xbf58476d1ce4e5b9
-		z1 = (z1 ^ (z1 >> 30)) * 0xbf58476d1ce4e5b9
-		z0 = (z0 ^ (z0 >> 27)) * 0x94d049bb133111eb
-		z1 = (z1 ^ (z1 >> 27)) * 0x94d049bb133111eb
-		z0 ^= z0 >> 31
-		z1 ^= z1 >> 31
-		j0 := int64(int32(z0 >> 32))
-		j1 := int64(int32(z1 >> 32))
+	for ; k+2 <= len(dst); k += 2 {
+		u0 := s + 0x9e3779b97f4a7c15
+		s = u0 + 0x9e3779b97f4a7c15
+		u1 := s
+		u0 = (u0 ^ (u0 >> 30)) * 0xbf58476d1ce4e5b9
+		u1 = (u1 ^ (u1 >> 30)) * 0xbf58476d1ce4e5b9
+		u0 = (u0 ^ (u0 >> 27)) * 0x94d049bb133111eb
+		u1 = (u1 ^ (u1 >> 27)) * 0x94d049bb133111eb
+		u0 ^= u0 >> 31
+		u1 ^= u1 >> 31
+		j0 := int64(int32(u0 >> 32))
+		j1 := int64(int32(u1 >> 32))
 		a0, a1 := j0, j1
 		if a0 < 0 {
 			a0 = -a0
@@ -141,23 +197,20 @@ func (g *GaussianSource) refill() {
 		if a1 < 0 {
 			a1 = -a1
 		}
-		if a0 < zigK[z0&127] && a1 < zigK[z1&127] {
-			g.buf[i] = float64(j0) * zigW[z0&127]
-			g.buf[i-1] = float64(j1) * zigW[z1&127]
-			s += 0x3c6ef372fe94f82a
-			continue
+		if a0 >= zigK[u0&127] || a1 >= zigK[u1&127] {
+			s -= 0x3c6ef372fe94f82a
+			z0, z1 = u0, u1
+			break
 		}
-		g.state = s
-		g.buf[i] = g.drawOne()
-		g.buf[i-1] = g.drawOne()
-		s = g.state
+		dst[k] = float64(j0) * zigW[u0&127]
+		dst[k+1] = float64(j1) * zigW[u1&127]
 	}
 	g.state = s
-	g.pos = gaussBlock
+	return k, z0, z1
 }
 
-// drawOne is one serial ziggurat draw — the replay path for refill pairs
-// that hit a rejection.
+// drawOne is one serial ziggurat draw: the stream's definition, which fill
+// reproduces two draws at a time, and its path for a lone trailing draw.
 func (g *GaussianSource) drawOne() float64 {
 	z := g.next()
 	idx := z & 127
@@ -193,7 +246,7 @@ func (g *GaussianSource) drawSlow(j int64, i uint64) float64 {
 		// Wedge between layer i's rectangle and the curve (for i == 127 this
 		// is the cap region under the peak, where zigF[128] = 1).
 		y := zigF[i] + float64(g.next()>>11)*0x1p-53*(zigF[i+1]-zigF[i])
-		if y < math.Exp(-0.5*x*x) {
+		if wedgeBelow(i, x, y) {
 			return x
 		}
 		u := g.next()
@@ -207,4 +260,34 @@ func (g *GaussianSource) drawSlow(j int64, i uint64) float64 {
 			return float64(j) * zigW[i]
 		}
 	}
+}
+
+// zigSqueeze is the margin around wedgeBelow's bracket inside which it
+// falls back to the exact comparison. Every rounding error on either side —
+// math.Exp's, the exponent's, the bracket polynomial's, the tables' — is
+// below 1e-14 on values in (0, 1], so 2^-40 ≈ 9.1e-13 leaves a ~90× guard.
+const zigSqueeze = 0x1p-40
+
+// wedgeBelow reports y < math.Exp(-0.5*x*x) — the wedge density test of
+// layer i (1 ≤ i ≤ 127) — with the same decision as that comparison, but
+// without math.Exp unless y lies within zigSqueeze of the curve. About the
+// wedge's top edge zigX[i+1], e^(−x²/2) = zigF[i+1]·e^(−t) with
+// t = (x² − zigX[i+1]²)/2 ∈ [0, 0.74]; the Taylor partial sums of e^(−t)
+// ending in t³ and t⁴ bound it from below and above for every t ≥ 0. (A
+// missed lattice point can sit one lattice step, ~1e-9, inside the top
+// edge, so t ≥ −6e-9 and the upper bound's shortfall there is below
+// 1e-40.) The bracket is at most 2.3% of a wedge's height (layer 1) and
+// below 1e-5 of it above layer 20, so the exact test runs for a vanishing
+// share of wedge points.
+func wedgeBelow(i uint64, x, y float64) bool {
+	t := 0.5*x*x - zigT[i]
+	f := zigF[i+1]
+	lo := f * (1 - t*(1-t*(0.5-t*(1.0/6))))
+	if y < lo-zigSqueeze {
+		return true
+	}
+	if y >= lo+f*(t*t)*(t*t)*(1.0/24)+zigSqueeze {
+		return false
+	}
+	return y < math.Exp(-0.5*x*x)
 }

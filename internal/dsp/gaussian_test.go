@@ -88,15 +88,29 @@ func TestGaussianSourceZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
+// BenchmarkGaussianSource reports ns per draw through Norm and through
+// Fill in 256-draw blocks (the SDR quantizer's dither block); both read the
+// same stream.
 func BenchmarkGaussianSource(b *testing.B) {
-	var g dsp.GaussianSource
-	g.Seed(1)
-	var sink float64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sink += g.Norm()
-	}
-	_ = sink
+	b.Run("norm", func(b *testing.B) {
+		var g dsp.GaussianSource
+		g.Seed(1)
+		var sink float64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += g.Norm()
+		}
+		_ = sink
+	})
+	b.Run("fill", func(b *testing.B) {
+		var g dsp.GaussianSource
+		g.Seed(1)
+		var blk [256]float64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i += len(blk) {
+			g.Fill(blk[:min(len(blk), b.N-i)])
+		}
+	})
 }
 
 // Call-site share of the parity-of-statistics gate: GaussianNoise now draws

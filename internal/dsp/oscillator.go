@@ -145,15 +145,17 @@ func (o *Rotator) Next() complex128 {
 	return v
 }
 
-// MulInto writes dst[i] = src[i] · s[i] for the next len(src) samples.
-// dst must be at least as long as src; dst and src may be the same slice
+// MulInto writes dst[i] = src[i] · s[i] for the next len(src) samples and
+// returns the power of what it wrote, Σ|dst[i]|², summed in index order —
+// bit-identical to a separate pass over dst, without re-reading it. dst
+// must be at least as long as src; dst and src may be the same slice
 // (in-place rotation).
 //
 // The loop runs two interleaved phasor lanes advanced by r² so the
 // recurrence's multiply latency overlaps across iterations; the lanes'
 // rounding differs from the scalar recurrence by ~1 ulp per step, which
 // the exact re-seed bounds exactly like the scalar drift.
-func (o *Rotator) MulInto(dst, src []complex128) {
+func (o *Rotator) MulInto(dst, src []complex128) (power float64) {
 	for len(src) > 0 {
 		n := o.chunk(len(src))
 		s, r := o.s, o.r
@@ -161,13 +163,19 @@ func (o *Rotator) MulInto(dst, src []complex128) {
 		r2 := r * r
 		j := 0
 		for ; j+2 <= n; j += 2 {
-			dst[j] = src[j] * s
-			dst[j+1] = src[j+1] * s1
+			v0 := src[j] * s
+			v1 := src[j+1] * s1
+			dst[j] = v0
+			dst[j+1] = v1
+			power += real(v0)*real(v0) + imag(v0)*imag(v0)
+			power += real(v1)*real(v1) + imag(v1)*imag(v1)
 			s *= r2
 			s1 *= r2
 		}
 		if j < n {
-			dst[j] = src[j] * s
+			v := src[j] * s
+			dst[j] = v
+			power += real(v)*real(v) + imag(v)*imag(v)
 			s = s1
 		}
 		o.s = s
@@ -175,4 +183,5 @@ func (o *Rotator) MulInto(dst, src []complex128) {
 		o.left -= n
 		dst, src = dst[n:], src[n:]
 	}
+	return power
 }

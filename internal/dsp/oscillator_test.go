@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 )
 
@@ -147,6 +148,40 @@ func TestRotatorBatchMethodsMatchNext(t *testing.T) {
 	o = mk()
 	o.MulInto(inplace, inplace) // in-place rotation is allowed
 	check("in-place MulInto", inplace)
+}
+
+// TestRotatorMulIntoPowerMatchesSeparatePass pins MulInto's returned power
+// to a separate index-order pass over what it wrote, with ==: lengths
+// across the re-seed interval with both parities, a call starting on the
+// other lane, and in-place rotation.
+func TestRotatorMulIntoPowerMatchesSeparatePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	src := make([]complex128, 3*OscRenormInterval+5)
+	for i := range src {
+		src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	pass := func(x []complex128) float64 {
+		var pw float64
+		for _, v := range x {
+			pw += real(v)*real(v) + imag(v)*imag(v)
+		}
+		return pw
+	}
+	dst := make([]complex128, len(src))
+	for _, n := range []int{0, 1, 2, 101, OscRenormInterval, OscRenormInterval + 1, len(src)} {
+		o := NewRotator(1, 0.3, -9.7e3, 1/2.4e6)
+		if got, want := o.MulInto(dst[:n], src[:n]), pass(dst[:n]); got != want {
+			t.Fatalf("n %d: power %v, separate pass %v", n, got, want)
+		}
+		if got, want := o.MulInto(dst[n:], src[n:]), pass(dst[n:]); got != want {
+			t.Fatalf("rest after %d: power %v, separate pass %v", n, got, want)
+		}
+	}
+	inplace := append([]complex128(nil), src...)
+	o := NewRotator(1, 0.3, -9.7e3, 1/2.4e6)
+	if got, want := o.MulInto(inplace, inplace), pass(inplace); got != want {
+		t.Fatalf("in place: power %v, separate pass %v", got, want)
+	}
 }
 
 func TestOscillatorZeroAlloc(t *testing.T) {

@@ -102,20 +102,27 @@ func (r *Receiver) DownconvertInto(out *Capture, in *radio.Capture) error {
 	r.noise.Seed(r.Rand.Int63())
 	buf := bufpool.GetUninit(len(in.IQ))
 	rot := dsp.NewRotator(1, -theta, -r.FrequencyBias, 1/in.Rate)
-	rot.MulInto(buf, in.IQ)
+	pw := rot.MulInto(buf, in.IQ)
 	if r.NoiseFigurePowerdBm != 0 {
 		sigma := math.Sqrt(radio.DBmToPower(r.NoiseFigurePowerdBm) / 2)
+		pw = 0
 		for i := range buf {
 			re, im := r.noise.NormPair()
-			buf[i] += complex(re*sigma, im*sigma)
+			v := buf[i] + complex(re*sigma, im*sigma)
+			buf[i] = v
+			pw += real(v)*real(v) + imag(v)*imag(v)
 		}
 	}
 	if r.ADCBits > 0 {
-		quantize(buf, r.ADCBits, &r.noise)
+		quantize(buf, pw, r.ADCBits, &r.noise)
 	}
 	out.IQ, out.Rate, out.Start, out.PhaseRx = buf, in.Rate, in.Start, theta
 	return nil
 }
+
+// quantBlock is the number of samples quantize dithers per Fill: 256
+// draws, a 2 KiB stack block that stays in L1 next to the samples.
+const quantBlock = 128
 
 // quantize applies an n-bit midrise quantizer with AGC: the full scale is
 // set to 4× the RMS amplitude (clipping rare peaks, like a real AGC), and
@@ -125,11 +132,15 @@ func (r *Receiver) DownconvertInto(out *Capture, in *radio.Capture) error {
 // quiet capture regions Gaussian instead of collapsing to exact zeros
 // (which would make changepoint statistics degenerate and bias the
 // PHY-timestamping detectors).
-func quantize(x []complex128, bits int, gauss *dsp.GaussianSource) {
-	var pw float64
-	for _, v := range x {
-		pw += real(v)*real(v) + imag(v)*imag(v)
-	}
+//
+// pw is the capture's power Σ|x[i]|², summed in index order by the pass
+// that last wrote x (the LO rotation or the noise injection), so quantize
+// reads x once. The dither comes from gauss in blocks of quantBlock
+// samples: sample i takes draws 2i (I) and 2i+1 (Q) of the stream, as two
+// Norm calls per sample would.
+//
+//softlora:allocfree
+func quantize(x []complex128, pw float64, bits int, gauss *dsp.GaussianSource) {
 	if pw == 0 {
 		return
 	}
@@ -139,22 +150,29 @@ func quantize(x []complex128, bits int, gauss *dsp.GaussianSource) {
 	scale := levels / fullScale
 	inv := fullScale / levels
 	hi := levels - 1
-	for i, v := range x {
-		// Floor(x+0.5) rounds half-up instead of math.Round's half-away —
-		// indistinguishable under the continuous dither, and it compiles to
-		// a single rounding instruction where math.Round does not.
-		re := math.Floor(real(v)*scale + gauss.Norm() + 0.5)
-		im := math.Floor(imag(v)*scale + gauss.Norm() + 0.5)
-		if re > hi {
-			re = hi
-		} else if re < -levels {
-			re = -levels
+	var dither [2 * quantBlock]float64
+	for len(x) > 0 {
+		blk := x[:min(len(x), quantBlock)]
+		d := dither[:2*len(blk)]
+		gauss.Fill(d)
+		for i, v := range blk {
+			// Floor(x+0.5) rounds half-up instead of math.Round's half-away —
+			// indistinguishable under the continuous dither, and it compiles
+			// to a single rounding instruction where math.Round does not.
+			re := math.Floor(real(v)*scale + d[2*i] + 0.5)
+			im := math.Floor(imag(v)*scale + d[2*i+1] + 0.5)
+			if re > hi {
+				re = hi
+			} else if re < -levels {
+				re = -levels
+			}
+			if im > hi {
+				im = hi
+			} else if im < -levels {
+				im = -levels
+			}
+			blk[i] = complex(re*inv, im*inv)
 		}
-		if im > hi {
-			im = hi
-		} else if im < -levels {
-			im = -levels
-		}
-		x[i] = complex(re*inv, im*inv)
+		x = x[len(blk):]
 	}
 }

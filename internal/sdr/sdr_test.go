@@ -1,6 +1,7 @@
 package sdr
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -256,5 +257,140 @@ func TestQuantizerDitherStatistics(t *testing.T) {
 	}
 	if sf := stattest.SpectralFlatness(errs, 1024); sf < 0.95 {
 		t.Errorf("dither spectral flatness = %.4f, want >= 0.95", sf)
+	}
+}
+
+// quantizeRef is the per-sample quantizer quantize replaced: it sums the
+// capture's power in its own pass, then draws the I and Q dither with one
+// Norm call each per sample.
+func quantizeRef(x []complex128, bits int, gauss *dsp.GaussianSource) {
+	var pw float64
+	for _, v := range x {
+		pw += real(v)*real(v) + imag(v)*imag(v)
+	}
+	if pw == 0 {
+		return
+	}
+	rms := math.Sqrt(pw / float64(len(x)) / 2)
+	fullScale := 4 * rms
+	levels := float64(int(1) << (bits - 1))
+	scale := levels / fullScale
+	inv := fullScale / levels
+	hi := levels - 1
+	for i, v := range x {
+		re := math.Floor(real(v)*scale + gauss.Norm() + 0.5)
+		im := math.Floor(imag(v)*scale + gauss.Norm() + 0.5)
+		if re > hi {
+			re = hi
+		} else if re < -levels {
+			re = -levels
+		}
+		if im > hi {
+			im = hi
+		} else if im < -levels {
+			im = -levels
+		}
+		x[i] = complex(re*inv, im*inv)
+	}
+}
+
+// TestQuantizeMatchesPerSampleForm pins the block-dithered quantize, fed
+// the power its caller summed, to quantizeRef bit for bit: lengths around
+// the block size, a capture with clipped peaks on both rails, NaN and ±Inf
+// samples (which make every output non-finite in both forms), an all-zero
+// capture, and 2- and 8-bit converters. The Gaussian streams must also end
+// in the same place.
+func TestQuantizeMatchesPerSampleForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	captures := map[string][]complex128{}
+	for _, n := range []int{0, 1, 2, quantBlock - 1, quantBlock, quantBlock + 1, 1000, 14628} {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		captures[fmt.Sprintf("gaussian-%d", n)] = x
+	}
+	clipped := make([]complex128, 3000)
+	for i := range clipped {
+		clipped[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		if i%97 == 0 {
+			clipped[i] *= 40 // far beyond the 4×RMS full scale: clamps to either rail
+		}
+	}
+	captures["clipped"] = clipped
+	for name, bad := range map[string]complex128{
+		"nan":  complex(math.NaN(), 0),
+		"+inf": complex(math.Inf(1), 1),
+		"-inf": complex(0, math.Inf(-1)),
+	} {
+		x := make([]complex128, 700)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		x[333] = bad
+		captures[name] = x
+	}
+	captures["zero"] = make([]complex128, 500)
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for name, x := range captures {
+		for _, bits := range []int{2, 8} {
+			var gRef, g dsp.GaussianSource
+			gRef.Seed(int64(len(x) + bits))
+			g.Seed(int64(len(x) + bits))
+			want := append([]complex128(nil), x...)
+			quantizeRef(want, bits, &gRef)
+			got := append([]complex128(nil), x...)
+			var pw float64
+			for _, v := range got {
+				pw += real(v)*real(v) + imag(v)*imag(v)
+			}
+			quantize(got, pw, bits, &g)
+			for i := range got {
+				if !same(real(got[i]), real(want[i])) || !same(imag(got[i]), imag(want[i])) {
+					t.Fatalf("%s, %d bits: sample %d = %v, per-sample form %v", name, bits, i, got[i], want[i])
+				}
+			}
+			if a, b := g.Norm(), gRef.Norm(); a != b {
+				t.Fatalf("%s, %d bits: streams diverge after quantizing: next draw %v vs %v", name, bits, a, b)
+			}
+		}
+	}
+}
+
+// TestDownconvertPassesRotationPower checks the wiring of the fused power:
+// a full Downconvert, with and without noise-figure injection, equals the
+// rotation, the injection and quantizeRef run as separate passes on the
+// same random draws.
+func TestDownconvertPassesRotationPower(t *testing.T) {
+	in := toneCapture(17e3, 5000, DefaultSampleRate)
+	for _, nf := range []float64{0, -60} {
+		r := &Receiver{FrequencyBias: -3e3, ADCBits: 8, NoiseFigurePowerdBm: nf, Rand: rand.New(rand.NewSource(35))}
+		refRand := rand.New(rand.NewSource(35))
+		out, err := r.Downconvert(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		theta := refRand.Float64() * 2 * math.Pi
+		var g dsp.GaussianSource
+		g.Seed(refRand.Int63())
+		want := make([]complex128, len(in.IQ))
+		rot := dsp.NewRotator(1, -theta, -r.FrequencyBias, 1/in.Rate)
+		rot.MulInto(want, in.IQ)
+		if nf != 0 {
+			sigma := math.Sqrt(radio.DBmToPower(nf) / 2)
+			for i := range want {
+				re, im := g.NormPair()
+				want[i] += complex(re*sigma, im*sigma)
+			}
+		}
+		quantizeRef(want, 8, &g)
+		for i := range want {
+			if out.IQ[i] != want[i] {
+				t.Fatalf("noise figure %v dBm: sample %d = %v, separate passes %v", nf, i, out.IQ[i], want[i])
+			}
+		}
+		out.Release()
 	}
 }
