@@ -65,9 +65,8 @@ func run(tau float64, seed int64, gateways int) error {
 		Rand:       rng,
 		Gateway:    receiver,
 
-		DeviceTxPowerdBm:     14,
-		DeviceGatewayLossdB:  loss,
-		GatewayNoiseFloordBm: b.NoiseFloordBm,
+		DeviceTxPowerdBm:    14,
+		DeviceGatewayLossdB: loss,
 
 		JammerTxPowerdBm:    14.1,
 		JammerGatewayLossdB: 40,

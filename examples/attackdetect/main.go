@@ -69,9 +69,8 @@ func run() error {
 		Rand:       rng,
 		Gateway:    receiver,
 
-		DeviceTxPowerdBm:     14,
-		DeviceGatewayLossdB:  95,
-		GatewayNoiseFloordBm: -105,
+		DeviceTxPowerdBm:    14,
+		DeviceGatewayLossdB: 95,
 
 		JammerTxPowerdBm:    14,
 		JammerGatewayLossdB: 40,

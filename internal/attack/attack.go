@@ -82,10 +82,8 @@ type Scenario struct {
 	Gateway *chip.Receiver
 
 	// Device→gateway link.
-	DeviceTxPowerdBm     float64
-	DeviceGatewayLossdB  float64
-	DeviceGatewayMeters  float64
-	GatewayNoiseFloordBm float64
+	DeviceTxPowerdBm    float64
+	DeviceGatewayLossdB float64
 
 	// Jammer→gateway link (the jammer sits near the gateway).
 	JammerTxPowerdBm    float64
@@ -99,7 +97,6 @@ type Scenario struct {
 	DeviceEaveLossdB      float64
 	JammerEaveLossdB      float64
 	EaveNoiseFloordBm     float64
-	EavesdropperBiasHz    float64 // the eavesdropper SDR's own δRx
 	ReplayerGatewayLossdB float64
 
 	// Replayer re-emits the recording after τ.
@@ -214,11 +211,6 @@ func (s *Scenario) Execute(frame lora.Frame, imp lora.Impairments, t0 float64) (
 	recording, err := eaveChannel.Receive(emissions, t0, dur+2e-3)
 	if err != nil {
 		return nil, fmt.Errorf("attack: eavesdropper capture: %w", err)
-	}
-	// The eavesdropper SDR contributes its own bias to the recording.
-	if s.EavesdropperBiasHz != 0 && len(recording.IQ) > 0 {
-		rot := dsp.NewRotator(1, 0, -s.EavesdropperBiasHz, 1/recording.Rate)
-		rot.MulInto(recording.IQ, recording.IQ)
 	}
 	res.Recording = recording
 

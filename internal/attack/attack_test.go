@@ -29,10 +29,8 @@ func buildingScenario(rng *rand.Rand) (*Scenario, *radio.Building) {
 		Rand:       rng,
 		Gateway:    chip.NewReceiver(p),
 
-		DeviceTxPowerdBm:     14,
-		DeviceGatewayLossdB:  devGwLoss,
-		DeviceGatewayMeters:  b.Distance(device, gwPos),
-		GatewayNoiseFloordBm: b.NoiseFloordBm,
+		DeviceTxPowerdBm:    14,
+		DeviceGatewayLossdB: devGwLoss,
 
 		JammerTxPowerdBm:    14.1, // paper §8.1.1
 		JammerGatewayLossdB: 40,   // jammer is next to the gateway

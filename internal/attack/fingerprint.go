@@ -12,14 +12,17 @@ import (
 // "the adversary may jointly use the FBs and the received signal strengths
 // that are affected by the transmitters' geographic locations".
 type Fingerprinter struct {
-	// FBScaleHz normalizes the FB axis of the nearest-neighbor distance
-	// (default 200 Hz, roughly the per-frame estimation spread).
-	FBScaleHz float64
-	// RSSIScaledB normalizes the RSSI axis (default 2 dB).
-	RSSIScaledB float64
-
 	devices map[string]fingerprint
 }
+
+// Nearest-neighbor distance scales.
+const (
+	// fbScaleHz normalizes the FB axis, roughly the per-frame estimation
+	// spread.
+	fbScaleHz = 200
+	// rssiScaledB normalizes the RSSI axis.
+	rssiScaledB = 2
+)
 
 type fingerprint struct {
 	fbHz    float64
@@ -37,18 +40,6 @@ func (f *Fingerprinter) Learn(deviceID string, fbHz, rssidBm float64) {
 	f.devices[deviceID] = fingerprint{fbHz: fbHz, rssidBm: rssidBm}
 }
 
-func (f *Fingerprinter) scales() (fb, rssi float64) {
-	fb = f.FBScaleHz
-	if fb <= 0 {
-		fb = 200
-	}
-	rssi = f.RSSIScaledB
-	if rssi <= 0 {
-		rssi = 2
-	}
-	return fb, rssi
-}
-
 // ClassifyFB identifies the transmitter by frequency bias alone
 // (nearest neighbor). Ambiguity is reported via the margin: the ratio of
 // the runner-up distance to the winner distance (≤ ~1 means ambiguous).
@@ -56,11 +47,10 @@ func (f *Fingerprinter) ClassifyFB(fbHz float64) (deviceID string, margin float6
 	if len(f.devices) == 0 {
 		return "", 0, ErrNoProfiles
 	}
-	fbScale, _ := f.scales()
 	best, second := math.Inf(1), math.Inf(1)
 	var bestID string
 	for id, fp := range f.devices {
-		d := math.Abs(fp.fbHz-fbHz) / fbScale
+		d := math.Abs(fp.fbHz-fbHz) / fbScaleHz
 		switch {
 		case d < best:
 			second = best
@@ -78,12 +68,11 @@ func (f *Fingerprinter) Classify(fbHz, rssidBm float64) (deviceID string, margin
 	if len(f.devices) == 0 {
 		return "", 0, ErrNoProfiles
 	}
-	fbScale, rssiScale := f.scales()
 	best, second := math.Inf(1), math.Inf(1)
 	var bestID string
 	for id, fp := range f.devices {
-		dfb := (fp.fbHz - fbHz) / fbScale
-		drssi := (fp.rssidBm - rssidBm) / rssiScale
+		dfb := (fp.fbHz - fbHz) / fbScaleHz
+		drssi := (fp.rssidBm - rssidBm) / rssiScaledB
 		d := math.Sqrt(dfb*dfb + drssi*drssi)
 		switch {
 		case d < best:

@@ -3,35 +3,22 @@
 // synchronization-based and synchronization-free timestamping overheads.
 package clock
 
-import "math/rand"
-
 // PaperExampleDrift is the crystal drift rate (ppm) of the paper's §3.2
 // worked example, within the 30-50 ppm typical of microcontrollers and PCs.
 const PaperExampleDrift = 40
 
-// Oscillator models a free-running clock with a constant drift rate and
-// optional white jitter on readings.
+// Oscillator models a free-running clock with a constant drift rate,
+// started in step with global time.
 type Oscillator struct {
 	// DriftPPM is the rate error in parts-per-million: a positive value
 	// makes the local clock run fast.
 	DriftPPM float64
-	// OffsetSeconds is the initial phase error against global time.
-	OffsetSeconds float64
-	// JitterSeconds is the standard deviation of per-reading noise
-	// (crystal + read-out quantization). Zero disables jitter.
-	JitterSeconds float64
-	// Rand supplies jitter; required only when JitterSeconds > 0.
-	Rand *rand.Rand
 }
 
 // LocalAt converts a global time (seconds since the oscillator's epoch)
 // into the oscillator's local reading.
 func (o *Oscillator) LocalAt(global float64) float64 {
-	local := o.OffsetSeconds + global*(1+o.DriftPPM*1e-6)
-	if o.JitterSeconds > 0 && o.Rand != nil {
-		local += o.Rand.NormFloat64() * o.JitterSeconds
-	}
-	return local
+	return global * (1 + o.DriftPPM*1e-6)
 }
 
 // SyncSessionsPerHour returns how many clock-synchronization sessions per

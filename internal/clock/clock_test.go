@@ -2,7 +2,6 @@ package clock
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -13,25 +12,6 @@ func TestOscillatorDrift(t *testing.T) {
 	local := o.LocalAt(250)
 	if math.Abs(local-250.01) > 1e-9 {
 		t.Errorf("local = %f, want 250.01", local)
-	}
-}
-
-func TestOscillatorOffset(t *testing.T) {
-	o := &Oscillator{OffsetSeconds: 5}
-	if got := o.LocalAt(0); got != 5 {
-		t.Errorf("local = %f, want 5", got)
-	}
-}
-
-func TestOscillatorJitter(t *testing.T) {
-	o := &Oscillator{JitterSeconds: 1e-3, Rand: rand.New(rand.NewSource(80))}
-	a := o.LocalAt(100)
-	b := o.LocalAt(100)
-	if a == b {
-		t.Error("jittered readings should differ")
-	}
-	if math.Abs(a-100) > 0.01 {
-		t.Errorf("reading %f too far from 100", a)
 	}
 }
 

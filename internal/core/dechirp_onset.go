@@ -7,10 +7,29 @@ import (
 	"softlora/internal/lora"
 )
 
-// DefaultCoarseDecimation is the decimation factor of the hierarchical
-// detector's coarse scan when the sample rate leaves enough band for it
-// (see DechirpOnsetDetector.CoarseDecimation).
-const DefaultCoarseDecimation = 4
+// Dechirp onset detector geometry.
+const (
+	// dechirpCoarseDecimation is the boxcar decimation factor of the
+	// hierarchical coarse scan. coarseDecimation halves it until the
+	// decimated band rate/D still holds the dechirped alias pair
+	// (≥ ~2.8·Bandwidth), so low-oversampling captures degrade gracefully
+	// to the full-rate scan.
+	dechirpCoarseDecimation = 4
+	// anchorFraction selects the earliest coarse window whose fill metric
+	// reaches this fraction of the largest one as the preamble anchor. Like
+	// the paper's detectors, this one is threshold-free against noise:
+	// presence detection is the commodity chip's job, and on a noise-only
+	// capture the result is arbitrary.
+	anchorFraction = 0.8
+	// apexFitHalfWidth is the number of metric samples on each side of the
+	// coarse apex used for the two-line fit, in units of the fit step
+	// (n/256 samples, at least 1).
+	apexFitHalfWidth = 48
+	// refineCombBins is the half-width, in anchor-FFT bins, of the
+	// frequency comb tracked around each candidate tone during sliding
+	// refinement: 3 bins per tone, 9 bins total.
+	refineCombBins = 1
+)
 
 // DechirpOnsetDetector is an extension beyond the paper (DESIGN.md §6) that
 // restores the paper's Fig. 10 low-SNR behaviour: it exploits LoRa's
@@ -35,19 +54,20 @@ const DefaultCoarseDecimation = 4
 //
 //  1. Coarse scan: the quarter-chirp-stride fill-metric scan runs on a
 //     boxcar-decimated dechirp (dsp.DechirpScratch.DechirpDecimateInto,
-//     FFT size n/D for decimation D, default 4). The boxcar keeps every
-//     sample in the coherent sum, so the full 2^SF despreading gain is
-//     preserved; its sinc droop is divided out per bin, and the alias-pair
-//     metric is evaluated on the decimated grid — an accuracy-preserving
-//     replacement costing ~1/4 of the full-rate windows.
+//     FFT size n/D for decimation D = dechirpCoarseDecimation where the
+//     band allows). The boxcar keeps every sample in the coherent sum, so
+//     the full 2^SF despreading gain is preserved; its sinc droop is
+//     divided out per bin, and the alias-pair metric is evaluated on the
+//     decimated grid — an accuracy-preserving replacement costing ~1/4 of
+//     the full-rate windows.
 //  2. Apex refinement: one anchor FFT at the refinement center identifies
 //     the dechirped tone; every subsequent fine step is evaluated by a
 //     sliding DFT (dsp.SlidingDFT) tracking a handful of candidate bins —
 //     the anchor tone, its ±W chirp-boundary neighbours, and a ±1-bin comb
 //     around each — over the once-per-capture globally dechirped trace.
-//     Sliding costs O(1) per bin per sample shift, so the ~2·(n/FitStep)
-//     fine steps that previously each paid a full n-point FFT now cost one
-//     FFT plus O(bins·n) total.
+//     Sliding costs O(1) per bin per sample shift, so the fine steps (a
+//     stride of n/256 samples) that previously each paid a full n-point
+//     FFT now cost one FFT plus O(bins·n) total.
 //  3. Full transforms that remain (anchor FFTs, the decimated coarse FFTs)
 //     run radix-4 kernels whenever their size's log2 is even — true for
 //     every hot size here — via dsp.Plan's kernel selection.
@@ -58,31 +78,6 @@ const DefaultCoarseDecimation = 4
 // own instance.
 type DechirpOnsetDetector struct {
 	Params lora.Params
-	// AnchorFraction selects the earliest coarse window whose dechirp peak
-	// reaches this fraction of the plateau (75th-percentile window peak)
-	// as the preamble anchor (default 0.8). Like the paper's detectors,
-	// this one is threshold-free against noise: presence detection is the
-	// commodity chip's job, and on a noise-only capture the result is
-	// arbitrary.
-	AnchorFraction float64
-	// ApexFitHalfWidth is the number of metric samples on each side of the
-	// coarse apex used for the two-line fit, in units of FitStep samples
-	// (default 48).
-	ApexFitHalfWidth int
-	// FitStep is the metric sampling stride in samples for the apex fit
-	// (default n/256).
-	FitStep int
-	// CoarseDecimation is the boxcar decimation factor of the hierarchical
-	// coarse scan (default DefaultCoarseDecimation; 1 disables
-	// decimation). It is automatically halved until the decimated band
-	// rate/D still holds the dechirped alias pair (≥ ~2.8·Bandwidth), so
-	// low-oversampling captures degrade gracefully to the full-rate scan.
-	CoarseDecimation int
-	// RefineCombBins is the half-width, in anchor-FFT bins, of the
-	// frequency comb tracked around each candidate tone during sliding
-	// refinement (default 1, i.e. 3 bins per tone, 9 bins total). Wider
-	// combs buy scalloping margin at O(bins) extra cost per fine step.
-	RefineCombBins int
 	// Exhaustive disables the incremental machinery and evaluates the same
 	// detector brute-force: the coarse fill metric pays a full-rate
 	// dechirp FFT at every window (no decimation) and the apex refinement
@@ -128,9 +123,6 @@ type DechirpOnsetDetector struct {
 
 var _ OnsetDetector = (*DechirpOnsetDetector)(nil)
 
-// Name implements OnsetDetector.
-func (d *DechirpOnsetDetector) Name() string { return "dechirp-onset" }
-
 // ensureScratch sizes the dechirp template, FFT plan and buffers for
 // chirp-long windows of n samples at the given rate.
 func (d *DechirpOnsetDetector) ensureScratch(n int, sampleRate float64) {
@@ -146,18 +138,12 @@ func (d *DechirpOnsetDetector) ensureScratch(n int, sampleRate float64) {
 }
 
 // coarseDecimation resolves the effective coarse-scan decimation for the
-// capture geometry: the configured factor, halved while the decimated band
-// cannot hold the dechirped alias pair (tones span ±(W + bias), so the
+// capture geometry: dechirpCoarseDecimation, halved while the decimated
+// band cannot hold the dechirped alias pair (tones span ±(W + bias), so the
 // decimated rate must stay above ~2.8·W) or while the decimated window
 // would drop below a useful FFT length.
 func (d *DechirpOnsetDetector) coarseDecimation(n int, sampleRate float64) int {
-	dec := d.CoarseDecimation
-	if dec == 0 {
-		dec = DefaultCoarseDecimation
-	}
-	if dec < 1 {
-		dec = 1
-	}
+	dec := dechirpCoarseDecimation
 	for dec > 1 && (sampleRate < 2.8*d.Params.Bandwidth*float64(dec) || n/dec < 64) {
 		dec /= 2
 	}
@@ -323,10 +309,6 @@ func (d *DechirpOnsetDetector) DetectOnset(iq []complex128, sampleRate float64) 
 		return Onset{}, ErrOnsetNotFound
 	}
 	d.ensureScratch(n, sampleRate)
-	frac := d.AnchorFraction
-	if frac <= 0 || frac >= 1 {
-		frac = 0.8
-	}
 	dec := 1
 	if !d.Exhaustive {
 		dec = d.coarseDecimation(n, sampleRate)
@@ -392,7 +374,7 @@ func (d *DechirpOnsetDetector) DetectOnset(iq []complex128, sampleRate float64) 
 	// 2. The preamble is the frame's beginning, so the EARLIEST full
 	// window sits in its first chirp: the fill metric ramps linearly over
 	// the chirp preceding the onset and plateaus at ≥0.71× max inside the
-	// preamble, so the first window reaching AnchorFraction of the max
+	// preamble, so the first window reaching anchorFraction of the max
 	// starts within ~n/4 of the true onset (noise windows stay below
 	// ~0.4× even at −20 dB). Anchoring there (rather than at the global
 	// max) avoids the sync/SFD region, whose chirp grid is offset by the
@@ -411,7 +393,7 @@ func (d *DechirpOnsetDetector) DetectOnset(iq []complex128, sampleRate float64) 
 	apex, apexPeak := -1, 0.0
 	fallback := -1
 	for i, m := range mags {
-		if m < frac*bestMag {
+		if m < anchorFraction*bestMag {
 			continue
 		}
 		if fallback < 0 {
@@ -477,7 +459,7 @@ func (d *DechirpOnsetDetector) DetectOnset(iq []complex128, sampleRate float64) 
 // One anchor FFT at the guess identifies the dechirped tone; the metric per
 // window is then the strongest response over a fixed candidate set — the
 // anchor tone, its ±W neighbours (the tones of the adjacent preamble
-// chirps, which carry the triangle's flanks), and a ±RefineCombBins comb
+// chirps, which carry the triangle's flanks), and a ±refineCombBins comb
 // around each for scalloping margin. Restricting the peak search to the
 // chirp's known tone set (instead of the full spectrum) keeps the flanks
 // clean at low SNR, where the global noise maximum would otherwise flatten
@@ -488,7 +470,7 @@ func (d *DechirpOnsetDetector) DetectOnset(iq []complex128, sampleRate float64) 
 // sample of slide; the exhaustive reference recomputes every window from
 // scratch with per-window Goertzel sums — the same numbers, brute force.
 func (d *DechirpOnsetDetector) refineApex(iq []complex128, guess, n int, sampleRate float64) (apex int, peak float64) {
-	step, half := d.fitGeometry(n)
+	step := max(n/256, 1)
 	lo := guess - n/2
 	hi := guess + n/2
 	last := len(iq) - n
@@ -525,14 +507,10 @@ func (d *DechirpOnsetDetector) refineApex(iq []complex128, guess, n int, sampleR
 	theta0 := 2*math.Pi*float64(b0)/float64(nfft) - mu*float64(g)
 	dTheta := 2 * math.Pi * w / sampleRate
 	dOmega := 2 * math.Pi / float64(nfft)
-	comb := d.RefineCombBins
-	if comb <= 0 {
-		comb = 1
-	}
 	thetas := d.thetaBuf[:0]
 	for tone := -1; tone <= 1; tone++ {
 		base := theta0 + float64(tone)*dTheta
-		for o := -comb; o <= comb; o++ {
+		for o := -refineCombBins; o <= refineCombBins; o++ {
 			thetas = append(thetas, base+float64(o)*dOmega)
 		}
 	}
@@ -577,7 +555,7 @@ func (d *DechirpOnsetDetector) refineApex(iq []complex128, guess, n int, sampleR
 	if bestI < 0 {
 		return guess, 0
 	}
-	return fitApex(xs, ys, bestI, half), bestV
+	return fitApex(xs, ys, bestI), bestV
 }
 
 // toneMetric evaluates the candidate-tone magnitude of the single window
@@ -637,43 +615,28 @@ func (d *DechirpOnsetDetector) preambleConsistent(apex, n int, bestMag, sampleRa
 	return avail == 0 || 2*pass > avail
 }
 
-// fitGeometry resolves the fine-grid stride and flank half-width defaults.
-func (d *DechirpOnsetDetector) fitGeometry(n int) (step, half int) {
-	step = d.FitStep
-	if step <= 0 {
-		step = n / 256
-		if step < 1 {
-			step = 1
-		}
-	}
-	half = d.ApexFitHalfWidth
-	if half <= 0 {
-		half = 48
-	}
-	return step, half
-}
-
 // fitApex intersects straight-line fits of the rising and falling flanks
 // around the sampled maximum at index bestI; shared by both refinement
 // variants so they differ only in how the metric samples are produced.
-func fitApex(xs, ys []float64, bestI, half int) int {
+func fitApex(xs, ys []float64, bestI int) int {
 	// Degenerate bracketing (apex at the sampled range's edge): fall back
 	// to the raw maximum.
 	if bestI < 8 || bestI > len(ys)-9 {
 		return int(xs[bestI])
 	}
-	// Two-line fit on the flanks: use up to half points each side,
-	// excluding the rounded tip (±2 steps) where noise dominates shape.
-	leftLo := bestI - half
+	// Two-line fit on the flanks: use up to apexFitHalfWidth points each
+	// side, excluding the rounded tip (±2 steps) where noise dominates
+	// shape.
+	leftLo := bestI - apexFitHalfWidth
 	if leftLo < 0 {
 		leftLo = 0
 	}
-	rightHi := bestI + half
+	rightHi := bestI + apexFitHalfWidth
 	if rightHi > len(ys)-1 {
 		rightHi = len(ys) - 1
 	}
-	left := dsp.LinearRegression(xs[leftLo:maxInt(bestI-1, leftLo+2)], ys[leftLo:maxInt(bestI-1, leftLo+2)])
-	right := dsp.LinearRegression(xs[minInt(bestI+2, rightHi-1):rightHi+1], ys[minInt(bestI+2, rightHi-1):rightHi+1])
+	left := dsp.LinearRegression(xs[leftLo:max(bestI-1, leftLo+2)], ys[leftLo:max(bestI-1, leftLo+2)])
+	right := dsp.LinearRegression(xs[min(bestI+2, rightHi-1):rightHi+1], ys[min(bestI+2, rightHi-1):rightHi+1])
 	denom := left.Slope - right.Slope
 	if denom <= 0 {
 		return int(xs[bestI])
@@ -684,18 +647,4 @@ func fitApex(xs, ys []float64, bestI, half int) int {
 		return int(xs[bestI])
 	}
 	return int(math.Round(apex))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

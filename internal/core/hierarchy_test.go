@@ -50,21 +50,18 @@ func hierarchyTestRate(sf int) float64 {
 
 // TestHierarchicalOnsetMatchesExhaustive is the parity property of the
 // coarse→fine search: across spreading factors and the −20…0 dB SNR sweep,
-// the hierarchical detector must land within ±FitStep samples of the
-// brute-force exhaustive detector on the same capture. (FitStep is the fine
-// grid's stride — the two metrics sample identical window grids, so any
-// disagreement beyond one grid step would mean the sliding/decimated
-// approximations changed a discrete decision.)
+// the hierarchical detector must land within one fit step (n/256 samples)
+// of the brute-force exhaustive detector on the same capture. (The fit
+// step is the fine grid's stride — the two metrics sample identical window
+// grids, so any disagreement beyond one grid step would mean the
+// sliding/decimated approximations changed a discrete decision.)
 func TestHierarchicalOnsetMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for sf := 7; sf <= 12; sf++ {
 		p := lora.DefaultParams(sf)
 		rate := hierarchyTestRate(sf)
 		n := int(p.SamplesPerChirp(rate))
-		step := n / 256
-		if step < 1 {
-			step = 1
-		}
+		step := max(n/256, 1)
 		hier := &DechirpOnsetDetector{Params: p}
 		exh := &DechirpOnsetDetector{Params: p, Exhaustive: true}
 		for _, snr := range []float64{0, -10, -20} {
@@ -79,7 +76,7 @@ func TestHierarchicalOnsetMatchesExhaustive(t *testing.T) {
 					t.Fatalf("exhaustive: %v", err)
 				}
 				if diff := got.Sample - want.Sample; diff < -step || diff > step {
-					t.Errorf("hierarchical onset %d vs exhaustive %d: |diff| %d > FitStep %d",
+					t.Errorf("hierarchical onset %d vs exhaustive %d: |diff| %d > fit step %d",
 						got.Sample, want.Sample, abs(diff), step)
 				}
 			})

@@ -36,16 +36,6 @@ type OnsetDetector interface {
 	// sampleRate. The capture should contain some noise-only lead-in
 	// followed by the frame.
 	DetectOnset(iq []complex128, sampleRate float64) (Onset, error)
-	// Name identifies the detector in reports.
-	Name() string
-}
-
-// component extracts the selected real trace.
-func component(iq []complex128, c Component) []float64 {
-	if c == ComponentQ {
-		return dsp.Q(iq)
-	}
-	return dsp.I(iq)
 }
 
 // componentInto extracts the selected real trace into dst (grown as needed).
@@ -203,21 +193,24 @@ func (p *prefilterScratch) apply(iq []complex128, sampleRate, cutoffHz float64) 
 // oscillator offsets.
 const DefaultPrefilterCutoffHz = 100e3
 
+// Envelope detector geometry at 2.4 Msps.
+const (
+	// envelopeSmoothLen is the moving-average length applied to the
+	// envelope before the ratio search, to suppress noise spikes.
+	envelopeSmoothLen = 8
+	// envelopeGap is the sample distance between the two envelope
+	// amplitudes whose ratio is maximized. A gap makes the step ratio
+	// dominate single-sample noise fluctuations.
+	envelopeGap = 8
+)
+
 // EnvelopeDetector implements the paper's envelope detector: the Hilbert
-// amplitude envelope is extracted and the sample with the largest ratio
-// between its envelope and the previous sample's envelope is the onset
-// (Fig. 9(a)).
+// amplitude envelope is extracted, smoothed, and the sample with the
+// largest ratio between its envelope and the envelope envelopeGap samples
+// earlier is the onset (Fig. 9(a)).
 type EnvelopeDetector struct {
 	// Component selects I (default) or Q.
 	Component Component
-	// SmoothLen applies a moving-average to the envelope before the ratio
-	// search to suppress noise spikes (0 disables; 8 is a good default for
-	// 2.4 Msps).
-	SmoothLen int
-	// Gap is the sample distance between the two envelope amplitudes whose
-	// ratio is maximized (default 8). A gap makes the step ratio dominate
-	// single-sample noise fluctuations.
-	Gap int
 	// LowPassCutoffHz band-limits the capture before detection
 	// (0 disables; DefaultPrefilterCutoffHz recommended at low SNR).
 	LowPassCutoffHz float64
@@ -234,33 +227,19 @@ type EnvelopeDetector struct {
 
 var _ OnsetDetector = (*EnvelopeDetector)(nil)
 
-// Name implements OnsetDetector.
-func (e *EnvelopeDetector) Name() string { return "envelope" }
-
-func (e *EnvelopeDetector) gap() int {
-	if e.Gap > 0 {
-		return e.Gap
-	}
-	return 8
-}
-
 // Ratios returns the envelope and the gap-separated envelope ratios used by
 // the detector (exposed for the Fig. 9(a) reproduction). The returned slices
 // are the detector's scratch buffers: they are overwritten by the next call.
 func (e *EnvelopeDetector) Ratios(iq []complex128) (envelope, ratios []float64) {
 	e.comp = componentInto(e.comp, iq, e.Component)
 	e.env = e.hilbert.Envelope(e.env, e.comp)
-	env := e.env
-	if e.SmoothLen > 1 {
-		e.smooth = movingAverageInto(e.smooth, env, e.SmoothLen)
-		env = e.smooth
-	}
-	gap := e.gap()
+	e.smooth = movingAverageInto(e.smooth, e.env, envelopeSmoothLen)
+	env := e.smooth
 	if cap(e.ratios) < len(env) {
 		e.ratios = make([]float64, len(env))
 	}
 	r := e.ratios[:len(env)]
-	for i := 0; i < gap && i < len(r); i++ {
+	for i := 0; i < envelopeGap && i < len(r); i++ {
 		r[i] = 0
 	}
 	// Floor the denominator at a fraction of the peak envelope so
@@ -269,8 +248,8 @@ func (e *EnvelopeDetector) Ratios(iq []complex128) (envelope, ratios []float64) 
 	if floor <= 0 {
 		floor = 1e-12
 	}
-	for i := gap; i < len(env); i++ {
-		a := env[i-gap]
+	for i := envelopeGap; i < len(env); i++ {
+		a := env[i-envelopeGap]
 		if a < floor {
 			a = floor
 		}
@@ -298,7 +277,7 @@ func (e *EnvelopeDetector) DetectOnset(iq []complex128, sampleRate float64) (Ons
 	}
 	// The max ratio lands up to one gap after the true step; report the
 	// gap midpoint.
-	k := bestI - e.gap()/2
+	k := bestI - envelopeGap/2
 	if k < 0 {
 		k = 0
 	}
@@ -327,14 +306,19 @@ func movingAverageInto(dst []float64, x []float64, w int) []float64 {
 	return out
 }
 
-// DefaultAICCoarseDecimation is the boxcar decimation of the component
-// trace ahead of the coarse AIC pick. The 100 kHz signal band tolerates
-// 4× decimation of the 2.4 Msps trace (new Nyquist 300 kHz), and the AIC
+// aicCoarseDecimation is the boxcar decimation of the component trace
+// ahead of the coarse AIC pick. The 100 kHz signal band tolerates 4×
+// decimation of the 2.4 Msps trace (new Nyquist 300 kHz), and the AIC
 // split-point search — two logs per candidate — shrinks by the same
 // factor; the full-rate refinement stage restores single-sample accuracy.
 // (8× stays alias-free too, but costs a few µs of mean error below 0 dB
 // SNR; 4× keeps the Fig. 15 survey inside the paper's sub-10 µs envelope.)
-const DefaultAICCoarseDecimation = 4
+const aicCoarseDecimation = 4
+
+// aicMargin excludes this many samples at each trace end from the AIC
+// candidate set; the coarse pick on the decimated trace excludes
+// aicMargin/aicCoarseDecimation.
+const aicMargin = 16
 
 // aicSearchStride is the candidate stride of the coarse and intermediate
 // AIC split searches (dsp.AICScratch.OnsetStrided). Both stages hand their
@@ -351,17 +335,9 @@ const aicSearchStride = 4
 type AICDetector struct {
 	// Component selects I (default) or Q.
 	Component Component
-	// Margin excludes this many samples at each trace end from the
-	// candidate set (default 16).
-	Margin int
 	// LowPassCutoffHz band-limits the capture before detection
 	// (0 disables; DefaultPrefilterCutoffHz recommended at low SNR).
 	LowPassCutoffHz float64
-	// CoarseDecimation boxcar-decimates the band-limited trace before the
-	// coarse AIC pick (0 = DefaultAICCoarseDecimation, 1 disables). Only
-	// meaningful with a prefilter: the raw-trace refinement stage absorbs
-	// the coarse granularity.
-	CoarseDecimation int
 	// Float64 forces the coarse and intermediate decision stages onto the
 	// float64 reference lane. The default (false) runs them in float32 —
 	// their only output is a window position handed to the next stage, and
@@ -386,9 +362,6 @@ type AICDetector struct {
 
 var _ OnsetDetector = (*AICDetector)(nil)
 
-// Name implements OnsetDetector.
-func (a *AICDetector) Name() string { return "aic" }
-
 // DetectOnset implements OnsetDetector.
 //
 // With a prefilter configured, detection is three-stage and works on the
@@ -409,13 +382,9 @@ func (a *AICDetector) Name() string { return "aic" }
 // component straight out of iq, the mid stage extracts its window plus the
 // prefilter's half-length, and the refinement its ±256-sample window.
 func (a *AICDetector) DetectOnset(iq []complex128, sampleRate float64) (Onset, error) {
-	margin := a.Margin
-	if margin <= 0 {
-		margin = 16
-	}
 	if a.LowPassCutoffHz <= 0 || a.LowPassCutoffHz >= sampleRate/2 {
 		a.comp = componentInto(a.comp, iq, a.Component)
-		k := a.aic.Onset(a.comp, margin)
+		k := a.aic.Onset(a.comp, aicMargin)
 		if k < 0 {
 			return Onset{}, ErrOnsetNotFound
 		}
@@ -424,10 +393,10 @@ func (a *AICDetector) DetectOnset(iq []complex128, sampleRate float64) (Onset, e
 	var coarse int
 	f32 := !a.Float64
 	if f32 {
-		coarse = a.coarsePick32(iq, sampleRate, margin)
+		coarse = a.coarsePick32(iq, sampleRate)
 	} else {
 		a.comp = componentInto(a.comp, iq, a.Component)
-		coarse = a.coarsePick(iq, sampleRate, margin)
+		coarse = a.coarsePick(iq, sampleRate)
 	}
 	if coarse < 0 {
 		return Onset{}, ErrOnsetNotFound
@@ -465,47 +434,39 @@ func (a *AICDetector) DetectOnset(iq []complex128, sampleRate float64) (Onset, e
 // the decimated AIC minimum, so the result converges to the undecimated
 // filtered-trace pick at O(n/dec + window) filter/log evaluations instead
 // of O(n). Falls back to the full-rate filtered pick — through the
-// O(n log n) overlap-save convolution, not the direct form — when
-// decimation is disabled or the trace is too short to decimate.
-func (a *AICDetector) coarsePick(iq []complex128, sampleRate float64, margin int) int {
-	dec := a.CoarseDecimation
-	if dec == 0 {
-		dec = DefaultAICCoarseDecimation
-	}
-	if dec > 1 {
-		decMargin := margin / dec
-		if decMargin < 2 {
-			decMargin = 2
+// O(n log n) overlap-save convolution, not the direct form — when the
+// trace is too short to decimate.
+func (a *AICDetector) coarsePick(iq []complex128, sampleRate float64) int {
+	const dec = aicCoarseDecimation
+	const decMargin = aicMargin / dec
+	if len(a.comp)/dec >= 2*decMargin+2 {
+		a.box = boxcarDecimate(a.box, a.comp, dec)
+		coarseIn := a.box
+		if fir2 := a.pre.decFilter(sampleRate/float64(dec), a.LowPassCutoffHz); fir2 != nil {
+			a.dec = fir2.ApplyRealRangeInto(a.dec, a.box, 0, len(a.box))
+			coarseIn = a.dec
 		}
-		if len(a.comp)/dec >= 2*decMargin+2 {
-			a.box = boxcarDecimate(a.box, a.comp, dec)
-			coarseIn := a.box
-			if fir2 := a.pre.decFilter(sampleRate/float64(dec), a.LowPassCutoffHz); fir2 != nil {
-				a.dec = fir2.ApplyRealRangeInto(a.dec, a.box, 0, len(a.box))
-				coarseIn = a.dec
+		if k := a.aic.OnsetStrided(coarseIn, decMargin, aicSearchStride); k >= 0 {
+			window := 96 * dec
+			lo := k*dec + dec/2 - window
+			if lo < 0 {
+				lo = 0
 			}
-			if k := a.aic.OnsetStrided(coarseIn, decMargin, aicSearchStride); k >= 0 {
-				window := 96 * dec
-				lo := k*dec + dec/2 - window
-				if lo < 0 {
-					lo = 0
-				}
-				hi := k*dec + dec/2 + window
-				if hi > len(a.comp) {
-					hi = len(a.comp)
-				}
-				fir := a.pre.filter(sampleRate, a.LowPassCutoffHz)
-				a.mid = fir.ApplyRealRangeInto(a.mid, a.comp, lo, hi)
-				if fine := a.aic.OnsetStrided(a.mid, margin, aicSearchStride); fine >= 0 {
-					return lo + fine
-				}
-				return k*dec + dec/2
+			hi := k*dec + dec/2 + window
+			if hi > len(a.comp) {
+				hi = len(a.comp)
 			}
+			fir := a.pre.filter(sampleRate, a.LowPassCutoffHz)
+			a.mid = fir.ApplyRealRangeInto(a.mid, a.comp, lo, hi)
+			if fine := a.aic.OnsetStrided(a.mid, aicMargin, aicSearchStride); fine >= 0 {
+				return lo + fine
+			}
+			return k*dec + dec/2
 		}
 	}
 	filtered := a.pre.apply(iq, sampleRate, a.LowPassCutoffHz)
 	a.mid = componentInto(a.mid, filtered, a.Component)
-	return a.aic.Onset(a.mid, margin)
+	return a.aic.Onset(a.mid, aicMargin)
 }
 
 // coarsePick32 is coarsePick on the float32 lane: identical staging
@@ -517,85 +478,58 @@ func (a *AICDetector) coarsePick(iq []complex128, sampleRate float64, margin int
 // its outputs read, so they equal the full-trace filter's bit for bit. The
 // decimated-rate fallback drops to the float64 coarsePick — it needs the
 // complex prefilter, which stays double.
-func (a *AICDetector) coarsePick32(iq []complex128, sampleRate float64, margin int) int {
-	dec := a.CoarseDecimation
-	if dec == 0 {
-		dec = DefaultAICCoarseDecimation
-	}
-	if dec > 1 {
-		decMargin := margin / dec
-		if decMargin < 2 {
-			decMargin = 2
+func (a *AICDetector) coarsePick32(iq []complex128, sampleRate float64) int {
+	const dec = aicCoarseDecimation
+	const decMargin = aicMargin / dec
+	if len(iq)/dec >= 2*decMargin+2 {
+		a.box32 = boxcarComponent32(a.box32, iq, a.Component, dec)
+		coarseIn := a.box32
+		if fir2 := a.pre.decFilter(sampleRate/float64(dec), a.LowPassCutoffHz); fir2 != nil {
+			a.dec32 = fir2.ApplyRealRangeInto32(a.dec32, a.box32, 0, len(a.box32))
+			coarseIn = a.dec32
 		}
-		if len(iq)/dec >= 2*decMargin+2 {
-			a.box32 = boxcarComponent32(a.box32, iq, a.Component, dec)
-			coarseIn := a.box32
-			if fir2 := a.pre.decFilter(sampleRate/float64(dec), a.LowPassCutoffHz); fir2 != nil {
-				a.dec32 = fir2.ApplyRealRangeInto32(a.dec32, a.box32, 0, len(a.box32))
-				coarseIn = a.dec32
+		if k := a.aic.Onset32Strided(coarseIn, decMargin, aicSearchStride); k >= 0 {
+			window := 96 * dec
+			lo := k*dec + dec/2 - window
+			if lo < 0 {
+				lo = 0
 			}
-			if k := a.aic.Onset32Strided(coarseIn, decMargin, aicSearchStride); k >= 0 {
-				window := 96 * dec
-				lo := k*dec + dec/2 - window
-				if lo < 0 {
-					lo = 0
-				}
-				hi := k*dec + dec/2 + window
-				if hi > len(iq) {
-					hi = len(iq)
-				}
-				fir := a.pre.filter(sampleRate, a.LowPassCutoffHz)
-				half := len(fir.Taps) / 2
-				from, to := max(lo-half, 0), min(hi+half, len(iq))
-				a.comp32 = componentRangeInto(a.comp32, iq, a.Component, from, to)
-				a.mid32 = fir.ApplyRealRangeInto32(a.mid32, a.comp32, lo-from, hi-from)
-				if fine := a.aic.Onset32Strided(a.mid32, margin, aicSearchStride); fine >= 0 {
-					return lo + fine
-				}
-				return k*dec + dec/2
+			hi := k*dec + dec/2 + window
+			if hi > len(iq) {
+				hi = len(iq)
 			}
+			fir := a.pre.filter(sampleRate, a.LowPassCutoffHz)
+			half := len(fir.Taps) / 2
+			from, to := max(lo-half, 0), min(hi+half, len(iq))
+			a.comp32 = componentRangeInto(a.comp32, iq, a.Component, from, to)
+			a.mid32 = fir.ApplyRealRangeInto32(a.mid32, a.comp32, lo-from, hi-from)
+			if fine := a.aic.Onset32Strided(a.mid32, aicMargin, aicSearchStride); fine >= 0 {
+				return lo + fine
+			}
+			return k*dec + dec/2
 		}
 	}
 	a.comp = componentInto(a.comp, iq, a.Component)
-	return a.coarsePick(iq, sampleRate, margin)
-}
-
-// Curve returns the AIC curve for Fig. 9(b)-style diagnostics.
-func (a *AICDetector) Curve(iq []complex128) []float64 {
-	margin := a.Margin
-	if margin <= 0 {
-		margin = 16
-	}
-	return dsp.AICCurve(component(iq, a.Component), margin)
+	return a.coarsePick(iq, sampleRate)
 }
 
 // SpectrogramDetector is the ablation detector the paper dismisses in
 // §6.1.2: it locates the first STFT frame whose chirp-band energy exceeds
 // the noise floor. Its time resolution is limited to the hop size (~50 µs
 // with the paper's Fig. 6 parameters), which is why it is not used.
-type SpectrogramDetector struct {
-	// WindowLen is the STFT window (default 128).
-	WindowLen int
-	// Overlap between windows (default 16).
-	Overlap int
-}
+type SpectrogramDetector struct{}
+
+// The spectrogram detector's Kaiser STFT window and overlap, in samples.
+const (
+	spectrogramWindowLen = 128
+	spectrogramOverlap   = 16
+)
 
 var _ OnsetDetector = (*SpectrogramDetector)(nil)
 
-// Name implements OnsetDetector.
-func (s *SpectrogramDetector) Name() string { return "spectrogram" }
-
 // DetectOnset implements OnsetDetector.
 func (s *SpectrogramDetector) DetectOnset(iq []complex128, sampleRate float64) (Onset, error) {
-	win := s.WindowLen
-	if win <= 0 {
-		win = 128
-	}
-	overlap := s.Overlap
-	if overlap <= 0 {
-		overlap = 16
-	}
-	sg := dsp.Spectrogram(iq, dsp.KaiserWindow(win, 8), overlap)
+	sg := dsp.Spectrogram(iq, dsp.KaiserWindow(spectrogramWindowLen, 8), spectrogramOverlap)
 	if len(sg) == 0 {
 		return Onset{}, ErrOnsetNotFound
 	}
@@ -610,7 +544,7 @@ func (s *SpectrogramDetector) DetectOnset(iq []complex128, sampleRate float64) (
 	}
 	// Threshold-free split: maximize the between-segment power contrast
 	// (equivalent to a 1D two-segment fit).
-	hop := win - overlap
+	hop := spectrogramWindowLen - spectrogramOverlap
 	best, bestI := math.Inf(-1), -1
 	prefix := make([]float64, len(powers)+1)
 	for i, p := range powers {
@@ -636,26 +570,21 @@ func (s *SpectrogramDetector) DetectOnset(iq []complex128, sampleRate float64) (
 // receiver is not phase-locked (θ is random) and the transmitter has an
 // unknown frequency bias, the real-valued template rarely matches — the
 // paper's reason for rejecting it. (A complex correlator would work, but
-// the paper's argument concerns the classic real matched filter.)
+// the paper's argument concerns the classic real matched filter.) The
+// template assumes transmitter phase θ = 0; the true phase is unknown,
+// which is the detector's weakness.
 type MatchedFilterDetector struct {
 	// Params defines the template chirp.
 	Params lora.Params
-	// TemplatePhase is the assumed transmitter phase θ of the template
-	// (the detector's weakness: the true phase is unknown).
-	TemplatePhase float64
 }
 
 var _ OnsetDetector = (*MatchedFilterDetector)(nil)
-
-// Name implements OnsetDetector.
-func (m *MatchedFilterDetector) Name() string { return "matched-filter" }
 
 // DetectOnset implements OnsetDetector.
 func (m *MatchedFilterDetector) DetectOnset(iq []complex128, sampleRate float64) (Onset, error) {
 	spec := lora.ChirpSpec{
 		SF:        m.Params.SF,
 		Bandwidth: m.Params.Bandwidth,
-		Phase:     m.TemplatePhase,
 	}
 	tmpl := spec.Synthesize(sampleRate)
 	if len(tmpl) == 0 || len(iq) < len(tmpl) {

@@ -61,7 +61,7 @@ func TestEnvelopeDetectorHighSNR(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 10; trial++ {
 		iq, want := chirpCapture(rng, 2e-3, 40, -20e3, rng.Float64()*2*math.Pi)
-		det := &EnvelopeDetector{SmoothLen: 8}
+		det := &EnvelopeDetector{}
 		got, err := det.DetectOnset(iq, testRate)
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +82,7 @@ func TestAICBeatsEnvelope(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		iq, want := chirpCapture(rng, 2e-3, 25, -22e3, rng.Float64()*2*math.Pi)
 		aic := &AICDetector{}
-		env := &EnvelopeDetector{SmoothLen: 8}
+		env := &EnvelopeDetector{}
 		a, err := aic.DetectOnset(iq, testRate)
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +167,7 @@ func TestAICErrorGrowsAsSNRDrops(t *testing.T) {
 func TestEnvelopeRatiosShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	iq, want := chirpCapture(rng, 2e-3, 30, -20e3, 1)
-	det := &EnvelopeDetector{SmoothLen: 8}
+	det := &EnvelopeDetector{}
 	env, ratios := det.Ratios(iq)
 	if len(env) != len(iq) || len(ratios) != len(iq) {
 		t.Fatal("length mismatch")
@@ -195,7 +195,7 @@ func TestSpectrogramDetectorCoarse(t *testing.T) {
 	// only at hop-size resolution (~50 µs), 10-100x worse than AIC.
 	rng := rand.New(rand.NewSource(96))
 	iq, want := chirpCapture(rng, 2e-3, 30, -20e3, 1)
-	det := &SpectrogramDetector{WindowLen: 128, Overlap: 16}
+	det := &SpectrogramDetector{}
 	got, err := det.DetectOnset(iq, testRate)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestMatchedFilterPhaseSensitive(t *testing.T) {
 		for i := range iq {
 			iq[i] += noise[i]
 		}
-		det := &MatchedFilterDetector{Params: p, TemplatePhase: 0}
+		det := &MatchedFilterDetector{Params: p}
 		got, err := det.DetectOnset(iq, testRate)
 		if err != nil {
 			return math.Inf(1)
@@ -385,7 +385,7 @@ func TestBoxcarComponent32MatchesComponentThenBoxcar(t *testing.T) {
 // full-length component. It returns the pick and the mid-stage filter
 // output.
 func coarsePick32Ref(a *AICDetector, iq []complex128, sampleRate float64, margin int) (int, []float32) {
-	const dec = DefaultAICCoarseDecimation
+	const dec = aicCoarseDecimation
 	comp := componentInto32Ref(iq, a.Component)
 	decMargin := max(margin/dec, 2)
 	if len(comp)/dec < 2*decMargin+2 {
@@ -426,11 +426,11 @@ func TestCoarsePick32MatchesWholeComponentForm(t *testing.T) {
 			iq = iq[:int(onset)+150] // the onset sits near the capture's end
 		}
 		a := &AICDetector{LowPassCutoffHz: DefaultPrefilterCutoffHz, Component: []Component{ComponentI, ComponentQ}[trial%2]}
-		want, wantMid := coarsePick32Ref(a, iq, testRate, 16)
+		want, wantMid := coarsePick32Ref(a, iq, testRate, aicMargin)
 		if want == -2 {
 			t.Fatalf("trial %d: fixture misses the decimated path", trial)
 		}
-		if got := a.coarsePick32(iq, testRate, 16); got != want {
+		if got := a.coarsePick32(iq, testRate); got != want {
 			t.Fatalf("trial %d (lead %v, snr %v, n %d): coarsePick32 = %d, whole-component form %d", trial, lead, snr, len(iq), got, want)
 		}
 		if len(a.mid32) != len(wantMid) {

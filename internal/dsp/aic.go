@@ -231,42 +231,3 @@ func (sc *AICScratch) ensureLenTables(n int) {
 		sc.invLen[m] = 1 / float64(m)
 	}
 }
-
-// AICCurve returns the AIC value at every candidate split point (NaN inside
-// the margins), for plotting Fig. 9(b)-style diagnostics.
-func AICCurve(x []float64, margin int) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	if margin < 1 {
-		margin = 1
-	}
-	if n < 2*margin+2 {
-		return out
-	}
-	sum := make([]float64, n+1)
-	sumSq := make([]float64, n+1)
-	for i, v := range x {
-		sum[i+1] = sum[i] + v
-		sumSq[i+1] = sumSq[i] + v*v
-	}
-	varSeg := func(a, b int) float64 {
-		m := float64(b - a)
-		if m <= 0 {
-			return 0
-		}
-		mean := (sum[b] - sum[a]) / m
-		v := (sumSq[b]-sumSq[a])/m - mean*mean
-		if v < 1e-300 {
-			v = 1e-300
-		}
-		return v
-	}
-	for k := margin; k < n-margin; k++ {
-		out[k] = float64(k)*math.Log(varSeg(0, k)) +
-			float64(n-k-1)*math.Log(varSeg(k, n))
-	}
-	return out
-}

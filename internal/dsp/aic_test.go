@@ -60,28 +60,6 @@ func TestAICOnsetProperty(t *testing.T) {
 	}
 }
 
-func TestAICCurveMinimumAtPick(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x := burstTrace(rng, 2000, 900, 0.05, 1)
-	var sc AICScratch
-	pick := sc.Onset(x, 10)
-	curve := AICCurve(x, 10)
-	minV := math.Inf(1)
-	minI := -1
-	for i, v := range curve {
-		if !math.IsNaN(v) && v < minV {
-			minV = v
-			minI = i
-		}
-	}
-	if minI != pick {
-		t.Errorf("curve minimum at %d, pick at %d", minI, pick)
-	}
-	if !math.IsNaN(curve[0]) || !math.IsNaN(curve[len(curve)-1]) {
-		t.Error("margins should be NaN")
-	}
-}
-
 // fastLn32 is the float32 AIC lane's log as a scalar function — the form
 // aicScan32 inlines lane by lane (its oracle in
 // TestAICSearchesMatchClosureForms). Range reduction to [√2/2, √2) plus the

@@ -24,8 +24,8 @@
 // helpers (SpectrogramPlan, HilbertScratch, AICScratch, SlidingDFT, a
 // FIRFilter once applied) — and is strictly single-goroutine: one
 // plan/scratch set per worker, no sharing. The one-shot conveniences (FFT,
-// Spectrogram, AICCurve, Apply, GoertzelDFT, GoertzelMany) allocate
-// nothing or per call and stay safe for casual use.
+// Spectrogram, Apply, GoertzelDFT, GoertzelMany) allocate nothing or per
+// call and stay safe for casual use.
 //
 // # Full-spectrum, few-bin, and decimated evaluation
 //
@@ -105,7 +105,7 @@
 // a seedable 128-layer ziggurat over a splitmix64 counter whose steady-state
 // Norm draw is a buffered read (zero allocations, O(1) seeding), ~10×
 // cheaper than math/rand's NormFloat64 — the SDR front end burns two draws
-// per complex sample on dither and noise-figure injection, so this is what
+// per complex sample on ADC dither (one per component), so this is what
 // keeps quantization off the batch profile's top. Block consumers call
 // Fill, which generates straight into their slice, two draws per loop
 // iteration with no call in the loop, and resolves a pair with a miss

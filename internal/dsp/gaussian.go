@@ -4,9 +4,9 @@ import "math"
 
 // GaussianSource is a fast, seedable standard-normal generator built on a
 // 128-layer ziggurat over a splitmix64 counter stream. It exists because the
-// SDR front end burns two Gaussian draws per complex sample (ADC dither,
-// noise-figure injection) and math/rand's NormFloat64 costs ~10x a ziggurat
-// draw; at 15k-sample captures that difference is ~100 us per uplink.
+// SDR front end burns two Gaussian draws per complex sample (the I and Q
+// ADC dither) and math/rand's NormFloat64 costs ~10x a ziggurat draw; at
+// 15k-sample captures that difference is ~100 us per uplink.
 //
 // Draws refill an internal block buffer so the steady-state Norm call is a
 // bounds check and a buffer read — zero allocations after construction.

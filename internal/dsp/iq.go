@@ -1,27 +1,12 @@
 package dsp
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrEmptyTrace is returned by routines that require a non-empty trace.
-var ErrEmptyTrace = errors.New("dsp: empty trace")
+import "math"
 
 // I returns the in-phase (real) components of the trace.
 func I(x []complex128) []float64 {
 	out := make([]float64, len(x))
 	for i, v := range x {
 		out[i] = real(v)
-	}
-	return out
-}
-
-// Q returns the quadrature (imaginary) components of the trace.
-func Q(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = imag(v)
 	}
 	return out
 }

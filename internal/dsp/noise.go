@@ -22,68 +22,47 @@ func GaussianNoise(rng *rand.Rand, n int, power float64) []complex128 {
 	return out
 }
 
-// ColoredNoiseConfig parameterizes the synthetic "real building noise" model
-// used for Fig. 14's second curve: low-pass-colored Gaussian background plus
-// sparse impulsive interference bursts, the standard model for indoor
-// ISM-band noise.
-type ColoredNoiseConfig struct {
-	// CutoffFraction is the low-pass cutoff as a fraction of Nyquist in
-	// (0, 1]. Default 0.5.
-	CutoffFraction float64
-	// ImpulseRate is the expected number of impulsive bursts per 1000
-	// samples. Zero selects the default of 0.5; a negative value disables
-	// impulses entirely.
-	ImpulseRate float64
-	// ImpulsePowerRatio is the per-burst power relative to the background.
-	// Default 30 (≈15 dB hotter).
-	ImpulsePowerRatio float64
-	// ImpulseLen is the burst length in samples. Default 24.
-	ImpulseLen int
-}
-
-func (c ColoredNoiseConfig) withDefaults() ColoredNoiseConfig {
-	if c.CutoffFraction <= 0 || c.CutoffFraction > 1 {
-		c.CutoffFraction = 0.5
-	}
-	if c.ImpulseRate == 0 {
-		c.ImpulseRate = 0.5
-	}
-	if c.ImpulseRate < 0 {
-		c.ImpulseRate = 0
-	}
-	if c.ImpulsePowerRatio <= 0 {
-		c.ImpulsePowerRatio = 30
-	}
-	if c.ImpulseLen <= 0 {
-		c.ImpulseLen = 24
-	}
-	return c
-}
+// Parameters of the synthetic "real building noise" model used for
+// Fig. 14's second curve: low-pass-colored Gaussian background plus sparse
+// impulsive interference bursts, the standard model for indoor ISM-band
+// noise.
+const (
+	// coloredCutoffFraction is the background's low-pass cutoff as a
+	// fraction of Nyquist.
+	coloredCutoffFraction = 0.5
+	// coloredImpulseRate is the expected number of impulsive bursts per
+	// 1000 samples.
+	coloredImpulseRate = 0.5
+	// coloredImpulsePowerRatio is the per-burst power relative to the
+	// background (≈15 dB hotter).
+	coloredImpulsePowerRatio = 30.0
+	// coloredImpulseLen is the burst length in samples.
+	coloredImpulseLen = 24
+)
 
 // ColoredNoise returns n samples of colored, impulsive noise with total
 // average power normalized to power.
-func ColoredNoise(rng *rand.Rand, n int, power float64, cfg ColoredNoiseConfig) []complex128 {
-	cfg = cfg.withDefaults()
+func ColoredNoise(rng *rand.Rand, n int, power float64) []complex128 {
 	if n == 0 {
 		return nil
 	}
 	white := GaussianNoise(rng, n, 1)
-	// Color the spectrum with a windowed-sinc low pass at the configured
-	// fraction of Nyquist (sample rate normalized to 1).
-	f := LowPassFIR(cfg.CutoffFraction*0.5, 1, 101)
+	// Color the spectrum with a windowed-sinc low pass at
+	// coloredCutoffFraction of Nyquist (sample rate normalized to 1).
+	f := LowPassFIR(coloredCutoffFraction*0.5, 1, 101)
 	colored := f.Apply(white)
 	// Inject impulsive bursts.
-	expected := cfg.ImpulseRate * float64(n) / 1000
+	expected := coloredImpulseRate * float64(n) / 1000
 	bursts := int(expected)
 	if rng.Float64() < expected-float64(bursts) {
 		bursts++
 	}
-	burstSigma := math.Sqrt(cfg.ImpulsePowerRatio / 2)
+	burstSigma := math.Sqrt(coloredImpulsePowerRatio / 2)
 	var g GaussianSource
 	g.Seed(rng.Int63())
 	for b := 0; b < bursts; b++ {
 		at := rng.Intn(n) // placement stays on rng; only Gaussian draws moved
-		for i := 0; i < cfg.ImpulseLen && at+i < n; i++ {
+		for i := 0; i < coloredImpulseLen && at+i < n; i++ {
 			re, im := g.NormPair()
 			colored[at+i] += complex(re*burstSigma, im*burstSigma)
 		}

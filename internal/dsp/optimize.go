@@ -14,31 +14,34 @@ type DEConfig struct {
 	PopulationSize int
 	// MaxGenerations bounds the number of evolution rounds. Default 100.
 	MaxGenerations int
-	// F is the differential weight in (0, 2]. Default 0.7.
-	F float64
-	// CR is the crossover probability in [0, 1]. Default 0.9.
-	CR float64
-	// Tol terminates early when the population's cost spread falls below
-	// Tol*|mean cost|. Default 1e-8.
-	Tol float64
 	// Rand supplies randomness; it must be non-nil.
 	Rand *rand.Rand
-	// PolishIters applies coordinate-descent refinement steps to the best
-	// vector after evolution. Default 40.
-	PolishIters int
 }
+
+// Differential-evolution strategy constants.
+const (
+	// deF is the differential weight.
+	deF = 0.7
+	// deCR is the crossover probability.
+	deCR = 0.9
+	// deTol terminates evolution early when the population's cost spread
+	// falls below deTol·|mean cost|.
+	deTol = 1e-8
+	// dePolishIters is the number of coordinate-descent refinement steps
+	// applied to the best vector after evolution.
+	dePolishIters = 40
+)
 
 // DEResult reports the optimizer outcome.
 type DEResult struct {
 	X           []float64 // best vector found
 	Cost        float64   // objective at X
 	Generations int       // generations actually run
-	Evaluations int       // objective evaluations performed
 }
 
 // DifferentialEvolution minimizes fn over the box [lower[i], upper[i]] using
-// the DE/rand/1/bin strategy with optional polishing. fn must be safe to
-// call repeatedly; it is never called concurrently.
+// the DE/rand/1/bin strategy followed by a coordinate-descent polish. fn
+// must be safe to call repeatedly; it is never called concurrently.
 func DifferentialEvolution(fn func([]float64) float64, lower, upper []float64, cfg DEConfig) DEResult {
 	dim := len(lower)
 	if dim == 0 || len(upper) != dim || cfg.Rand == nil {
@@ -56,24 +59,6 @@ func DifferentialEvolution(fn func([]float64) float64, lower, upper []float64, c
 	if maxGen <= 0 {
 		maxGen = 100
 	}
-	f := cfg.F
-	if f <= 0 || f > 2 {
-		f = 0.7
-	}
-	cr := cfg.CR
-	if cr <= 0 || cr > 1 {
-		cr = 0.9
-	}
-	tol := cfg.Tol
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	polish := cfg.PolishIters
-	if polish < 0 {
-		polish = 0
-	} else if polish == 0 {
-		polish = 40
-	}
 
 	clamp := func(v float64, i int) float64 {
 		if v < lower[i] {
@@ -87,7 +72,6 @@ func DifferentialEvolution(fn func([]float64) float64, lower, upper []float64, c
 
 	pop := make([][]float64, np)
 	cost := make([]float64, np)
-	evals := 0
 	for i := range pop {
 		v := make([]float64, dim)
 		for d := 0; d < dim; d++ {
@@ -95,7 +79,6 @@ func DifferentialEvolution(fn func([]float64) float64, lower, upper []float64, c
 		}
 		pop[i] = v
 		cost[i] = fn(v)
-		evals++
 	}
 	trial := make([]float64, dim)
 	gens := 0
@@ -124,14 +107,13 @@ func DifferentialEvolution(fn func([]float64) float64, lower, upper []float64, c
 			}
 			jRand := rng.Intn(dim)
 			for d := 0; d < dim; d++ {
-				if d == jRand || rng.Float64() < cr {
-					trial[d] = clamp(pop[a][d]+f*(pop[b][d]-pop[c][d]), d)
+				if d == jRand || rng.Float64() < deCR {
+					trial[d] = clamp(pop[a][d]+deF*(pop[b][d]-pop[c][d]), d)
 				} else {
 					trial[d] = pop[i][d]
 				}
 			}
 			tc := fn(trial)
-			evals++
 			if tc <= cost[i] {
 				copy(pop[i], trial)
 				cost[i] = tc
@@ -149,7 +131,7 @@ func DifferentialEvolution(fn func([]float64) float64, lower, upper []float64, c
 			sumC += cv
 		}
 		mean := sumC / float64(np)
-		if maxC-minC <= tol*(math.Abs(mean)+tol) {
+		if maxC-minC <= deTol*(math.Abs(mean)+deTol) {
 			break
 		}
 	}
@@ -165,37 +147,34 @@ func DifferentialEvolution(fn func([]float64) float64, lower, upper []float64, c
 
 	// Coordinate-descent polish: shrink a per-dimension step until no
 	// improvement.
-	if polish > 0 {
-		steps := make([]float64, dim)
-		for d := range steps {
-			steps[d] = (upper[d] - lower[d]) / float64(np)
-		}
-		for it := 0; it < polish; it++ {
-			improved := false
-			for d := 0; d < dim; d++ {
-				for _, dir := range []float64{1, -1} {
-					cand := clamp(best[d]+dir*steps[d], d)
-					if cand == best[d] {
-						continue
-					}
-					old := best[d]
-					best[d] = cand
-					c := fn(best)
-					evals++
-					if c < bestCost {
-						bestCost = c
-						improved = true
-					} else {
-						best[d] = old
-					}
+	steps := make([]float64, dim)
+	for d := range steps {
+		steps[d] = (upper[d] - lower[d]) / float64(np)
+	}
+	for it := 0; it < dePolishIters; it++ {
+		improved := false
+		for d := 0; d < dim; d++ {
+			for _, dir := range []float64{1, -1} {
+				cand := clamp(best[d]+dir*steps[d], d)
+				if cand == best[d] {
+					continue
+				}
+				old := best[d]
+				best[d] = cand
+				c := fn(best)
+				if c < bestCost {
+					bestCost = c
+					improved = true
+				} else {
+					best[d] = old
 				}
 			}
-			if !improved {
-				for d := range steps {
-					steps[d] /= 2
-				}
+		}
+		if !improved {
+			for d := range steps {
+				steps[d] /= 2
 			}
 		}
 	}
-	return DEResult{X: best, Cost: bestCost, Generations: gens, Evaluations: evals}
+	return DEResult{X: best, Cost: bestCost, Generations: gens}
 }

@@ -146,8 +146,8 @@ func AblationOnset(trials int) ([]AblationOnsetRow, error) {
 				return math.Abs(float64(on.Sample)-want) / rate * 1e6
 			}
 			row.AICUs += measure(&core.AICDetector{LowPassCutoffHz: core.DefaultPrefilterCutoffHz}) / float64(trials)
-			row.EnvUs += measure(&core.EnvelopeDetector{SmoothLen: 8, LowPassCutoffHz: core.DefaultPrefilterCutoffHz}) / float64(trials)
-			row.SpectrogramUs += measure(&core.SpectrogramDetector{WindowLen: 128, Overlap: 16}) / float64(trials)
+			row.EnvUs += measure(&core.EnvelopeDetector{LowPassCutoffHz: core.DefaultPrefilterCutoffHz}) / float64(trials)
+			row.SpectrogramUs += measure(&core.SpectrogramDetector{}) / float64(trials)
 			row.MFUs += measure(&core.MatchedFilterDetector{Params: p}) / float64(trials)
 		}
 		rows = append(rows, row)

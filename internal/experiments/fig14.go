@@ -71,7 +71,7 @@ func Fig14(trials int) ([]Fig14Point, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig 14 gaussian @%g dB: %w", snr, err)
 			}
-			real_ := dsp.ColoredNoise(rng, len(clean), noisePower, dsp.ColoredNoiseConfig{})
+			real_ := dsp.ColoredNoise(rng, len(clean), noisePower)
 			rErr, err := run(real_)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig 14 real @%g dB: %w", snr, err)

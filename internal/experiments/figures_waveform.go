@@ -168,11 +168,10 @@ func PrintFig8(w io.Writer, r Fig8Result) {
 // Fig9Result reports the onset positions found by the two detectors on the
 // same capture, for the Fig. 9 illustration.
 type Fig9Result struct {
-	TrueOnsetMs     float64
-	EnvelopePeakMs  float64
-	AICPickMs       float64
-	MaxEnvRatio     float64
-	AICCurveMinimum float64
+	TrueOnsetMs    float64
+	EnvelopePeakMs float64
+	AICPickMs      float64
+	MaxEnvRatio    float64
 }
 
 // Fig9 builds one noisy capture and reports both detectors' diagnostics.
@@ -180,7 +179,7 @@ func Fig9() (Fig9Result, error) {
 	rng := newRand(9)
 	const rate = sdr.DefaultSampleRate
 	iq, want := onsetTrial(rng, rate)
-	env := &core.EnvelopeDetector{SmoothLen: 8}
+	env := &core.EnvelopeDetector{}
 	_, ratios := env.Ratios(iq)
 	bestR, bestRI := 0.0, 0
 	for i, v := range ratios {
@@ -194,19 +193,11 @@ func Fig9() (Fig9Result, error) {
 	if err != nil {
 		return Fig9Result{}, fmt.Errorf("experiments: fig 9: %w", err)
 	}
-	curve := aic.Curve(iq)
-	minV := math.Inf(1)
-	for _, v := range curve {
-		if !math.IsNaN(v) && v < minV {
-			minV = v
-		}
-	}
 	return Fig9Result{
-		TrueOnsetMs:     want / rate * 1e3,
-		EnvelopePeakMs:  float64(bestRI) / rate * 1e3,
-		AICPickMs:       pick.Time * 1e3,
-		MaxEnvRatio:     bestR,
-		AICCurveMinimum: minV,
+		TrueOnsetMs:    want / rate * 1e3,
+		EnvelopePeakMs: float64(bestRI) / rate * 1e3,
+		AICPickMs:      pick.Time * 1e3,
+		MaxEnvRatio:    bestR,
 	}, nil
 }
 

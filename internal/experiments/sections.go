@@ -69,9 +69,8 @@ func Sec811() (Sec811Result, error) {
 		Rand:       rng,
 		Gateway:    chip.NewReceiver(p),
 
-		DeviceTxPowerdBm:     14,
-		DeviceGatewayLossdB:  loss,
-		GatewayNoiseFloordBm: b.NoiseFloordBm,
+		DeviceTxPowerdBm:    14,
+		DeviceGatewayLossdB: loss,
 
 		JammerTxPowerdBm:    14.1,
 		JammerGatewayLossdB: 40,

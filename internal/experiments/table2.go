@@ -58,8 +58,8 @@ func Table2() Table2Result {
 			// true (continuous) onset time (§6.2).
 			return math.Abs(float64(on.Sample)-want) / rate * 1e6
 		}
-		res.EnvI = append(res.EnvI, measure(&core.EnvelopeDetector{Component: core.ComponentI, SmoothLen: 8}))
-		res.EnvQ = append(res.EnvQ, measure(&core.EnvelopeDetector{Component: core.ComponentQ, SmoothLen: 8}))
+		res.EnvI = append(res.EnvI, measure(&core.EnvelopeDetector{Component: core.ComponentI}))
+		res.EnvQ = append(res.EnvQ, measure(&core.EnvelopeDetector{Component: core.ComponentQ}))
 		res.AICI = append(res.AICI, measure(&core.AICDetector{Component: core.ComponentI}))
 		res.AICQ = append(res.AICQ, measure(&core.AICDetector{Component: core.ComponentQ}))
 	}

@@ -126,21 +126,15 @@ type Stats struct {
 	GatewaysQuarantined int64
 }
 
-// Config configures a NetworkServer. Zero values select the
-// paper-calibrated defaults of package core.
+// Config configures a NetworkServer. Zero values select the defaults
+// named on each field. The verdict policy's remaining parameters are the
+// paper-calibrated constants of package core: the deviation multiplier
+// core.DefaultDevMultiplier, the EWMA weight core.DefaultEWMAAlpha and the
+// enrollment period core.DefaultEnrollFrames.
 type Config struct {
 	// ToleranceHz is the minimum acceptance half-width
 	// (core.DefaultToleranceHz when 0).
 	ToleranceHz float64
-	// DevMultiplier scales tracked per-frame deviation into the adaptive
-	// band (core.DefaultDevMultiplier when 0).
-	DevMultiplier float64
-	// Alpha is the post-enrollment EWMA weight (core.DefaultEWMAAlpha
-	// when 0).
-	Alpha float64
-	// EnrollFrames is the per-device learning period
-	// (core.DefaultEnrollFrames when 0).
-	EnrollFrames int
 	// Shards is the number of database partitions, rounded up to a power
 	// of two (DefaultShards when 0).
 	Shards int
@@ -188,11 +182,8 @@ func (sh *shard) markDirty() {
 // locks and applies the §7.2 verdict once per frame. All methods are safe
 // for concurrent use from any number of gateways.
 type NetworkServer struct {
-	tol    float64
-	devMul float64
-	alpha  float64
-	enroll int
-	ttl    float64
+	tol float64
+	ttl float64
 
 	shards []shard
 
@@ -225,15 +216,6 @@ func New(cfg Config) *NetworkServer {
 	if cfg.ToleranceHz <= 0 {
 		cfg.ToleranceHz = core.DefaultToleranceHz
 	}
-	if cfg.DevMultiplier <= 0 {
-		cfg.DevMultiplier = core.DefaultDevMultiplier
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = core.DefaultEWMAAlpha
-	}
-	if cfg.EnrollFrames <= 0 {
-		cfg.EnrollFrames = core.DefaultEnrollFrames
-	}
 	n := cfg.Shards
 	if n <= 0 {
 		n = DefaultShards
@@ -245,9 +227,6 @@ func New(cfg Config) *NetworkServer {
 	}
 	s := &NetworkServer{
 		tol:    cfg.ToleranceHz,
-		devMul: cfg.DevMultiplier,
-		alpha:  cfg.Alpha,
-		enroll: cfg.EnrollFrames,
 		ttl:    cfg.RecordTTL,
 		shards: make([]shard, pow),
 	}
@@ -295,7 +274,7 @@ func (s *NetworkServer) shardFor(deviceID string) *shard {
 func (s *NetworkServer) checkDevice(deviceID string, fbHz, now float64) core.Verdict {
 	sh := s.shardFor(deviceID)
 	sh.mu.Lock()
-	verdict, rec := core.CheckRecord(sh.devices[deviceID], fbHz, s.tol, s.devMul, s.alpha, s.enroll)
+	verdict, rec := core.CheckRecord(sh.devices[deviceID], fbHz, s.tol, core.DefaultDevMultiplier, core.DefaultEWMAAlpha, core.DefaultEnrollFrames)
 	if rec != nil {
 		rec.Touch(now)
 		sh.devices[deviceID] = rec
@@ -504,7 +483,7 @@ func (s *NetworkServer) peekVerdict(deviceID string, fbHz float64) core.Verdict 
 	if ok {
 		rp = &cp
 	}
-	v, _ := core.CheckRecord(rp, fbHz, s.tol, s.devMul, s.alpha, s.enroll)
+	v, _ := core.CheckRecord(rp, fbHz, s.tol, core.DefaultDevMultiplier, core.DefaultEWMAAlpha, core.DefaultEnrollFrames)
 	return v
 }
 

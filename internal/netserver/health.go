@@ -15,16 +15,20 @@ const (
 	// DefaultHealthMinSamples is the minimum sample count before a gateway
 	// can be judged at all — a receiver is innocent until observed enough.
 	DefaultHealthMinSamples = 16
-	// DefaultHealthMaxOutlierRate quarantines a gateway whose copies the
-	// fusion's consistency gate rejects more often than this.
-	DefaultHealthMaxOutlierRate = 0.5
-	// DefaultHealthMaxSkew (seconds) quarantines a gateway whose PHY
-	// timestamps deviate from the per-frame reference arrival by more than
-	// this on average — a drifting or misconfigured clock.
-	DefaultHealthMaxSkew = 0.05
 	// DefaultHealthProbation is how many consecutive clean shadow samples a
 	// quarantined gateway must produce before it is reinstated.
 	DefaultHealthProbation = 32
+)
+
+// Gateway-health quarantine thresholds.
+const (
+	// healthMaxOutlierRate quarantines a gateway whose copies the fusion's
+	// consistency gate rejects more often than this.
+	healthMaxOutlierRate = 0.5
+	// healthMaxSkew (seconds) quarantines a gateway whose PHY timestamps
+	// deviate from the per-frame reference arrival by more than this on
+	// average — a drifting or misconfigured clock.
+	healthMaxSkew = 0.05
 )
 
 // HealthConfig configures the gateway health tracker. The zero value
@@ -38,12 +42,6 @@ type HealthConfig struct {
 	// MinSamples is the minimum ring fill before quarantine decisions
 	// (DefaultHealthMinSamples when 0).
 	MinSamples int
-	// MaxOutlierRate quarantines above this rejection fraction
-	// (DefaultHealthMaxOutlierRate when 0).
-	MaxOutlierRate float64
-	// MaxSkewSec quarantines above this mean absolute clock skew vs the
-	// per-frame reference arrival (DefaultHealthMaxSkew when 0).
-	MaxSkewSec float64
 	// Probation is the consecutive-clean-sample streak that reinstates a
 	// quarantined gateway (DefaultHealthProbation when 0).
 	Probation int
@@ -83,12 +81,6 @@ func newHealthTracker(cfg HealthConfig) *healthTracker {
 	}
 	if cfg.MinSamples > cfg.Window {
 		cfg.MinSamples = cfg.Window
-	}
-	if cfg.MaxOutlierRate <= 0 {
-		cfg.MaxOutlierRate = DefaultHealthMaxOutlierRate
-	}
-	if cfg.MaxSkewSec <= 0 {
-		cfg.MaxSkewSec = DefaultHealthMaxSkew
 	}
 	if cfg.Probation <= 0 {
 		cfg.Probation = DefaultHealthProbation
@@ -235,7 +227,7 @@ func (h *healthTracker) sample(gatewayID string, rejected bool, skew float64) {
 		g.n++
 	}
 	if g.quarantined {
-		if rejected || math.Abs(skew) > h.cfg.MaxSkewSec {
+		if rejected || math.Abs(skew) > healthMaxSkew {
 			g.cleanStreak = 0
 			return
 		}
@@ -261,7 +253,7 @@ func (h *healthTracker) sample(gatewayID string, rejected bool, skew float64) {
 	}
 	rate := float64(rejects) / float64(g.n)
 	meanSkew := sumAbsSkew / float64(g.n)
-	if rate > h.cfg.MaxOutlierRate || meanSkew > h.cfg.MaxSkewSec {
+	if rate > healthMaxOutlierRate || meanSkew > healthMaxSkew {
 		g.quarantined = true
 		g.cleanStreak = 0
 		h.quarantines.Add(1)

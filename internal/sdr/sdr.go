@@ -34,15 +34,13 @@ type Receiver struct {
 	// ADCBits is the quantizer resolution (8 for RTL2832U). Zero disables
 	// quantization (ideal front end).
 	ADCBits int
-	// NoiseFigurePowerdBm adds receiver-chain noise at the given power
-	// (dBm, sample-power convention); zero disables it.
-	NoiseFigurePowerdBm float64
 	// Rand supplies the per-capture random phase θRx and the seed for the
 	// per-capture Gaussian stream below.
 	Rand *rand.Rand
-	// noise generates the receiver's Gaussian draws (noise-figure samples,
-	// ADC dither) on a fast buffered ziggurat, reseeded from Rand once per
-	// capture so captures stay individually deterministic.
+	// noise generates the receiver's Gaussian draws (the ADC dither) on a
+	// fast buffered ziggurat, reseeded from Rand once per capture so
+	// captures stay individually deterministic. The receiver adds no noise
+	// of its own: the channel's noise floor is the capture's noise source.
 	noise dsp.GaussianSource
 }
 
@@ -72,8 +70,8 @@ func (c *Capture) Release() {
 }
 
 // Downconvert processes a channel capture through the receiver chain:
-// rotation by the receiver LO error exp(−j(2π·δRx·t + θRx)), optional
-// receiver noise, and ADC quantization with AGC.
+// rotation by the receiver LO error exp(−j(2π·δRx·t + θRx)), then ADC
+// quantization with AGC.
 //
 // The output buffer comes from the capture pool; call Capture.Release when
 // done with it to keep the steady-state batch path allocation-free. The LO
@@ -96,23 +94,13 @@ func (r *Receiver) DownconvertInto(out *Capture, in *radio.Capture) error {
 		return ErrNilRand
 	}
 	theta := r.Rand.Float64() * 2 * math.Pi
-	// All Gaussian draws for this capture (noise figure, dither) come from
-	// the fast source under a single seed drawn from Rand, so the capture is
-	// reproducible from Rand's state at entry.
+	// The capture's dither comes from the fast source under a single seed
+	// drawn from Rand, so the capture is reproducible from Rand's state at
+	// entry.
 	r.noise.Seed(r.Rand.Int63())
 	buf := bufpool.GetUninit(len(in.IQ))
 	rot := dsp.NewRotator(1, -theta, -r.FrequencyBias, 1/in.Rate)
 	pw := rot.MulInto(buf, in.IQ)
-	if r.NoiseFigurePowerdBm != 0 {
-		sigma := math.Sqrt(radio.DBmToPower(r.NoiseFigurePowerdBm) / 2)
-		pw = 0
-		for i := range buf {
-			re, im := r.noise.NormPair()
-			v := buf[i] + complex(re*sigma, im*sigma)
-			buf[i] = v
-			pw += real(v)*real(v) + imag(v)*imag(v)
-		}
-	}
 	if r.ADCBits > 0 {
 		quantize(buf, pw, r.ADCBits, &r.noise)
 	}
@@ -133,9 +121,8 @@ const quantBlock = 128
 // (which would make changepoint statistics degenerate and bias the
 // PHY-timestamping detectors).
 //
-// pw is the capture's power Σ|x[i]|², summed in index order by the pass
-// that last wrote x (the LO rotation or the noise injection), so quantize
-// reads x once. The dither comes from gauss in blocks of quantBlock
+// pw is the capture's power Σ|x[i]|², summed in index order by the LO
+// rotation that wrote x, so quantize reads x once. The dither comes from gauss in blocks of quantBlock
 // samples: sample i takes draws 2i (I) and 2i+1 (Q) of the stream, as two
 // Norm calls per sample would.
 //

@@ -116,23 +116,6 @@ func TestQuantizationLevels(t *testing.T) {
 	}
 }
 
-func TestReceiverNoise(t *testing.T) {
-	r := &Receiver{NoiseFigurePowerdBm: -40, Rand: rand.New(rand.NewSource(74))}
-	silent := &radio.Capture{IQ: make([]complex128, 8192), Rate: DefaultSampleRate}
-	out, err := r.Downconvert(silent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p float64
-	for _, v := range out.IQ {
-		p += real(v)*real(v) + imag(v)*imag(v)
-	}
-	p /= float64(len(out.IQ))
-	if math.Abs(radio.PowerTodBm(p)+40) > 0.5 {
-		t.Errorf("receiver noise = %f dBm, want -40", radio.PowerTodBm(p))
-	}
-}
-
 func TestEndToEndChirpThroughSDR(t *testing.T) {
 	// A chirp with δTx through a channel and an SDR with δRx must show a
 	// dechirped tone at δTx − δRx (the paper's observable δ).
@@ -197,32 +180,11 @@ func TestDownconvertPooledSteadyState(t *testing.T) {
 	}
 }
 
-// The receiver's Gaussian draws moved from rand.NormFloat64 to the buffered
-// ziggurat source; exact sequences changed, so this is the call site's share
-// of the parity-of-statistics gate: noise-figure injection on a silent
-// capture must still be white Gaussian at the configured power.
-func TestReceiverNoiseGaussianStatistics(t *testing.T) {
-	const n = 1 << 17
-	r := &Receiver{
-		NoiseFigurePowerdBm: -40,
-		Rand:                rand.New(rand.NewSource(9)),
-	}
-	out, err := r.Downconvert(&radio.Capture{IQ: make([]complex128, n), Rate: DefaultSampleRate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigma := math.Sqrt(radio.DBmToPower(r.NoiseFigurePowerdBm) / 2)
-	comps := make([]float64, 0, 2*n)
-	for _, v := range out.IQ {
-		comps = append(comps, real(v), imag(v))
-	}
-	stattest.CheckGaussian(t, comps, sigma)
-}
-
-// Same gate for the ADC dither: quantizing a constant mid-scale signal makes
-// the reconstruction error one LSB of Gaussian dither plus bounded
-// quantization error; its mean and variance must match (dither sigma = 1 LSB,
-// plus the uniform quantization term) and stay white.
+// The receiver's share of the parity-of-statistics gate on the buffered
+// ziggurat: quantizing a constant mid-scale signal makes the reconstruction
+// error one LSB of Gaussian dither plus bounded quantization error; its
+// mean and variance must match (dither sigma = 1 LSB, plus the uniform
+// quantization term) and stay white.
 func TestQuantizerDitherStatistics(t *testing.T) {
 	const n = 1 << 17
 	r := &Receiver{ADCBits: 8, Rand: rand.New(rand.NewSource(11))}
@@ -360,37 +322,27 @@ func TestQuantizeMatchesPerSampleForm(t *testing.T) {
 }
 
 // TestDownconvertPassesRotationPower checks the wiring of the fused power:
-// a full Downconvert, with and without noise-figure injection, equals the
-// rotation, the injection and quantizeRef run as separate passes on the
-// same random draws.
+// a full Downconvert equals the rotation and quantizeRef run as separate
+// passes on the same random draws.
 func TestDownconvertPassesRotationPower(t *testing.T) {
 	in := toneCapture(17e3, 5000, DefaultSampleRate)
-	for _, nf := range []float64{0, -60} {
-		r := &Receiver{FrequencyBias: -3e3, ADCBits: 8, NoiseFigurePowerdBm: nf, Rand: rand.New(rand.NewSource(35))}
-		refRand := rand.New(rand.NewSource(35))
-		out, err := r.Downconvert(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		theta := refRand.Float64() * 2 * math.Pi
-		var g dsp.GaussianSource
-		g.Seed(refRand.Int63())
-		want := make([]complex128, len(in.IQ))
-		rot := dsp.NewRotator(1, -theta, -r.FrequencyBias, 1/in.Rate)
-		rot.MulInto(want, in.IQ)
-		if nf != 0 {
-			sigma := math.Sqrt(radio.DBmToPower(nf) / 2)
-			for i := range want {
-				re, im := g.NormPair()
-				want[i] += complex(re*sigma, im*sigma)
-			}
-		}
-		quantizeRef(want, 8, &g)
-		for i := range want {
-			if out.IQ[i] != want[i] {
-				t.Fatalf("noise figure %v dBm: sample %d = %v, separate passes %v", nf, i, out.IQ[i], want[i])
-			}
-		}
-		out.Release()
+	r := &Receiver{FrequencyBias: -3e3, ADCBits: 8, Rand: rand.New(rand.NewSource(35))}
+	refRand := rand.New(rand.NewSource(35))
+	out, err := r.Downconvert(in)
+	if err != nil {
+		t.Fatal(err)
 	}
+	theta := refRand.Float64() * 2 * math.Pi
+	var g dsp.GaussianSource
+	g.Seed(refRand.Int63())
+	want := make([]complex128, len(in.IQ))
+	rot := dsp.NewRotator(1, -theta, -r.FrequencyBias, 1/in.Rate)
+	rot.MulInto(want, in.IQ)
+	quantizeRef(want, 8, &g)
+	for i := range want {
+		if out.IQ[i] != want[i] {
+			t.Fatalf("sample %d = %v, separate passes %v", i, out.IQ[i], want[i])
+		}
+	}
+	out.Release()
 }

@@ -33,16 +33,21 @@ var (
 )
 
 // EncodeElapsed quantizes an elapsed time in seconds to the 18-bit wire
-// value.
+// value. Times that round past the 18-bit range, +Inf and NaN return
+// ErrElapsedOverflow.
 func EncodeElapsed(seconds float64) (uint32, error) {
 	if seconds < 0 {
 		return 0, fmt.Errorf("%w: %g", ErrElapsedNegative, seconds)
 	}
-	v := uint32(seconds/ElapsedResolution + 0.5)
-	if v >= 1<<ElapsedBits {
+	// Range-check the float before converting it: Go leaves the uint32
+	// conversion of an out-of-range value or NaN implementation-defined,
+	// and on amd64 it wraps, so a record buffered 2^32 ms would encode as
+	// fresh.
+	ms := seconds/ElapsedResolution + 0.5
+	if !(ms < 1<<ElapsedBits) {
 		return 0, fmt.Errorf("%w: %g s", ErrElapsedOverflow, seconds)
 	}
-	return v, nil
+	return uint32(ms), nil
 }
 
 // DecodeElapsed converts a wire value back to seconds.

@@ -34,8 +34,12 @@ func TestEncodeElapsedErrors(t *testing.T) {
 	if _, err := EncodeElapsed(-1); !errors.Is(err, ErrElapsedNegative) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := EncodeElapsed(MaxElapsedSeconds + 1); !errors.Is(err, ErrElapsedOverflow) {
-		t.Errorf("err = %v", err)
+	// 2^32 ms and beyond wrap in a float → uint32 conversion; NaN and +Inf
+	// have no uint32 value at all.
+	for _, s := range []float64{MaxElapsedSeconds + 1, 4294967.296, 4295067.296, math.NaN(), math.Inf(1)} {
+		if v, err := EncodeElapsed(s); !errors.Is(err, ErrElapsedOverflow) {
+			t.Errorf("EncodeElapsed(%g) = (%d, %v), want ErrElapsedOverflow", s, v, err)
+		}
 	}
 }
 
@@ -47,6 +51,42 @@ func TestEncodeElapsedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEncodeElapsedAnyFloat checks that every float64 either fails to
+// encode or encodes to an in-range value that decodes within half a
+// resolution step (plus 1 ns of float rounding slack): arbitrary bit
+// patterns, the range's edges, and fractional millisecond counts below
+// 2^19 offset by 0–7 multiples of 2^32, where a wrapping conversion would
+// land back inside the range.
+func TestEncodeElapsedAnyFloat(t *testing.T) {
+	ok := func(s float64) bool {
+		v, err := EncodeElapsed(s)
+		if err != nil {
+			return true
+		}
+		return v < 1<<ElapsedBits && math.Abs(DecodeElapsed(v)-s) <= ElapsedResolution/2+1e-9
+	}
+	for _, s := range []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, MaxElapsedSeconds,
+		MaxElapsedSeconds + 0.00049, MaxElapsedSeconds + 0.0005, 4294967.2955,
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		if !ok(s) {
+			v, err := EncodeElapsed(s)
+			t.Errorf("EncodeElapsed(%g) = (%d, %v)", s, v, err)
+		}
+	}
+	bits := func(b uint64) bool { return ok(math.Float64frombits(b)) }
+	counts := func(period uint8, n, frac uint32) bool {
+		ms := float64(uint64(period%8)<<32+uint64(n%(1<<19))) + float64(frac)/(1<<32)
+		return ok(ms * ElapsedResolution)
+	}
+	for _, f := range []any{bits, counts} {
+		if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

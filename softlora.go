@@ -320,7 +320,7 @@ func (g *Gateway) newPipeline() *pipeline {
 	case "", OnsetAIC:
 		p.onset = &core.AICDetector{LowPassCutoffHz: core.DefaultPrefilterCutoffHz, Float64: g.onsetF64}
 	case OnsetEnvelope:
-		p.onset = &core.EnvelopeDetector{SmoothLen: 8, LowPassCutoffHz: core.DefaultPrefilterCutoffHz}
+		p.onset = &core.EnvelopeDetector{LowPassCutoffHz: core.DefaultPrefilterCutoffHz}
 	case OnsetDechirp:
 		p.onset = &core.DechirpOnsetDetector{Params: g.params}
 	}

@@ -109,9 +109,8 @@ func TestEndToEndReplayDetected(t *testing.T) {
 		Rand:       rng,
 		Gateway:    chip.NewReceiver(p),
 
-		DeviceTxPowerdBm:     14,
-		DeviceGatewayLossdB:  devGwLoss,
-		GatewayNoiseFloordBm: b.NoiseFloordBm,
+		DeviceTxPowerdBm:    14,
+		DeviceGatewayLossdB: devGwLoss,
 
 		JammerTxPowerdBm:    14.1,
 		JammerGatewayLossdB: 40,
