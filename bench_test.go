@@ -360,15 +360,21 @@ func BenchmarkAblationUpDownEstimator(b *testing.B) {
 // --- Planned-DSP and batch-pipeline benchmarks (PR 1 perf trajectory) ---
 
 // BenchmarkFFTPlan measures the zero-allocation planned transform against
-// the allocating FFT at the sizes the gateway hot paths use.
+// the allocating FFT at the sizes the gateway hot paths use, then the
+// zero-padded out-of-place shapes the gateway runs: the dechirp onset's
+// coarse window (614 decimated samples at SF7 and 2.4 Msps into 1,024
+// bins) and its refinement's anchor FFT (a 2,457-sample chirp into 4,096).
 func BenchmarkFFTPlan(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{256, 1024, 4096} {
+	randIQ := func(n int) []complex128 {
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		b.Run(fmt.Sprintf("planned-%d", n), func(b *testing.B) {
+		return x
+	}
+	planned := func(x []complex128, n int) func(*testing.B) {
+		return func(b *testing.B) {
 			plan := dsp.PlanFor(n)
 			dst := make([]complex128, plan.Size())
 			b.ReportAllocs()
@@ -376,7 +382,11 @@ func BenchmarkFFTPlan(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				plan.Transform(dst, x)
 			}
-		})
+		}
+	}
+	for _, n := range []int{256, 1024, 4096} {
+		x := randIQ(n)
+		b.Run(fmt.Sprintf("planned-%d", n), planned(x, n))
 		b.Run(fmt.Sprintf("alloc-%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -384,6 +394,35 @@ func BenchmarkFFTPlan(b *testing.B) {
 				dsp.FFT(x)
 			}
 		})
+	}
+	for _, c := range []struct{ l, n int }{{614, 1024}, {2457, 4096}} {
+		b.Run(fmt.Sprintf("padded-%d-%d", c.l, c.n), planned(randIQ(c.l), c.n))
+	}
+}
+
+// BenchmarkDechirpDecimate times the dechirp onset's coarse-scan front
+// half: one SF7 chirp window at 2.4 Msps (2,457 samples) dechirped and
+// boxcar-decimated by 4.
+func BenchmarkDechirpDecimate(b *testing.B) {
+	const rate = sdr.DefaultSampleRate
+	p := lora.DefaultParams(7)
+	n := int(p.SamplesPerChirp(rate))
+	phase := make([]float64, n)
+	for i := range phase {
+		phase[i] = 1e-4 * float64(i) * float64(i)
+	}
+	var s dsp.DechirpScratch[int]
+	s.Init(0, n, rate, 1, phase)
+	rng := rand.New(rand.NewSource(5))
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	dst := make([]complex128, n/4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.DechirpDecimateInto(dst, x, 4)
 	}
 }
 

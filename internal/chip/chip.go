@@ -13,7 +13,7 @@
 //  3. Corruption late in the payload lets the decode run to completion and
 //     surface a CRC/integrity alert; corruption early in the payload aborts
 //     the demodulator silently. The boundary is the calibrated
-//     SilentAbortFraction (see DESIGN.md §5).
+//     SilentAbortFraction (see Config).
 //  4. After the frame ends (plus chip/OS processing latency), both frames
 //     are received sequentially.
 //
@@ -67,8 +67,9 @@ func (o Outcome) String() string {
 	}
 }
 
-// Config holds the behavioural constants of the chip model. The two
-// calibrated constants are documented in DESIGN.md §5.
+// Config holds the behavioural constants of the chip model. Two of them
+// are calibrated against the paper's Table 1 rather than taken from it:
+// SilentAbortFraction and ProcessingLatency, each explained at its field.
 type Config struct {
 	// LockChirps is the number of preamble chirps after which the chip has
 	// locked (a jammer starting before this captures the demodulator).

@@ -31,7 +31,7 @@ const (
 	refineCombBins = 1
 )
 
-// DechirpOnsetDetector is an extension beyond the paper (DESIGN.md §6) that
+// DechirpOnsetDetector is an extension beyond the paper that
 // restores the paper's Fig. 10 low-SNR behaviour: it exploits LoRa's
 // despreading gain instead of raw-trace statistics.
 //
@@ -59,7 +59,9 @@ const (
 //     the full 2^SF despreading gain is preserved; its sinc droop is
 //     divided out per bin, and the alias-pair metric is evaluated on the
 //     decimated grid — an accuracy-preserving replacement costing ~1/4 of
-//     the full-rate windows.
+//     the full-rate windows. Each window is decimated into one reused
+//     buffer whose zero padding is written once, transformed out of place
+//     into a second, and scored before the next window starts.
 //  2. Apex refinement: one anchor FFT at the refinement center identifies
 //     the dechirped tone; every subsequent fine step is evaluated by a
 //     sliding DFT (dsp.SlidingDFT) tracking a handful of candidate bins —
@@ -70,7 +72,9 @@ const (
 //     FFT now cost one FFT plus O(bins·n) total.
 //  3. Full transforms that remain (anchor FFTs, the decimated coarse FFTs)
 //     run radix-4 kernels whenever their size's log2 is even — true for
-//     every hot size here — via dsp.Plan's kernel selection.
+//     every hot size here — via dsp.Plan's kernel selection, out of place,
+//     so the zero padding and the input permutation fold into the first
+//     butterfly stage.
 //
 // A detector instance holds reusable scratch (dechirp templates, FFT plans
 // and buffers, the global dechirped trace, sliding-DFT state) and is
@@ -93,14 +97,19 @@ type DechirpOnsetDetector struct {
 	// every sliding window of every capture, keeping the window scan
 	// allocation-free in steady state.
 	scratch    dechirpScratch
-	magSq      []float64    // per-bin squared magnitudes (fillMag)
+	magSq      []float64 // per-bin squared magnitudes (fillMag)
+	coarseN    int       // chirp length the decimated-scan scratch is sized for
+	coarseDec  int       // decimation the decimated-scan scratch is sized for
+	coarsePlan *dsp.Plan // decimated-window FFT
+	// coarseIn holds one decimated window, zero past n/dec: DechirpDecimateInto
+	// writes only its first n/dec samples, so the zero padding the transform
+	// reads is written once per geometry.
+	coarseIn   []complex128
+	coarseSpec []complex128 // coarseIn's spectrum
 	magSqDec   []float64    // per-bin squared magnitudes, decimated scan
 	droopInv   []float64    // boxcar droop compensation per decimated bin
-	droopDec   int          // decimation the droop table was built for
-	droopLen   int          // decimated FFT size of the droop table
 	coarseMags []float64    // coarse-scan metric values
 	coarseAts  []int        // coarse-scan window starts
-	coarseSlab []complex128 // packed decimated windows for TransformMany
 	fitXs      []float64    // apex-fit abscissae
 	fitYs      []float64    // apex-fit metric values
 
@@ -150,13 +159,14 @@ func (d *DechirpOnsetDetector) coarseDecimation(n int, sampleRate float64) int {
 	return dec
 }
 
-// ensureDroop builds the boxcar droop-compensation table for the decimated
-// coarse spectrum.
-func (d *DechirpOnsetDetector) ensureDroop(n, dec int) {
-	m := dsp.NextPow2(n / dec)
-	if d.droopDec == dec && d.droopLen == m {
+// ensureCoarse sizes the decimated coarse scan's window and spectrum
+// buffers and builds the boxcar droop-compensation table for its spectrum.
+func (d *DechirpOnsetDetector) ensureCoarse(n, dec int) {
+	if d.coarseN == n && d.coarseDec == dec {
 		return
 	}
+	d.coarsePlan = dsp.PlanFor(n / dec)
+	m := d.coarsePlan.Size()
 	if cap(d.droopInv) < m {
 		d.droopInv = make([]float64, m)
 	}
@@ -172,7 +182,16 @@ func (d *DechirpOnsetDetector) ensureDroop(n, dec int) {
 		d.magSqDec = make([]float64, m)
 	}
 	d.magSqDec = d.magSqDec[:m]
-	d.droopDec, d.droopLen = dec, m
+	if cap(d.coarseIn) < m {
+		d.coarseIn = make([]complex128, m)
+	}
+	d.coarseIn = d.coarseIn[:m]
+	clear(d.coarseIn)
+	if cap(d.coarseSpec) < m {
+		d.coarseSpec = make([]complex128, m)
+	}
+	d.coarseSpec = d.coarseSpec[:m]
+	d.coarseN, d.coarseDec = n, dec
 }
 
 // ensureGlobalDechirp extends the conjugate infinite-chirp template to the
@@ -276,16 +295,19 @@ func (d *DechirpOnsetDetector) fillMag(iq []complex128, start, n int, sampleRate
 	return math.Sqrt(aliasPairMaxSq(magSq, wBins))
 }
 
-// fillMagDecSpec is fillMag on the boxcar-decimated dechirp path, scoring
-// one pre-transformed block of the batched coarse scan (one TransformMany
-// over every window's DechirpDecimateInto result): same alias-pair metric,
-// FFT size n/dec, with the boxcar's sinc droop divided out so bin powers
-// match the full-rate transform's across the band. The decimated grid keeps
-// the alias-pair geometry because bin widths in Hz are preserved:
-// W/(rate/dec)·(nfft/dec) = W/rate·nfft.
+// fillMagDec is fillMag on the boxcar-decimated dechirp path, the coarse
+// scan's per-window score: DechirpDecimateInto into the zero-padded window
+// buffer, one transform into the spectrum buffer, then the same alias-pair
+// metric at FFT size n/dec, with the boxcar's sinc droop divided out so bin
+// powers match the full-rate transform's across the band. The decimated
+// grid keeps the alias-pair geometry because bin widths in Hz are
+// preserved: W/(rate/dec)·(nfft/dec) = W/rate·nfft.
 //
 //softlora:allocfree
-func (d *DechirpOnsetDetector) fillMagDecSpec(spec []complex128, sampleRate float64, dec int) float64 {
+func (d *DechirpOnsetDetector) fillMagDec(window []complex128, sampleRate float64, dec int) float64 {
+	d.scratch.DechirpDecimateInto(d.coarseIn, window, dec)
+	spec := d.coarseSpec
+	d.coarsePlan.Transform(spec, d.coarseIn)
 	nb := len(spec)
 	wBins := int(math.Round(d.Params.Bandwidth / sampleRate * float64(dec) * float64(nb)))
 	if wBins <= 0 || wBins >= nb {
@@ -313,7 +335,7 @@ func (d *DechirpOnsetDetector) DetectOnset(iq []complex128, sampleRate float64) 
 	if !d.Exhaustive {
 		dec = d.coarseDecimation(n, sampleRate)
 		if dec > 1 {
-			d.ensureDroop(n, dec)
+			d.ensureCoarse(n, dec)
 		}
 	}
 	// Both refinement variants evaluate candidate tones on the globally
@@ -322,48 +344,22 @@ func (d *DechirpOnsetDetector) DetectOnset(iq []complex128, sampleRate float64) 
 	d.ensureGlobalDechirp(iq, sampleRate)
 
 	// 1. Coarse scan (quarter-chirp stride): record every window's fill
-	// metric (alignment-insensitive). The decimated path batches every
-	// window's dechirped-and-decimated block into one slab and runs a
-	// single TransformMany through the shared plan — per-block results are
-	// bit-identical to per-window transforms, the plan's permutation and
-	// twiddle tables just stay hot across windows.
+	// metric (alignment-insensitive), one window at a time through the
+	// detector's reused window and spectrum buffers.
 	mags := d.coarseMags[:0]
 	ats := d.coarseAts[:0]
 	bestMag := 0.0
 	for at := 0; at+n <= len(iq); at += n / 4 {
+		var mg float64
+		if dec > 1 {
+			mg = d.fillMagDec(iq[at:at+n], sampleRate, dec)
+		} else {
+			mg = d.fillMag(iq, at, n, sampleRate)
+		}
 		ats = append(ats, at)
-	}
-	if dec > 1 {
-		m := n / dec
-		plan := dsp.PlanFor(m)
-		nfft := plan.Size()
-		need := len(ats) * nfft
-		if cap(d.coarseSlab) < need {
-			d.coarseSlab = make([]complex128, need)
-		}
-		slab := d.coarseSlab[:need]
-		for w, at := range ats {
-			blk := slab[w*nfft : (w+1)*nfft]
-			d.scratch.DechirpDecimateInto(blk[:m], iq[at:at+n], dec)
-			for i := m; i < nfft; i++ {
-				blk[i] = 0
-			}
-		}
-		plan.TransformMany(slab)
-		for w := range ats {
-			mg := d.fillMagDecSpec(slab[w*nfft:(w+1)*nfft], sampleRate, dec)
-			mags = append(mags, mg)
-			if mg > bestMag {
-				bestMag = mg
-			}
-		}
-	} else {
-		for _, at := range ats {
-			mg := d.fillMag(iq, at, n, sampleRate)
-			mags = append(mags, mg)
-			if mg > bestMag {
-				bestMag = mg
-			}
+		mags = append(mags, mg)
+		if mg > bestMag {
+			bestMag = mg
 		}
 	}
 	d.coarseMags, d.coarseAts = mags, ats

@@ -332,7 +332,7 @@ func (t *toneFinder) ensure(p lora.Params, n int, sampleRate float64, down bool)
 			phase[i] = -phase[i]
 		}
 	}
-	t.scratch.Init(key, n, sampleRate, 1, phase)
+	t.scratch.Init(key, n, sampleRate, 0, phase)
 	// Largest power-of-two decimation that keeps the ±BW/2 bias span
 	// inside 70 % of the decimated band (droop ≥ −2 dB there, and the
 	// coarse peak cannot park legitimate tones at the decimated Nyquist),
@@ -432,7 +432,7 @@ func (t *toneFinder) find(seg []complex128, sampleRate float64) (float64, error)
 	return dsp.FoldFrequency(f0+(float64(zb)+frac)*t.zoomStep, decRate), nil
 }
 
-// DechirpFFTEstimator is an extension beyond the paper (DESIGN.md §6): the
+// DechirpFFTEstimator is an extension beyond the paper: the
 // chirp is multiplied by the conjugate ideal chirp, collapsing it to a tone
 // at δ whose frequency is read off an interpolated spectral peak. It is
 // orders of magnitude faster than the DE least squares and nearly as

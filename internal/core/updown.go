@@ -7,7 +7,7 @@ import (
 	"softlora/internal/lora"
 )
 
-// UpDownEstimator is an extension beyond the paper (DESIGN.md §6) that
+// UpDownEstimator is an extension beyond the paper that
 // removes the fundamental coupling between PHY-timestamp error and
 // frequency-bias error.
 //

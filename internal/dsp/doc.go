@@ -46,11 +46,13 @@
 // full window's coherent gain over the surviving band (compensate the
 // boxcar's sinc droop per bin with BoxcarDroopSq).
 //
-// Two batching tiers sit on top. Plan.TransformMany runs K packed
-// same-size transforms through one plan back to back — bit-identical to K
-// TransformInPlace calls, but the permutation and twiddle tables stay hot
-// in cache across blocks (the coarse-scan windows of a capture, a
-// spectrogram's frames). And the decision-stage float32 lanes trade
+// A caller that fills a buffer only to transform it transforms out of
+// place: Plan.Transform's radix-4 path reads the source through the
+// digit-reversal permutation inside the first butterfly stage, and reads
+// zeros past its end, so no copy, zero fill or separate swap pass runs
+// before the butterflies. The coarse onset scan keeps one decimated window, zero past
+// n/d, and transforms it window by window (BenchmarkFFTPlan's padded-*
+// cases time those shapes). The decision-stage float32 lanes trade
 // precision for bandwidth where the consumer's error budget allows it:
 // AICScratch.Onset32Strided and FIRFilter.ApplyRealRangeInto32 run the
 // onset detector's coarse/mid argmin stages on float32 data with a float32

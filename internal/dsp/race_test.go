@@ -55,28 +55,36 @@ func TestConcurrentPlanForSharedCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentTransformManyDistinctSlabs shares one plan across
-// goroutines that each batch-transform a private slab. Plans are
-// read-only after construction; this is the worker-pool idiom the batch
-// pipeline uses.
-func TestConcurrentTransformManyDistinctSlabs(t *testing.T) {
+// TestConcurrentTransformDistinctBuffers shares one plan across goroutines
+// that each transform private buffers out of place, full-length and
+// zero-padded. Plans are read-only after construction; this is the
+// worker-pool idiom the batch pipeline uses.
+func TestConcurrentTransformDistinctBuffers(t *testing.T) {
 	t.Parallel()
-	const n, blocks = 256, 4
+	const n = 256
 	p := dsp.PlanFor(n)
-	ref := rampTrace(n * blocks)
-	p.TransformMany(ref)
+	src := rampTrace(n)
+	ref := make([][]complex128, 2)
+	for i, l := range []int{n, n/2 + 7} {
+		ref[i] = make([]complex128, n)
+		p.Transform(ref[i], src[:l])
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			slab := rampTrace(n * blocks)
-			p.TransformMany(slab)
-			for i := range slab {
-				if slab[i] != ref[i] {
-					t.Error("shared-plan batch transform diverged")
-					return
+			src := rampTrace(n)
+			dst := make([]complex128, n)
+			for iter := 0; iter < 20; iter++ {
+				i := iter % 2
+				p.Transform(dst, src[:[]int{n, n/2 + 7}[i]])
+				for k := range dst {
+					if dst[k] != ref[i][k] {
+						t.Error("shared-plan transform diverged")
+						return
+					}
 				}
 			}
 		}()

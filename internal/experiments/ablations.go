@@ -23,7 +23,7 @@ type AblationFBRow struct {
 }
 
 // AblationFB benchmarks the paper's two estimators against the dechirp-FFT
-// extension across SNRs (DESIGN.md §6): accuracy and CPU cost.
+// extension (core.DechirpFFTEstimator) across SNRs: accuracy and CPU cost.
 func AblationFB(trials int) ([]AblationFBRow, error) {
 	if trials <= 0 {
 		trials = 3

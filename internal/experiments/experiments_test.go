@@ -114,6 +114,24 @@ func TestFig9DetectorsAgree(t *testing.T) {
 	}
 }
 
+// TestPrintFig9LabelsEachValue prints a result whose four fields are all
+// distinct and checks that each number follows its own label.
+func TestPrintFig9LabelsEachValue(t *testing.T) {
+	var buf bytes.Buffer
+	PrintFig9(&buf, Fig9Result{TrueOnsetMs: 1.25, EnvelopePeakMs: 2.5, AICPickMs: 3.75, MaxEnvRatio: 8.5})
+	out := buf.String()
+	for _, want := range []string{
+		"true onset 1.2500 ms",
+		"max-ratio pick 2.5000 ms",
+		"(ratio 8.5)",
+		"AIC pick 3.7500 ms",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("PrintFig9 output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestFig10ErrorGrowsAsSNRDrops(t *testing.T) {
 	pts := Fig10(4)
 	if len(pts) != 13 {

@@ -18,7 +18,7 @@ type Fig10Point struct {
 	MeanErrorUs float64
 	MaxErrorUs  float64
 	// DechirpMeanUs is the despreading-based extension detector's mean
-	// error on the same captures (DESIGN.md §6).
+	// error on the same captures (core.DechirpOnsetDetector).
 	DechirpMeanUs float64
 }
 

@@ -205,7 +205,7 @@ func Fig9() (Fig9Result, error) {
 func PrintFig9(w io.Writer, r Fig9Result) {
 	section(w, "Fig. 9: preamble onset detection")
 	fmt.Fprintf(w, "true onset %.4f ms | envelope max-ratio pick %.4f ms (ratio %.1f) | AIC pick %.4f ms\n",
-		r.TrueOnsetMs, r.EnvelopePeakMs, r.AICPickMs, r.MaxEnvRatio)
+		r.TrueOnsetMs, r.EnvelopePeakMs, r.MaxEnvRatio, r.AICPickMs)
 }
 
 // Fig11Result compares I traces for δ = ±25 kHz (Fig. 11): the axis of

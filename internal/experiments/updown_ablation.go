@@ -26,7 +26,7 @@ type UpDownRow struct {
 // AblationUpDown quantifies the δ' = δ + k·Δτ coupling: single-chirp
 // estimators absorb ~122 Hz of FB error per µs of onset error (SF7,
 // 125 kHz), while the up/down estimator stays flat and recovers the timing
-// error itself (DESIGN.md §6).
+// error itself (see core.UpDownEstimator).
 func AblationUpDown(trials int) ([]UpDownRow, error) {
 	if trials <= 0 {
 		trials = 4

@@ -94,16 +94,18 @@ type OnsetMethod string
 const (
 	OnsetAIC      OnsetMethod = "aic"
 	OnsetEnvelope OnsetMethod = "envelope"
-	// OnsetDechirp uses the despreading-based triangle-apex detector
-	// (DESIGN.md §6): microseconds down to ~−10 dB where the paper's
-	// time-domain detectors degrade.
+	// OnsetDechirp uses the despreading-based triangle-apex detector, an
+	// extension beyond the paper (core.DechirpOnsetDetector): microseconds
+	// down to ~−10 dB where the paper's time-domain detectors degrade.
 	OnsetDechirp OnsetMethod = "dechirp"
 )
 
 // FBMethod selects the frequency-bias estimator.
 type FBMethod string
 
-// FB estimation methods (§7.1 plus the extensions of DESIGN.md §6).
+// FB estimation methods: the paper's two (§7.1) plus two extensions
+// beyond it, documented on core.DechirpFFTEstimator and
+// core.UpDownEstimator.
 const (
 	FBLinearRegression FBMethod = "linear-regression"
 	FBLeastSquares     FBMethod = "least-squares"
