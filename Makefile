@@ -17,9 +17,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the softlora contract analyzers (internal/lint): determinism,
-# allocfree, bufpool ownership, lock/shard discipline — interprocedurally,
-# over the call graph of the whole load — and rejects any //softlora:
-# directive that none of them reads.
+# allocfree, lock/shard discipline — interprocedurally, over the call graph
+# of the whole load — and rejects any //softlora: directive that none of
+# them reads.
 # -tests extends the load to each package's test variants, so contract
 # regressions in _test.go helpers are caught too (package-wide directives
 # still scope only to non-test files).

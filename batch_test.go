@@ -171,25 +171,21 @@ func TestProcessBatchDeterministicAcrossFloatLanes(t *testing.T) {
 		t.Helper()
 		gw, jobs := batchFixture(t, workers, 8)
 		gw.onsetF64 = f64
-		// Record the lane of every pipeline the workers draw, so the run
-		// fails if the switch never reaches them and the comparison below
-		// only matches the float32 lane against itself.
-		var mu sync.Mutex
-		var lanes []bool
-		gw.pipePool.New = func() any {
-			p := gw.newPipeline()
-			det, ok := p.onset.(*core.AICDetector)
-			mu.Lock()
-			lanes = append(lanes, ok && det.Float64)
-			mu.Unlock()
-			return p
-		}
 		verdicts := make([]Verdict, len(jobs))
 		for i, r := range gw.ProcessBatch(context.Background(), jobs) {
 			if r.Err != nil {
 				t.Fatalf("workers=%d float64=%v uplink %d: %v", workers, f64, i, r.Err)
 			}
 			verdicts[i] = r.Report.Verdict
+		}
+		// Every pipeline the workers drew is parked once the batch returns.
+		// Record their lanes, so the run fails if the switch never reaches
+		// them and the comparison below only matches the float32 lane
+		// against itself.
+		var lanes []bool
+		for len(gw.idle) > 0 {
+			det, ok := (<-gw.idle).onset.(*core.AICDetector)
+			lanes = append(lanes, ok && det.Float64)
 		}
 		if len(lanes) == 0 {
 			t.Fatalf("workers=%d: no worker pipeline was built", workers)
@@ -327,7 +323,9 @@ func TestUplinkBatchMatchesDevices(t *testing.T) {
 
 // TestProcessBatchConcurrentStress exists primarily for `go test -race
 // -run Batch`: many workers hammering the shared replay database and their
-// private pipelines at once.
+// private pipelines at once. Then two overlapping calls on a one-worker
+// gateway: the second builds a pipeline of its own, and parking it beside
+// the first must drop it, not block.
 func TestProcessBatchConcurrentStress(t *testing.T) {
 	gw, jobs := batchFixture(t, 8, 16)
 	for round := 0; round < 2; round++ {
@@ -335,6 +333,27 @@ func TestProcessBatchConcurrentStress(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("round %d uplink %d: %v", round, i, r.Err)
 			}
+		}
+	}
+	gw1, jobs1 := batchFixture(t, 1, 8)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for c := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, r := range gw1.ProcessBatch(context.Background(), jobs1) {
+				if r.Err != nil {
+					errs[c] = r.Err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			t.Errorf("overlapping call %d: %v", c, err)
 		}
 	}
 }

@@ -497,14 +497,13 @@ func BenchmarkSDRDownconvert(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			r := makeRecv(bits)
 			in := &radio.Capture{IQ: iq, Rate: rate}
-			var out sdr.Capture // reused header: the batch pipeline's shape
+			var out sdr.Capture // reused capture and buffer: the batch pipeline's shape
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := r.DownconvertInto(&out, in); err != nil {
 					b.Fatal(err)
 				}
-				out.Release()
 			}
 		})
 	}

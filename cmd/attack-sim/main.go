@@ -162,7 +162,6 @@ func multiGatewayVerdict(b *radio.Building, p lora.Params, rng *rand.Rand, repla
 			return err
 		}
 		o, err := site.Gateway.Observe(cap, "node-1", "replayed-frame")
-		cap.Release()
 		if err != nil {
 			fmt.Printf("gw-%d (%s fl %d): no lock (%v)\n", i, site.Position.Label, site.Position.Floor, err)
 			continue

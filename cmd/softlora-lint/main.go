@@ -1,6 +1,6 @@
 // Command softlora-lint is the multichecker for the repo's static
-// contracts (see internal/lint): determinism, allocfree, poolcheck and
-// lockshard run over every matched package and any finding fails the run.
+// contracts (see internal/lint): determinism, allocfree and lockshard run
+// over every matched package and any finding fails the run.
 // A //softlora: directive that no analyzer of the suite reads is a finding
 // too (reported as "directive"), even when -only leaves that analyzer
 // out: a misspelled annotation would otherwise leave its code unchecked.

@@ -5,65 +5,39 @@ import "math"
 // FIRFilter is a finite-impulse-response filter described by its tap
 // coefficients.
 //
-// Long convolutions (Apply/ApplyInto on traces much longer than the tap
-// count) run as FFT overlap-save through lazily built scratch state, so a
-// filter instance is not safe for concurrent use once applied; build one
-// filter per goroutine.
+// The filter derives tables from Taps on first use (reversed taps, their
+// float32 mirror, the overlap-save tap spectrum), so Taps must not change
+// after the first apply. Long convolutions (Apply/ApplyInto on traces much
+// longer than the tap count) run as FFT overlap-save through lazily built
+// scratch state, so a filter instance is not safe for concurrent use once
+// applied; build one filter per goroutine.
 type FIRFilter struct {
 	Taps []float64
 
-	// Overlap-save scratch, built on first long Apply and rebuilt whenever
-	// Taps no longer match the cached copy.
-	fftN       int          // block FFT size
-	tapsCached []float64    // taps the scratch was built for
-	tapsFFT    []complex128 // FFT of zero-padded taps
-	blockBuf   []complex128 // per-block work buffer
-	plan       *Plan
+	// Overlap-save scratch, built on first long Apply.
+	fftN     int          // block FFT size
+	tapsFFT  []complex128 // FFT of zero-padded taps
+	blockBuf []complex128 // per-block work buffer
+	plan     *Plan
 
 	// Reversed-tap copy for the direct real evaluators (kernel laid out in
 	// input order so the inner product runs forward over both slices).
 	revTaps []float64
 	// revTaps32 is the single-precision mirror of revTaps for the float32
-	// decision lanes (AIC prefilter); rebuilt alongside revTaps.
+	// decision lanes (AIC prefilter).
 	revTaps32 []float32
 }
 
-// reversed returns the taps in input order, rebuilt when Taps changed.
+// reversed returns the taps in input order, built on first use.
 func (f *FIRFilter) reversed() []float64 {
-	m := len(f.Taps)
-	stale := len(f.revTaps) != m
-	if !stale {
-		for i, t := range f.Taps {
-			if f.revTaps[m-1-i] != t {
-				stale = true
-				break
-			}
-		}
-	}
-	if stale {
-		if cap(f.revTaps) < m {
-			f.revTaps = make([]float64, m)
-		}
-		f.revTaps = f.revTaps[:m]
+	if f.revTaps == nil {
+		m := len(f.Taps)
+		f.revTaps = make([]float64, m)
 		for i, t := range f.Taps {
 			f.revTaps[m-1-i] = t
 		}
 	}
 	return f.revTaps
-}
-
-// scratchStale reports whether the overlap-save scratch no longer matches
-// the (exported, mutable) Taps.
-func (f *FIRFilter) scratchStale() bool {
-	if f.tapsFFT == nil || len(f.tapsCached) != len(f.Taps) {
-		return true
-	}
-	for i, t := range f.Taps {
-		if f.tapsCached[i] != t {
-			return true
-		}
-	}
-	return false
 }
 
 // LowPassFIR designs a linear-phase low-pass FIR filter with the windowed-
@@ -152,7 +126,7 @@ func (f *FIRFilter) applyOverlapSave(out, x []complex128) {
 	n := len(x)
 	m := len(f.Taps)
 	delay := m / 2
-	if f.scratchStale() {
+	if f.tapsFFT == nil {
 		// Block size: a few thousand points amortizes the per-block FFTs
 		// without oversizing the tap spectrum.
 		N := NextPow2(8 * m)
@@ -161,7 +135,6 @@ func (f *FIRFilter) applyOverlapSave(out, x []complex128) {
 		}
 		f.fftN = N
 		f.plan = PlanFor(N)
-		f.tapsCached = append(f.tapsCached[:0], f.Taps...)
 		f.tapsFFT = make([]complex128, N)
 		for i, t := range f.Taps {
 			f.tapsFFT[i] = complex(t, 0)
@@ -199,25 +172,11 @@ func (f *FIRFilter) applyOverlapSave(out, x []complex128) {
 	}
 }
 
-// reversed32 returns the float32 mirror of reversed(), rebuilt when Taps
-// changed. Callers hold the result only within one apply call.
+// reversed32 returns the float32 mirror of reversed(), built on first use.
 func (f *FIRFilter) reversed32() []float32 {
-	rev := f.reversed()
-	m := len(rev)
-	stale := len(f.revTaps32) != m
-	if !stale {
-		for i, t := range rev {
-			if f.revTaps32[i] != float32(t) {
-				stale = true
-				break
-			}
-		}
-	}
-	if stale {
-		if cap(f.revTaps32) < m {
-			f.revTaps32 = make([]float32, m)
-		}
-		f.revTaps32 = f.revTaps32[:m]
+	if f.revTaps32 == nil {
+		rev := f.reversed()
+		f.revTaps32 = make([]float32, len(rev))
 		for i, t := range rev {
 			f.revTaps32[i] = float32(t)
 		}

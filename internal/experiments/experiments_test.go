@@ -209,8 +209,9 @@ func TestFig14WithinPaperResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Within-paper-resolution at moderate SNR; at −25/−20 dB the
-	// single-chirp Cramér-Rao bound (~110-190 Hz) is the honest floor
-	// (see EXPERIMENTS.md).
+	// single-chirp Cramér-Rao bound (~110 Hz at −20 dB, ~190 Hz at
+	// −25 dB for 2457 samples) is the honest floor; at −25 dB it lies
+	// above the paper's 120 Hz.
 	for _, p := range pts {
 		limit := 120.0
 		if p.SNRdB <= -20 {

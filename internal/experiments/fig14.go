@@ -49,8 +49,8 @@ func Fig14(trials int) ([]Fig14Point, error) {
 				// with a generous ±3 kHz window.
 				// Full-rate samples: the error floor is the single-chirp
 				// Cramér-Rao bound (~110 Hz at −20 dB, ~190 Hz at −25 dB
-				// for 2457 samples) — see EXPERIMENTS.md for the
-				// comparison against the paper's ≤120 Hz claim.
+				// for 2457 samples), which at −25 dB lies above the paper's
+				// ≤120 Hz claim.
 				est := &core.LeastSquaresEstimator{
 					Params:        p,
 					Decimation:    1,

@@ -8,9 +8,9 @@
 //
 // with one quoted or backquoted regexp per expected diagnostic on that
 // line. Fixture packages may import each other (resolved under
-// testdata/src, so a fixture tree can stub a real import path such as
-// softlora/internal/bufpool) and the standard library (resolved from
-// build-cache export data via `go list -export`).
+// testdata/src, so a fixture tree can also stub a real import path) and
+// the standard library (resolved from build-cache export data via
+// `go list -export`).
 //
 // Run mirrors the softlora-lint driver's interprocedural machinery: the
 // call graph is built over the named package and every fixture package it

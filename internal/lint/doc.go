@@ -1,4 +1,4 @@
-// Package lint is softlora's static-contract suite: four analyzers that
+// Package lint is softlora's static-contract suite: three analyzers that
 // machine-check, at the source level, the invariants the runtime test
 // gates (`make determinism`, the zero-alloc regression tests, the race
 // suite) would otherwise only catch after a violation ships. They run as
@@ -27,11 +27,6 @@
 //     packages modeled as allocating (fmt, errors, sort, strings,
 //     hash/..., ...). Map writes and panic arguments are exempt (cold
 //     paths by definition). Escape hatch: //softlora:allocfree-ok <why>.
-//
-//   - poolcheck — a bufpool.Get/GetUninit buffer must be Put back, defer-
-//     Put, or handed off (stored, returned, passed on) on every path out
-//     of the function; a conditional leak is flagged at the leaking
-//     return. Escape hatch on the Get line: //softlora:bufpool-ok <why>.
 //
 //   - lockshard — struct fields annotated //softlora:guarded-by <mu> may
 //     only be touched after a Lock/RLock of the same base expression's

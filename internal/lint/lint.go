@@ -5,7 +5,6 @@ import (
 	"softlora/internal/lint/analysis"
 	"softlora/internal/lint/determinism"
 	"softlora/internal/lint/lockshard"
-	"softlora/internal/lint/poolcheck"
 )
 
 // Analyzers returns the full softlora-lint suite, in reporting order.
@@ -13,7 +12,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
 		allocfree.Analyzer,
-		poolcheck.Analyzer,
 		lockshard.Analyzer,
 	}
 }

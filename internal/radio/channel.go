@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"softlora/internal/bufpool"
 	"softlora/internal/lora"
 )
 
@@ -60,20 +59,18 @@ type Capture struct {
 // time t.
 func (c *Capture) SampleAt(t float64) float64 { return (t - c.Start) * c.Rate }
 
-// Release returns the capture's IQ buffer to the process-wide capture pool
-// and clears the slice. Call it once the capture is fully consumed (the
-// simulation batch path does, per uplink); never touch the IQ data
-// afterwards. Releasing is optional — unreleased captures are ordinary
-// garbage.
-func (c *Capture) Release() {
-	bufpool.Put(c.IQ)
-	c.IQ = nil
-}
+// Release does nothing: a capture is ordinary garbage once its holder
+// drops it.
+//
+// Deprecated: there is nothing to release. Release stays only because the
+// benchmark module (softlorabench) still calls it; it goes once that module
+// stops.
+func (c *Capture) Release() {}
 
 // Receive renders the channel as seen by a receiver over the window
 // [start, start+duration): every emission is modulated, delayed by its
 // propagation time, scaled by its path gain, and summed, then AWGN at the
-// noise floor is added.
+// noise floor is added. Each call allocates the capture it returns.
 func (ch *Channel) Receive(emissions []Emission, start, duration float64) (*Capture, error) {
 	if ch.SampleRate <= 0 {
 		return nil, fmt.Errorf("radio: sample rate must be positive")
@@ -82,7 +79,7 @@ func (ch *Channel) Receive(emissions []Emission, start, duration float64) (*Capt
 		return nil, fmt.Errorf("radio: Channel.Rand must be set")
 	}
 	n := int(math.Ceil(duration * ch.SampleRate))
-	iq := bufpool.Get(n)
+	iq := make([]complex128, n)
 	for i, e := range emissions {
 		arrival := e.StartTime + PropagationDelay(e.Distance) - start
 		amp := e.receivedAmplitude()

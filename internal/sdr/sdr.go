@@ -6,7 +6,10 @@
 //
 // The receiver consumes channel captures produced by package radio (already
 // at equivalent baseband relative to the RF channel center) and outputs the
-// I/Q traces the detection algorithms in package core operate on.
+// I/Q traces the detection algorithms in package core operate on. A caller
+// that down-converts into one Capture for its whole life reuses that
+// capture's buffer, so a gateway pipeline's front end allocates nothing per
+// uplink once its buffer holds the longest capture.
 package sdr
 
 import (
@@ -14,7 +17,6 @@ import (
 	"math"
 	"math/rand"
 
-	"softlora/internal/bufpool"
 	"softlora/internal/dsp"
 	"softlora/internal/radio"
 )
@@ -60,23 +62,18 @@ type Capture struct {
 // TimeOf returns the channel-timeline time of sample i.
 func (c *Capture) TimeOf(i int) float64 { return c.Start + float64(i)/c.Rate }
 
-// Release returns the capture's IQ buffer to the process-wide capture pool
-// and clears the slice. Call it when the capture is fully consumed (the
-// gateway pipeline does, per uplink); never touch the IQ data afterwards.
-// Releasing is optional — unreleased captures are ordinary garbage.
-func (c *Capture) Release() {
-	bufpool.Put(c.IQ)
-	c.IQ = nil
-}
+// Release does nothing: a capture's buffer is ordinary garbage, or the
+// caller's to reuse through DownconvertInto.
+//
+// Deprecated: there is nothing to release. Release stays only because the
+// benchmark module (softlorabench) still calls it; it goes once that module
+// stops.
+func (c *Capture) Release() {}
 
 // Downconvert processes a channel capture through the receiver chain:
 // rotation by the receiver LO error exp(−j(2π·δRx·t + θRx)), then ADC
-// quantization with AGC.
-//
-// The output buffer comes from the capture pool; call Capture.Release when
-// done with it to keep the steady-state batch path allocation-free. The LO
-// rotation runs on a first-order dsp.Rotator (one complex multiply per
-// sample) instead of a per-sample math.Sincos.
+// quantization with AGC. The LO rotation runs on a first-order dsp.Rotator
+// (one complex multiply per sample) instead of a per-sample math.Sincos.
 func (r *Receiver) Downconvert(in *radio.Capture) (*Capture, error) {
 	out := new(Capture)
 	if err := r.DownconvertInto(out, in); err != nil {
@@ -85,10 +82,12 @@ func (r *Receiver) Downconvert(in *radio.Capture) (*Capture, error) {
 	return out, nil
 }
 
-// DownconvertInto is Downconvert writing into a caller-owned Capture header,
-// so a pipeline reusing one scratch Capture per worker runs the whole
-// downconvert path without allocating. Any IQ buffer already in out is
-// overwritten without being released — Release it first if it was pooled.
+// DownconvertInto is Downconvert writing into a caller-owned Capture. It
+// reuses out.IQ's backing array when its capacity holds the capture and
+// allocates a new one otherwise, so a pipeline that keeps one Capture per
+// worker runs the whole downconvert path without allocating once warm.
+// Every sample of the result is written, and anything aliasing the old
+// out.IQ is overwritten.
 func (r *Receiver) DownconvertInto(out *Capture, in *radio.Capture) error {
 	if r.Rand == nil {
 		return ErrNilRand
@@ -98,7 +97,11 @@ func (r *Receiver) DownconvertInto(out *Capture, in *radio.Capture) error {
 	// drawn from Rand, so the capture is reproducible from Rand's state at
 	// entry.
 	r.noise.Seed(r.Rand.Int63())
-	buf := bufpool.GetUninit(len(in.IQ))
+	buf := out.IQ
+	if cap(buf) < len(in.IQ) {
+		buf = make([]complex128, len(in.IQ))
+	}
+	buf = buf[:len(in.IQ)]
 	rot := dsp.NewRotator(1, -theta, -r.FrequencyBias, 1/in.Rate)
 	pw := rot.MulInto(buf, in.IQ)
 	if r.ADCBits > 0 {

@@ -156,27 +156,66 @@ func TestEndToEndChirpThroughSDR(t *testing.T) {
 	}
 }
 
-// TestDownconvertPooledSteadyState pins the pooled front end: once the
-// capture pool is warm, Downconvert + Release run with only the constant
-// per-call bookkeeping (the Capture struct and the pool's box), no
-// per-sample buffers.
-func TestDownconvertPooledSteadyState(t *testing.T) {
-	r := &Receiver{FrequencyBias: -3e3, ADCBits: 8, Rand: rand.New(rand.NewSource(80))}
+// TestDownconvertIntoReusedCapture pins the caller-owned front end: a
+// Capture reused across DownconvertInto calls allocates nothing once its
+// buffer holds the capture, and the output equals Downconvert's, sample
+// for sample, whatever buffer the Capture held before: none, a longer one
+// holding stale samples (reused in place), or a shorter one (outgrown).
+func TestDownconvertIntoReusedCapture(t *testing.T) {
 	in := toneCapture(10e3, 1<<14, DefaultSampleRate)
-	warm, err := r.Downconvert(in)
+	newReceiver := func() *Receiver {
+		return &Receiver{FrequencyBias: -3e3, ADCBits: 8, Rand: rand.New(rand.NewSource(80))}
+	}
+	want, err := newReceiver().Downconvert(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm.Release()
-	allocs := testing.AllocsPerRun(20, func() {
-		out, err := r.Downconvert(in)
-		if err != nil {
+	stale := func(n int) []complex128 {
+		buf := make([]complex128, n)
+		for i := range buf {
+			buf[i] = complex(float64(i), -1)
+		}
+		return buf
+	}
+	for _, tc := range []struct {
+		name  string
+		iq    []complex128
+		reuse bool
+	}{
+		{"nil", nil, false},
+		{"longer-stale", stale(len(in.IQ) + 1000), true},
+		{"shorter", stale(len(in.IQ) / 2), false},
+	} {
+		out := Capture{IQ: tc.iq}
+		if err := newReceiver().DownconvertInto(&out, in); err != nil {
 			t.Fatal(err)
 		}
-		out.Release()
+		if len(out.IQ) != len(want.IQ) || out.Rate != want.Rate || out.Start != want.Start || out.PhaseRx != want.PhaseRx {
+			t.Fatalf("%s: got %d samples at %v Hz, start %v, θRx %v; Downconvert %d at %v Hz, start %v, θRx %v", tc.name,
+				len(out.IQ), out.Rate, out.Start, out.PhaseRx, len(want.IQ), want.Rate, want.Start, want.PhaseRx)
+		}
+		if reused := tc.iq != nil && &out.IQ[0] == &tc.iq[0]; reused != tc.reuse {
+			t.Errorf("%s: buffer reused = %v, want %v", tc.name, reused, tc.reuse)
+		}
+		for i := range want.IQ {
+			if out.IQ[i] != want.IQ[i] {
+				t.Fatalf("%s: sample %d = %v, Downconvert %v", tc.name, i, out.IQ[i], want.IQ[i])
+			}
+		}
+	}
+
+	r := newReceiver()
+	var out Capture
+	if err := r.DownconvertInto(&out, in); err != nil { // sizes the buffer
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := r.DownconvertInto(&out, in); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if allocs > 2 {
-		t.Errorf("Downconvert+Release allocated %v times per run in steady state, want <= 2", allocs)
+	if allocs != 0 {
+		t.Errorf("DownconvertInto into a warm Capture allocated %v times per run, want 0", allocs)
 	}
 }
 
@@ -344,5 +383,4 @@ func TestDownconvertPassesRotationPower(t *testing.T) {
 			t.Fatalf("sample %d = %v, separate passes %v", i, out.IQ[i], want[i])
 		}
 	}
-	out.Release()
 }

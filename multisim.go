@@ -144,7 +144,6 @@ func (m *MultiGatewaySimulation) Observe(d *SimDevice, devPos radio.Position, t0
 			continue
 		}
 		obs, err := site.Gateway.Observe(cap, d.ID, frameID)
-		cap.Release()
 		if err != nil {
 			report.SiteErrs[i] = err
 			continue

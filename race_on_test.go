@@ -2,7 +2,7 @@
 
 package softlora
 
-// raceEnabled reports that the race detector instruments this build;
-// sync.Pool intentionally drops items under race, so pooled-allocation
-// budgets do not hold.
+// raceEnabled reports that the race detector instruments this build.
+// Allocation budgets are pinned in normal builds only; race builds check
+// the same paths for data races.
 const raceEnabled = true

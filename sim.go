@@ -72,7 +72,6 @@ func (s *Simulation) Uplink(d *SimDevice, t0 float64) (*UplinkReport, []timestam
 		return nil, nil, err
 	}
 	report, err := s.Gateway.ProcessUplink(cap, d.ID, records)
-	cap.Release() // the capture was created here and is fully consumed
 	if err != nil {
 		return nil, nil, err
 	}
@@ -170,9 +169,6 @@ func (s *Simulation) UplinkBatch(ctx context.Context, ups []SimUplink) ([]SimBat
 		}
 		results[i].Report = batch[i].Report
 		results[i].Err = batch[i].Err
-		// The captures were rendered here and are fully consumed by the
-		// batch; recycle their buffers for the next batch's renders.
-		jobs[i].Capture.Release()
 	}
 	return results, nil
 }

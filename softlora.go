@@ -24,12 +24,13 @@
 // preallocated scratch: FFT plans are immutable and shared process-wide,
 // but every detector/estimator instance owns mutable scratch buffers and is
 // single-goroutine. The gateway therefore keeps one pipeline (onset
-// detector + FB estimator + SDR front end) per worker: ProcessUplink uses
-// the gateway's own serial pipeline, while ProcessBatch fans a batch of
-// captures across a bounded worker pool (Config.Workers, default
-// GOMAXPROCS), each worker building its own pipeline so the hot path stays
-// lock- and allocation-free. Never hand one pipeline's scratch to two
-// goroutines: one plan/scratch set per worker, no sharing.
+// detector + FB estimator + SDR front end and its capture buffer) per
+// worker: ProcessUplink uses the gateway's own serial pipeline, while
+// ProcessBatch fans a batch of captures across a bounded worker pool
+// (Config.Workers, default GOMAXPROCS), each worker taking a pipeline of
+// its own, kept warm between batches, so the hot path stays lock- and
+// allocation-free. Never hand one pipeline's scratch to two goroutines:
+// one plan/scratch set per worker, no sharing.
 //
 // # Two-stage processing and the ordering contract
 //
@@ -165,8 +166,9 @@ type pipeline struct {
 	// ~5 KB rngSource each) for every job. It runs on fastSeedSource so the
 	// per-uplink reseed is one store, not a ~10 µs table rebuild.
 	rng *rand.Rand
-	// sdrCap is the worker's reusable down-converted capture header; its IQ
-	// buffer cycles through the capture pool each uplink.
+	// sdrCap is the worker's down-converted capture. Its IQ buffer lives as
+	// long as the pipeline: each uplink down-converts into it, growing it
+	// only for a capture longer than any before.
 	sdrCap sdr.Capture
 }
 
@@ -221,7 +223,11 @@ type Gateway struct {
 	seedOnce   sync.Once
 	batchSeed  int64
 	batchCount atomic.Int64 // ProcessBatch invocations, mixed into job seeds
-	pipePool   sync.Pool    // *pipeline, reused across ProcessBatch calls
+	// idle parks warm batch pipelines between ProcessBatch calls, at most
+	// one per worker. Unlike a sync.Pool it keeps them through collections,
+	// so a batch rebuilds no pipeline, and no capture buffer, once every
+	// worker has built one.
+	idle chan *pipeline
 }
 
 // CaptureChirps returns how many chirp times after the onset the gateway's
@@ -285,6 +291,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		workers:    workers,
 		gatewayID:  gatewayID,
 		rand:       cfg.Rand,
+		idle:       make(chan *pipeline, workers),
 	}
 	if cfg.SDR != nil {
 		g.recvProto = *cfg.SDR
@@ -399,10 +406,6 @@ func (g *Gateway) phyStage(p *pipeline, capt *radio.Capture, report *UplinkRepor
 	if err := p.receiver.DownconvertInto(sdrCap, capt); err != nil {
 		return fmt.Errorf("softlora: %w", err)
 	}
-	// The down-converted capture is consumed entirely within this call;
-	// recycling its buffer keeps the batch path free of per-uplink
-	// multi-hundred-KB allocations.
-	defer sdrCap.Release()
 	onset, err := p.onset.DetectOnset(sdrCap.IQ, sdrCap.Rate)
 	if err != nil {
 		return fmt.Errorf("softlora: %w", err)
@@ -623,12 +626,13 @@ func jobSeed(base, batchNo int64, i int) int64 {
 }
 
 // ProcessBatch fans a batch of uplink captures across a bounded worker pool
-// (Config.Workers, default GOMAXPROCS). Each worker builds a private
-// pipeline — its own SDR front end, onset detector and FB estimator with
-// their plans and scratch — and runs only the side-effect-free PHY stage,
-// so the DSP hot path runs without locks or allocation. Once every PHY
-// stage has finished, the detection/commit stage applies the §7.2 verdict
-// in uplink-index order on the calling goroutine.
+// (Config.Workers, default GOMAXPROCS). At its first uplink each worker
+// takes a private pipeline — its own SDR front end, onset detector and FB
+// estimator with their plans, scratch and capture buffer — parked by an
+// earlier batch, or builds one, and runs only the side-effect-free PHY
+// stage, so the DSP hot path runs without locks or allocation. Once every
+// PHY stage has finished, the detection/commit stage applies the §7.2
+// verdict in uplink-index order on the calling goroutine.
 //
 // Results are positionally aligned with uplinks. Stochastic stages draw
 // from a per-uplink seed derived from Config.Rand and the batch ordinal,
@@ -670,17 +674,15 @@ func (g *Gateway) ProcessBatch(ctx context.Context, uplinks []Uplink) []BatchRes
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Workers reuse pooled pipelines so the warmed scratch (dechirp
-			// templates, FFT buffers) survives across batches.
-			p, ok := g.pipePool.Get().(*pipeline)
-			if !ok {
-				p = g.newPipeline()
-			}
-			defer g.pipePool.Put(p)
+			// The worker takes a parked pipeline only once it has an
+			// uplink, so every parked pipeline is warm: its scratch
+			// (dechirp templates, FFT buffers, the SDR capture buffer)
+			// survives across batches.
+			var p *pipeline
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= len(uplinks) {
-					return
+					break
 				}
 				if err := ctx.Err(); err != nil {
 					results[i] = BatchResult{Err: err}
@@ -690,6 +692,13 @@ func (g *Gateway) ProcessBatch(ctx context.Context, uplinks []Uplink) []BatchRes
 					results[i] = BatchResult{Err: ErrNilCapture}
 					continue
 				}
+				if p == nil {
+					select {
+					case p = <-g.idle:
+					default:
+						p = g.newPipeline()
+					}
+				}
 				// Reseeding the pipeline's own generator replaces the old
 				// per-uplink rand.New (a fresh ~5 KB source per job) and
 				// draws the identical stream for a given seed.
@@ -697,6 +706,14 @@ func (g *Gateway) ProcessBatch(ctx context.Context, uplinks []Uplink) []BatchRes
 				p.setRand(p.rng)
 				if err := g.phyStage(p, uplinks[i].Capture, &reports[i]); err != nil {
 					results[i] = BatchResult{Err: err}
+				}
+			}
+			// Concurrent ProcessBatch calls can build more pipelines than
+			// there are workers; the surplus is dropped.
+			if p != nil {
+				select {
+				case g.idle <- p:
+				default:
 				}
 			}
 		}()
