@@ -42,12 +42,18 @@ race:
 # serialized bias-database bytes must be identical for every worker count
 # (batch pipeline), with the AIC detector's float64 reference lane switched
 # on or off in the batch workers, and for every delivery schedule of the
-# same copies (streaming dedup window). TestGatewayOutputDigests pins both
-# gateway pipelines' outputs to committed digests (amd64 below v3 only), so
-# a change that must not alter outputs can show it here.
+# same copies (streaming dedup window). Two sets of pins guard the server's
+# reuse of earlier work: a window frame recycled from the free list must
+# never commit early, and a flush that copies a shard in the order cached
+# from its last flush must write the bytes a fresh copy-and-sort would —
+# after every kind of membership change, with IDs enrolled during the
+# flush, and for a second server flushed through the same Snapshotter.
+# TestGatewayOutputDigests pins both gateway pipelines' outputs to committed
+# digests (amd64 below v3 only), so a change that must not alter outputs
+# can show it here.
 determinism:
 	$(GO) test -count=1 -run 'TestProcessBatchSameDeviceDeterministicCommit|TestProcessBatchDeterministicAcrossWorkerCounts|TestProcessBatchDeterministicAcrossFloatLanes|TestMultiGatewayDeterministic|TestGatewayOutputDigests' .
-	$(GO) test -count=1 -run 'TestChaosDatabaseBytesScheduleIndependent|TestCheckBatchOrderIndependentDatabase' ./internal/netserver
+	$(GO) test -count=1 -run 'TestChaosDatabaseBytesScheduleIndependent|TestCheckBatchOrderIndependentDatabase|TestWindowReusedFrameNotCommittedEarly|TestFlushCachedOrder' ./internal/netserver
 
 # faults replays the fault-injection suites: the filesystem injector
 # (internal/faultinject) kills a bias-database flush at every filesystem

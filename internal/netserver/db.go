@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -161,6 +163,12 @@ type Config struct {
 type shard struct {
 	mu      sync.RWMutex
 	devices map[string]*core.BiasRecord //softlora:guarded-by mu
+	// version counts membership changes: every write to devices bumps it —
+	// an ID added (checkDevice, Enroll) or deleted (EvictExpired), a record
+	// pointer replaced (Enroll), the map swapped (installStaged). While it
+	// holds still, the map's IDs and record pointers do too, which is what
+	// lets a Snapshotter reuse a shard's sorted order (snapshotShardOrdered).
+	version uint64 //softlora:guarded-by mu
 	// dirty marks the shard as modified since its last successful
 	// snapshot flush. Set by every mutation, cleared by the flusher with
 	// Swap(false); a mutation racing the flush re-marks it so the next
@@ -268,16 +276,21 @@ func (s *NetworkServer) shardFor(deviceID string) *shard {
 // and marking the shard dirty for the incremental flusher. A replay verdict
 // still touches LastSeen: the device is demonstrably of interest, and
 // evicting a record mid-attack would let the attacker re-enroll as the
-// device it is impersonating.
+// device it is impersonating. A known device's record is updated in place,
+// so only a first-seen device's new record is stored.
 //
 //softlora:allocfree
 func (s *NetworkServer) checkDevice(deviceID string, fbHz, now float64) core.Verdict {
 	sh := s.shardFor(deviceID)
 	sh.mu.Lock()
-	verdict, rec := core.CheckRecord(sh.devices[deviceID], fbHz, s.tol, core.DefaultDevMultiplier, core.DefaultEWMAAlpha, core.DefaultEnrollFrames)
+	old := sh.devices[deviceID]
+	verdict, rec := core.CheckRecord(old, fbHz, s.tol, core.DefaultDevMultiplier, core.DefaultEWMAAlpha, core.DefaultEnrollFrames)
 	if rec != nil {
 		rec.Touch(now)
-		sh.devices[deviceID] = rec
+		if rec != old {
+			sh.devices[deviceID] = rec
+			sh.version++
+		}
 		sh.markDirty()
 	}
 	sh.mu.Unlock()
@@ -520,6 +533,9 @@ func (s *NetworkServer) CheckFrame(obs []PHYObservation) (FrameVerdict, error) {
 // that committed during the call — including frames opened by earlier
 // calls whose hold expired, and Revised events from late reconciliation.
 // The returned verdicts need not correspond to this call's frames.
+//
+// In either mode the returned slice is the caller's: the server keeps no
+// reference to it and never writes it again.
 func (s *NetworkServer) CheckBatch(obs []PHYObservation) ([]FrameVerdict, error) {
 	if s.win != nil {
 		return s.ingestBatch(obs)
@@ -576,6 +592,7 @@ func (s *NetworkServer) Enroll(deviceID string, fbHz float64, frames int) {
 	sh := s.shardFor(deviceID)
 	sh.mu.Lock()
 	sh.devices[deviceID] = &core.BiasRecord{Mean: fbHz, Min: fbHz, Max: fbHz, Count: frames}
+	sh.version++
 	sh.markDirty()
 	sh.mu.Unlock()
 }
@@ -655,6 +672,9 @@ func (s *NetworkServer) EvictExpired(now, ttl float64) int {
 				n++
 			}
 		}
+		if n > 0 {
+			sh.version++
+		}
 		if n > 0 || stamped {
 			sh.markDirty()
 		}
@@ -683,6 +703,54 @@ func (s *NetworkServer) snapshotShard(i int, dst []snapRecord) []snapRecord {
 	//softlora:nondeterministic-ok appends in map order; callers sort by ID before encoding
 	for id, rec := range sh.devices {
 		dst = append(dst, snapRecord{id: id, rec: *rec})
+	}
+	sh.mu.RUnlock()
+	return dst
+}
+
+// shardOrder is one shard's membership in ascending-ID order: its IDs and
+// the record pointers its map held for them at membership version version.
+// The zero shardOrder is that of a new server's shard: empty, at version 0.
+type shardOrder struct {
+	version uint64
+	entries []orderEntry
+}
+
+// orderEntry is one ID of a shardOrder and its record pointer.
+type orderEntry struct {
+	id  string
+	rec *core.BiasRecord
+}
+
+// snapshotShardOrdered appends shard i's records to dst in ascending-ID
+// order, as snapshotShard followed by sortRecords would, through ord, the
+// order kept from the shard's last snapshot. While the shard's membership
+// version equals ord's, its map holds exactly ord's IDs and record
+// pointers, so nothing is sorted. Otherwise ord is rebuilt: IDs and
+// pointers are read under the read lock and sorted after releasing it;
+// should the membership change before the lock is taken again, the rebuild
+// repeats with the sort under the lock, so it takes at most two passes.
+// Either way the records are copied under one hold of the lock at which
+// ord matches the map: the copy is the shard at one instant.
+func (s *NetworkServer) snapshotShardOrdered(i int, ord *shardOrder, dst []snapRecord) []snapRecord {
+	sh := &s.shards[i]
+	sh.mu.RLock()
+	for attempt := 0; sh.version != ord.version; attempt++ {
+		ord.version, ord.entries = sh.version, slices.Grow(ord.entries[:0], len(sh.devices))
+		//softlora:nondeterministic-ok appends in map order; sorted by ID below
+		for id, rec := range sh.devices {
+			ord.entries = append(ord.entries, orderEntry{id: id, rec: rec})
+		}
+		if attempt == 0 {
+			sh.mu.RUnlock()
+		}
+		slices.SortFunc(ord.entries, func(a, b orderEntry) int { return strings.Compare(a.id, b.id) })
+		if attempt == 0 {
+			sh.mu.RLock()
+		}
+	}
+	for _, e := range ord.entries {
+		dst = append(dst, snapRecord{id: e.id, rec: *e.rec})
 	}
 	sh.mu.RUnlock()
 	return dst
@@ -749,6 +817,7 @@ func (s *NetworkServer) installStaged(staged []map[string]*core.BiasRecord) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.devices = staged[i]
+		sh.version++
 		sh.markDirty()
 		sh.mu.Unlock()
 	}

@@ -65,8 +65,11 @@
 //   - Bounded memory: at most MaxPending frames pend; beyond that the
 //     oldest is force-committed with the copies it has
 //     (Stats.WindowShed), so a duplicate storm degrades dedup quality,
-//     never memory. CheckFrame remains the "every copy already in hand"
-//     path and bypasses the window.
+//     never memory. At most MaxCommitted committed frames are
+//     remembered, each for at most LateHorizon; a forgotten frame's
+//     storage is reused for a new frame, so a steady stream allocates no
+//     per-frame window state. CheckFrame remains the "every copy already
+//     in hand" path and bypasses the window.
 //
 //   - What a crash loses: window state is in-memory only and is NOT
 //     replayed from disk — pending frames die with the process and their

@@ -392,6 +392,11 @@ type Snapshotter struct {
 	// shard to shard and flush to flush.
 	recs []snapRecord
 	buf  []byte
+	// orders holds each of srv's shards' ascending-ID order from its last
+	// flush, so a shard whose membership did not change since is flushed
+	// without sorting (snapshotShardOrdered).
+	srv    *NetworkServer
+	orders []shardOrder
 }
 
 // NewSnapshotter opens (creating if needed) a snapshot directory. Stale
@@ -428,8 +433,7 @@ func (sn *Snapshotter) Dir() string { return sn.dir }
 
 // flushShard snapshots and installs shard i at the next generation.
 func (sn *Snapshotter) flushShard(s *NetworkServer, i int) error {
-	sn.recs = s.snapshotShard(i, sn.recs[:0])
-	sortRecords(sn.recs)
+	sn.recs = s.snapshotShardOrdered(i, &sn.orders[i], sn.recs[:0])
 	gen := sn.gens[i] + 1
 	data, err := encodeSnapshot(sn.buf, kindShard, uint32(i), gen, sn.recs)
 	sn.buf = data
@@ -479,6 +483,9 @@ func (sn *Snapshotter) writeManifest(shards int) error {
 // own), shards not yet reached stay dirty — the whole operation is
 // retryable and a retry resumes where the failure left off.
 func (sn *Snapshotter) FlushDirty(s *NetworkServer) (int, error) {
+	if sn.srv != s {
+		sn.srv, sn.orders = s, make([]shardOrder, len(s.shards))
+	}
 	flushed := 0
 	for i := range s.shards {
 		sh := &s.shards[i]

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -489,6 +490,165 @@ func TestFlushDirtyIsIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalDB(t, dump(s), dump(fresh), "after incremental flush")
+}
+
+// assertShardFilesSorted checks each shard's newest file in sn's directory
+// against the copy-and-sort encoding of the shard as it stands
+// (snapshotShard, sortRecords, encodeSnapshot).
+func assertShardFilesSorted(t *testing.T, s *NetworkServer, sn *Snapshotter, label string) {
+	t.Helper()
+	for i := range s.shards {
+		recs := s.snapshotShard(i, nil)
+		sortRecords(recs)
+		want, err := encodeSnapshot(nil, kindShard, uint32(i), sn.gens[i], recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(sn.Dir(), shardFileName(i, sn.gens[i])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: shard %d file differs from the sorted encoding", label, i)
+		}
+	}
+}
+
+func TestFlushCachedOrderWritesSortedBytes(t *testing.T) {
+	// While a shard's membership is unchanged, a flush copies its records
+	// in the sorted order kept from its last flush. After every kind of
+	// change — record values only, an ID added, a record replaced, an ID
+	// deleted, a whole database installed — each shard's newest file must
+	// equal the copy-and-sort encoding of the shard as it stands.
+	dir, saved := t.TempDir(), t.TempDir()
+	s := New(Config{Shards: 8})
+	populate(s, 200, 11)
+	sn, err := NewSnapshotter(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flush := func(label string) {
+		t.Helper()
+		if _, err := sn.FlushDirty(s); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		assertShardFilesSorted(t, s, sn, label)
+	}
+	versions := func() []uint64 {
+		v := make([]uint64, len(s.shards))
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.mu.RLock()
+			v[i] = sh.version
+			sh.mu.RUnlock()
+		}
+		return v
+	}
+	verdicts := func(at float64) {
+		for i := 0; i < 200; i += 3 {
+			id := fmt.Sprintf("dev-%05d", i)
+			rec, _ := s.Record(id)
+			s.Check(PHYObservation{DeviceID: id, FBHz: rec.Mean + 5, ArrivalTime: at + float64(i)})
+		}
+	}
+
+	flush("first flush")
+	var legacy bytes.Buffer
+	if err := s.Save(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveDir(nil, saved); err != nil {
+		t.Fatal(err)
+	}
+	before := versions()
+	verdicts(400)
+	if !slices.Equal(versions(), before) {
+		t.Fatal("verdicts on known devices changed a shard's membership version")
+	}
+	flush("verdicts only")
+	s.Enroll("dev-new", -21000, 10)
+	flush("Enroll of a new ID")
+	s.Enroll("dev-00006", -24000, 3)
+	flush("Enroll over an existing ID")
+	s.Check(PHYObservation{DeviceID: "dev-unknown", FBHz: -23000, ArrivalTime: 700})
+	flush("an unknown device's first Check")
+	if n := s.EvictExpired(700, 500); n == 0 {
+		t.Fatal("the sweep evicted nothing")
+	}
+	flush("EvictExpired")
+	if _, err := s.LoadDir(nil, saved); err != nil {
+		t.Fatal(err)
+	}
+	flush("LoadDir")
+	verdicts(800)
+	flush("verdicts after LoadDir")
+	if err := s.Load(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	flush("Load")
+}
+
+func TestFlushCachedOrderWithConcurrentEnroll(t *testing.T) {
+	// A flush sorts a changed shard's order outside the shard's lock. IDs
+	// enrolled meanwhile must not leave a stale order behind: once the
+	// writer stops, a flush from the cached order must write what a fresh
+	// copy-and-sort would. Whether an enrollment lands inside a sort is
+	// down to scheduling, so the race runs several rounds, on one large
+	// shard whose sort takes a good share of each flush.
+	dir := t.TempDir()
+	s := New(Config{Shards: 1})
+	populate(s, 10000, 12)
+	sn, err := NewSnapshotter(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 2000; i++ {
+				s.Enroll(fmt.Sprintf("new-%02d-%04d", round, i), -22000, 10)
+			}
+		}()
+		for flushing := true; flushing; {
+			select {
+			case <-done:
+				flushing = false
+			default:
+			}
+			if _, err := sn.FlushDirty(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sn.SaveAll(s); err != nil {
+			t.Fatal(err)
+		}
+		assertShardFilesSorted(t, s, sn, fmt.Sprintf("round %d", round))
+	}
+}
+
+func TestFlushCachedOrderIsPerServer(t *testing.T) {
+	// One Snapshotter flushing two servers with the same IDs: their shards
+	// sit at the same membership versions, but hold other records. The
+	// second flush must not copy through the first server's order.
+	dir := t.TempDir()
+	a, b := New(Config{Shards: 8}), New(Config{Shards: 8})
+	populate(a, 200, 1)
+	populate(b, 200, 2)
+	sn, err := NewSnapshotter(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*NetworkServer{a, b} {
+		if _, err := sn.FlushDirty(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := New(Config{Shards: 8})
+	if _, err := fresh.LoadDir(nil, dir); err != nil {
+		t.Fatal(err)
+	}
+	equalDB(t, dump(b), dump(fresh), "after flushing a second server")
 }
 
 func TestLoadDirQuarantinesCorruptNewestGeneration(t *testing.T) {

@@ -64,9 +64,28 @@ func (k frameKey) compare(o frameKey) int {
 // MaxReceivers settings far above any real deployment's receiver count.
 const maxPresizedCopies = 16
 
-// frame is one frame's window entry for its whole life: pending while its
-// copies gather, then committed while late copies may still reconcile
-// against it.
+// frame is one frame's window entry for its whole life, and then for the
+// lives of later frames:
+//
+//   - pending: the frame's first copy opens it (ingestLocked), and it
+//     gathers copies in window.pending until its hold expires or it is full;
+//   - committed: commitEntryLocked folds its fused verdict into the
+//     database once, then keeps it in window.committed so late copies
+//     reconcile against it;
+//   - forgotten: past the late horizon, or beyond MaxCommitted,
+//     forgetCommittedLocked drops its identity;
+//   - reused: a forgotten frame goes on window.free, and a later new frame
+//     takes it, copy slice included, instead of allocating.
+//
+// A frame goes on the free list only when nothing points at it any more.
+// Commit unlinks it from the pending map, the open list and its device
+// chain, and forgetting unlinks it from the committed map and list, so
+// window.ready is the one holder left: a frame that became ready and was
+// then shed by a new frame's arrival stays there until the next commit pass
+// compacts it out. Reused while still queued, it would sit in the queue as
+// a new pending frame, and that pass would commit it before it filled or
+// its hold expired. The ready flag says whether the queue holds a frame;
+// one forgotten while it does is left to the collector instead.
 type frame struct {
 	key    frameKey
 	index  int64   // min UplinkIndex seen
@@ -74,11 +93,11 @@ type frame struct {
 	// obs is the copy set, at most one observation per gateway.
 	obs   []PHYObservation
 	full  bool // reached MaxReceivers distinct gateways
-	ready bool // queued for commit (expired or full)
+	ready bool // in window.ready: queued for commit (expired or full)
 	done  bool // committed or shed
 	// prev and next link the frame into window.openOrder while it is
 	// pending, then into window.commitOrder while it is committed; it is
-	// never on both lists.
+	// never on both lists. On window.free, next links the free list.
 	prev, next *frame
 	// nextOfDevice chains the pending frames of one device
 	// (window.byDevice).
@@ -135,6 +154,10 @@ type window struct {
 
 	committed   map[frameKey]*frame
 	commitOrder frameList // committed frames, in commit order
+	// free stacks forgotten frames for reuse, linked through next. Every
+	// frame on it once counted against MaxPending and MaxCommitted, so it
+	// never holds more frames than the window did at its fullest.
+	free *frame
 
 	// events[head:] is the queue of committed verdicts not yet taken;
 	// dropping the oldest advances head.
@@ -282,13 +305,17 @@ func (s *NetworkServer) DrainWindow() []FrameVerdict {
 	for _, e := range all {
 		s.commitEntryLocked(e)
 	}
+	for _, e := range w.ready {
+		e.ready = false
+	}
 	w.ready = w.ready[:0]
 	return s.takeEventsLocked()
 }
 
 // ingestLocked routes one observation: merge into its pending frame,
 // reconcile against its committed frame, or open a new entry (shedding the
-// oldest if the pending cap is hit). Caller holds winMu.
+// oldest if the pending cap is hit), on a frame from the free list when it
+// has one. Caller holds winMu.
 func (s *NetworkServer) ingestLocked(o PHYObservation) error {
 	if o.DeviceID == "" {
 		return ErrNoDevice
@@ -331,14 +358,19 @@ func (s *NetworkServer) ingestLocked(o PHYObservation) error {
 		s.shed.Add(1)
 		s.commitEntryLocked(w.openOrder.head)
 	}
-	e := &frame{
+	e := w.free
+	if e != nil {
+		w.free = e.next
+	} else {
+		e = &frame{obs: make([]PHYObservation, 0, min(w.cfg.MaxReceivers, maxPresizedCopies))}
+	}
+	*e = frame{
 		key:          key,
 		index:        o.UplinkIndex,
 		opened:       s.LatestObservation(),
-		obs:          make([]PHYObservation, 1, min(w.cfg.MaxReceivers, maxPresizedCopies)),
+		obs:          append(e.obs[:0], o), // a reused frame keeps its copy slice
 		nextOfDevice: w.byDevice[key.DeviceID],
 	}
-	e.obs[0] = o
 	if len(e.obs) >= w.cfg.MaxReceivers {
 		e.full, e.ready = true, true
 		w.ready = append(w.ready, e)
@@ -441,6 +473,8 @@ func (s *NetworkServer) processWindowLocked() {
 		for _, e := range w.ready {
 			if !e.done {
 				kept = append(kept, e)
+			} else {
+				e.ready = false
 			}
 		}
 		w.ready = kept
@@ -557,11 +591,15 @@ func (s *NetworkServer) evictCommittedLocked(wm float64) {
 
 // forgetCommittedLocked drops one committed identity. A copy arriving
 // after this re-opens the frame and re-verdicts — the documented memory/
-// exactness trade of the late horizon.
+// exactness trade of the late horizon. The frame goes on the free list
+// unless window.ready still holds it (see frame).
 func (s *NetworkServer) forgetCommittedLocked(cf *frame) {
 	w := s.win
 	delete(w.committed, cf.key)
 	w.commitOrder.remove(cf)
+	if !cf.ready {
+		cf.next, w.free = w.free, cf
+	}
 }
 
 // pushEventLocked queues a committed verdict, dropping the oldest beyond
@@ -584,7 +622,10 @@ func (s *NetworkServer) pushEventLocked(fv FrameVerdict) {
 	w.events = append(w.events, fv)
 }
 
-// takeEventsLocked drains the event queue. Caller holds winMu.
+// takeEventsLocked drains the event queue, handing its storage to the
+// caller: the server never writes the returned slice again. The next queue
+// starts at the size this hand-off needed, so a steady stream of calls does
+// not regrow it from nothing each time. Caller holds winMu.
 func (s *NetworkServer) takeEventsLocked() []FrameVerdict {
 	w := s.win
 	if len(w.events) == w.head {
@@ -592,6 +633,6 @@ func (s *NetworkServer) takeEventsLocked() []FrameVerdict {
 		return nil
 	}
 	evs := w.events[w.head:]
-	w.events, w.head = nil, 0
+	w.events, w.head = make([]FrameVerdict, 0, len(evs)), 0
 	return evs
 }

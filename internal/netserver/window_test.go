@@ -2,10 +2,12 @@ package netserver
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"softlora/internal/core"
+	"softlora/internal/faultinject"
 )
 
 // windowed builds a server with the streaming window enabled and one
@@ -296,6 +298,103 @@ func TestWindowEventQueueDropsOldest(t *testing.T) {
 	}
 	if evs := s.PollWindow(); len(evs) != 0 {
 		t.Fatalf("second poll returned %d verdicts, want 0", len(evs))
+	}
+}
+
+func TestWindowReusedFrameNotCommittedEarly(t *testing.T) {
+	// Regression for frame reuse: frame a fills (ready), is shed by c's
+	// arrival and forgotten by b's commit (MaxCommitted 1) within one
+	// CheckBatch call, while the ready queue still holds it. Reusing it for
+	// d, the next new frame, left d in the ready queue, and the next commit
+	// pass committed d with one receiver and its hold not expired.
+	s := New(Config{Window: WindowConfig{Hold: 1e9, MaxReceivers: 2, MaxPending: 2, MaxCommitted: 1}})
+	bias := map[string]float64{"n": -22000, "m": -21000}
+	s.Enroll("n", bias["n"], 10)
+	s.Enroll("m", bias["m"], 10)
+	obs := func(dev, gw, fr string, i int) PHYObservation {
+		return PHYObservation{GatewayID: gw, DeviceID: dev, FrameID: fr, UplinkIndex: int64(i),
+			FBHz: bias[dev], JitterHz: 40, ArrivalTime: float64(i)}
+	}
+	evs, err := s.CheckBatch([]PHYObservation{
+		obs("n", "g1", "a", 0), obs("n", "g2", "a", 1),
+		obs("m", "g1", "b", 2), obs("m", "g1", "c", 3), obs("m", "g1", "d", 4),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	more, err := s.CheckBatch([]PHYObservation{obs("m", "g2", "c", 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs = append(evs, more...)
+	var got []string
+	for _, fv := range evs {
+		got = append(got, fmt.Sprintf("%s/%d", fv.FrameID, fv.Receivers))
+	}
+	if want := "a/2 b/1 c/2"; strings.Join(got, " ") != want {
+		t.Fatalf("committed %v, want %s", got, want)
+	}
+	if n := s.PendingFrames(); n != 1 {
+		t.Fatalf("pending frames = %d, want 1 (d)", n)
+	}
+}
+
+func TestWindowedStreamAllocatesOnlyVerdictSlices(t *testing.T) {
+	// A warm windowed stream shaped like the benchmark's server-stream
+	// workload: an enrolled fleet, three receivers per frame, frames 1e-4 s
+	// apart, a 0.05 s hold, and duplicated, reordered and delayed copies,
+	// delivered in 64-observation CheckBatch calls. Once the window's
+	// committed memory has filled to its late horizon, new frames reuse
+	// forgotten ones, so a call allocates only the verdict slice it returns.
+	// That slice starts at the size of the last call's; a call that commits
+	// more frames than the last regrows it (about 1.5 objects a call on
+	// average here), which AllocsPerRun's truncated mean absorbs.
+	if raceEnabled {
+		t.Skip("the allocation budget is pinned in normal builds; race builds check the window for data races")
+	}
+	const devices, frames, receivers, batch = 2000, 16000, 3, 64
+	rng := rand.New(rand.NewSource(7))
+	s := New(Config{Window: WindowConfig{Hold: 0.05, MaxReceivers: receivers}})
+	ids := make([]string, devices)
+	bias := make([]float64, devices)
+	for d := range ids {
+		ids[d] = fmt.Sprintf("fleet-%07d", d)
+		bias[d] = -25200 + rng.Float64()*7800
+		s.Enroll(ids[d], bias[d], 10)
+	}
+	var logical []PHYObservation
+	for k := 0; k < frames; k++ {
+		d := rng.Intn(devices)
+		for g := 0; g < receivers; g++ {
+			jitter := 30 + rng.Float64()*20
+			logical = append(logical, PHYObservation{
+				GatewayID: fmt.Sprintf("gw-%02d", g), DeviceID: ids[d], FrameID: fmt.Sprintf("fr-%d", k),
+				UplinkIndex: int64(k), FBHz: bias[d] + rng.NormFloat64()*jitter, JitterHz: jitter,
+				ArrivalTime: 1000 + float64(k)*1e-4,
+			})
+		}
+	}
+	calls := faultinject.SplitBatches(chaosInjector(faultinject.TrafficPlan{
+		Seed: 507, DupProb: 0.2, DupBurst: 2, ReorderWindow: 2 * receivers, DelayProb: 0.1, MaxDelay: 0.025,
+	}).Schedule(logical), batch)
+	next := 0
+	checkBatch := func() {
+		if _, err := s.CheckBatch(calls[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	// Warm up well past the late horizon (2×Hold, 1,000 frames, about 60
+	// calls).
+	for next < 300 {
+		checkBatch()
+	}
+	const runs = 600 // AllocsPerRun makes one more, unmeasured call first
+	if len(calls)-next < runs+1 {
+		t.Fatalf("stream too short: %d calls left, want %d", len(calls)-next, runs+1)
+	}
+	if a := testing.AllocsPerRun(runs, checkBatch); a > 1 {
+		t.Fatalf("a warm CheckBatch call allocates %v objects, want at most 1 (the verdict slice)", a)
 	}
 }
 
