@@ -48,9 +48,10 @@ race:
 # from its last flush must write the bytes a fresh copy-and-sort would —
 # after every kind of membership change, with IDs enrolled during the
 # flush, and for a second server flushed through the same Snapshotter.
-# TestGatewayOutputDigests pins both gateway pipelines' outputs to committed
-# digests (amd64 below v3 only), so a change that must not alter outputs
-# can show it here.
+# TestGatewayOutputDigests pins the outputs of five gateway configurations
+# (onset + FB method pairs) to committed digests, each through ProcessBatch
+# and through single-capture ProcessUplink calls (amd64 below v3 only), so a
+# change that must not alter outputs can show it here.
 determinism:
 	$(GO) test -count=1 -run 'TestProcessBatchSameDeviceDeterministicCommit|TestProcessBatchDeterministicAcrossWorkerCounts|TestProcessBatchDeterministicAcrossFloatLanes|TestMultiGatewayDeterministic|TestGatewayOutputDigests' .
 	$(GO) test -count=1 -run 'TestChaosDatabaseBytesScheduleIndependent|TestCheckBatchOrderIndependentDatabase|TestWindowReusedFrameNotCommittedEarly|TestFlushCachedOrder' ./internal/netserver
@@ -62,16 +63,18 @@ determinism:
 # (TestChaos*) drives the streaming dedup window through duplicated,
 # reordered, delayed and dropped schedules and asserts one committed
 # verdict per frame with schedule-independent database bytes; then short
-# fuzz passes over the snapshot decoder and LoadFile's format sniff. The
-# contracts in internal/netserver/doc.go are exactly what this target
-# enforces. -fuzzminimizetime caps how long a pass may spend minimizing a
-# new input: at the default 60 s, one minimization can eat the rest of a
-# 10-s pass.
+# fuzz passes over the snapshot decoder, LoadFile's format sniff and the
+# gateway's recorded-I/Q boundary (ObserveIQ: arbitrary float32 I/Q, rate
+# and method; a typed error or a finite observation). The contracts in
+# internal/netserver/doc.go are exactly what the netserver steps enforce.
+# -fuzzminimizetime caps how long a pass may spend minimizing a new input:
+# at the default 60 s, one minimization can eat the rest of a 10-s pass.
 faults:
 	$(GO) test -count=1 ./internal/faultinject
 	$(GO) test -count=1 -run 'TestCrash|TestFault|TestChaos' ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadShard$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadFile$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/netserver
+	$(GO) test -run '^$$' -fuzz '^FuzzGatewayObserveIQ$$' -fuzztime 10s -fuzzminimizetime 100x .
 
 # bench refreshes BENCH_softlora.json (the cross-PR perf trajectory).
 bench:

@@ -226,7 +226,7 @@ func TestProcessBatchRepeatable(t *testing.T) {
 	// Two gateways built from the same seed replay the same batch
 	// SEQUENCE bit for bit, while successive batches within one gateway
 	// draw fresh per-uplink randomness (the batch ordinal is mixed into
-	// the job seeds, like the serial path advancing Config.Rand).
+	// the job seeds, as the single-capture calls advance Config.Rand).
 	gwA, jobsA := batchFixture(t, 2, 3)
 	gwB, jobsB := batchFixture(t, 2, 3)
 	a1 := gwA.ProcessBatch(context.Background(), jobsA)
@@ -323,9 +323,12 @@ func TestUplinkBatchMatchesDevices(t *testing.T) {
 
 // TestProcessBatchConcurrentStress exists primarily for `go test -race
 // -run Batch`: many workers hammering the shared replay database and their
-// private pipelines at once. Then two overlapping calls on a one-worker
-// gateway: the second builds a pipeline of its own, and parking it beside
-// the first must drop it, not block.
+// private pipelines at once. Then overlapping calls on a one-worker
+// gateway share its one-slot pipeline pool: two ProcessBatch calls, then a
+// ProcessBatch beside a run of ProcessUplink calls (after a first batch, so
+// only the single-capture calls draw from Config.Rand). The second caller
+// builds a pipeline of its own, and parking it beside the first must drop
+// it, not block.
 func TestProcessBatchConcurrentStress(t *testing.T) {
 	gw, jobs := batchFixture(t, 8, 16)
 	for round := 0; round < 2; round++ {
@@ -336,24 +339,37 @@ func TestProcessBatchConcurrentStress(t *testing.T) {
 		}
 	}
 	gw1, jobs1 := batchFixture(t, 1, 8)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for c := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, r := range gw1.ProcessBatch(context.Background(), jobs1) {
-				if r.Err != nil {
-					errs[c] = r.Err
-					return
-				}
+	batch := func() error {
+		for _, r := range gw1.ProcessBatch(context.Background(), jobs1) {
+			if r.Err != nil {
+				return r.Err
 			}
-		}()
+		}
+		return nil
 	}
-	wg.Wait()
-	for c, err := range errs {
-		if err != nil {
-			t.Errorf("overlapping call %d: %v", c, err)
+	single := func() error {
+		for _, j := range jobs1 {
+			if _, err := gw1.ProcessUplink(j.Capture, j.ClaimedID, j.Records); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, pair := range [][2]func() error{{batch, batch}, {batch, single}} {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for c, call := range pair {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[c] = call()
+			}()
+		}
+		wg.Wait()
+		for c, err := range errs {
+			if err != nil {
+				t.Errorf("overlapping call %d: %v", c, err)
+			}
 		}
 	}
 }

@@ -1,7 +1,9 @@
 // Command fbscan analyzes a raw I/Q capture (interleaved little-endian
 // float32, the GNU Radio / rtl_sdr interchange format) with the SoftLoRa
-// PHY algorithms: it locates the LoRa preamble onset, timestamps it, and
-// estimates the transmitter's frequency bias.
+// gateway's own PHY stage (softlora.Gateway.ObserveIQ): it locates the LoRa
+// preamble onset with the AIC detector, timestamps it, and estimates the
+// transmitter's frequency bias with the estimator -fb names (Config.FB's
+// names; updown needs a capture that runs through the SFD).
 //
 // Generate a synthetic test capture, then scan it:
 //
@@ -12,11 +14,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 
-	"softlora/internal/core"
+	"softlora"
 	"softlora/internal/dsp"
 	"softlora/internal/iqfile"
 	"softlora/internal/lora"
@@ -31,9 +34,9 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "gen":
-		err = runGen(os.Args[2:])
+		err = runGen(os.Stdout, os.Args[2:])
 	case "scan":
-		err = runScan(os.Args[2:])
+		err = runScan(os.Stdout, os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -47,10 +50,10 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   fbscan gen  -out FILE [-sf N] [-bias-ppm P] [-snr DB] [-seed N]
-  fbscan scan [-sf N] [-estimator lr|ls|fft|fft-exact] FILE`)
+  fbscan scan [-sf N] [-fb linear-regression|least-squares|dechirp-fft|updown] [-seed N] FILE`)
 }
 
-func runGen(args []string) error {
+func runGen(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	out := fs.String("out", "capture.iq", "output file")
 	sf := fs.Int("sf", 7, "spreading factor")
@@ -91,15 +94,15 @@ func runGen(args []string) error {
 	if err := iqfile.Save(*out, iq, meta); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d samples @%.1f Msps, true onset %.6f s, true bias %.1f ppm (%.0f Hz)\n",
+	fmt.Fprintf(w, "wrote %s: %d samples @%.1f Msps, true onset %.6f s, true bias %.1f ppm (%.0f Hz)\n",
 		*out, total, rate/1e6, onset, *biasPPM, p.HzFromPPM(*biasPPM))
 	return nil
 }
 
-func runScan(args []string) error {
+func runScan(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("scan", flag.ExitOnError)
 	sf := fs.Int("sf", 7, "spreading factor")
-	estName := fs.String("estimator", "lr", "FB estimator: lr, ls, fft (decimated+zoom), or fft-exact (monolithic padded-FFT reference)")
+	fb := fs.String("fb", string(softlora.FBLinearRegression), "FB estimator: linear-regression, least-squares, dechirp-fft, updown (a capture through the SFD)")
 	seed := fs.Int64("seed", 1, "random seed (least-squares estimator)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -120,42 +123,27 @@ func runScan(args []string) error {
 	if meta.CenterFrequency != 0 {
 		p.CenterFrequency = meta.CenterFrequency
 	}
-
-	det := &core.AICDetector{LowPassCutoffHz: core.DefaultPrefilterCutoffHz}
-	onset, err := det.DetectOnset(iq, rate)
+	gw, err := softlora.NewGateway(softlora.Config{
+		Params:     p,
+		SampleRate: rate,
+		FB:         softlora.FBMethod(*fb),
+		Rand:       rand.New(rand.NewSource(*seed)),
+	})
 	if err != nil {
-		return fmt.Errorf("onset detection: %w", err)
+		return err
 	}
-	var est core.FBEstimator
-	switch *estName {
-	case "lr":
-		est = &core.LinearRegressionEstimator{Params: p}
-	case "ls":
-		est = &core.LeastSquaresEstimator{Params: p, Decimation: 4, Rand: rand.New(rand.NewSource(*seed))}
-	case "fft":
-		est = &core.DechirpFFTEstimator{Params: p}
-	case "fft-exact":
-		est = &core.DechirpFFTEstimator{Params: p, Exhaustive: true}
-	default:
-		return fmt.Errorf("unknown estimator %q", *estName)
-	}
-	n := int(p.SamplesPerChirp(rate))
-	second := onset.Sample + n
-	if second+n > len(iq) {
-		return fmt.Errorf("capture too short for the FB chirp (onset %d, need %d samples)", onset.Sample, second+n)
-	}
-	fb, err := est.EstimateFB(iq[second:second+n], rate)
+	obs, err := gw.ObserveIQ(&sdr.Capture{IQ: iq, Rate: rate, Start: meta.StartTime}, "", "")
 	if err != nil {
-		return fmt.Errorf("FB estimation: %w", err)
+		return err
 	}
-	fmt.Printf("capture: %d samples @%.1f Msps", len(iq), rate/1e6)
+	fmt.Fprintf(w, "capture: %d samples @%.1f Msps", len(iq), rate/1e6)
 	if meta.Description != "" {
-		fmt.Printf(" (%s)", meta.Description)
+		fmt.Fprintf(w, " (%s)", meta.Description)
 	}
-	fmt.Println()
-	fmt.Printf("preamble onset: sample %d = %.6f s (capture time %.6f s)\n",
-		onset.Sample, onset.Time, meta.StartTime+onset.Time)
-	fmt.Printf("frequency bias [%s]: %.1f Hz = %.3f ppm of %.2f MHz\n",
-		est.Name(), fb.DeltaHz, p.PPM(fb.DeltaHz), p.CenterFrequency/1e6)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "preamble onset: sample %d = %.6f s (capture time %.6f s)\n",
+		obs.OnsetSample, float64(obs.OnsetSample)/rate, obs.ArrivalTime)
+	fmt.Fprintf(w, "frequency bias [%s]: %.1f Hz = %.3f ppm of %.2f MHz\n",
+		*fb, obs.FBHz, p.PPM(obs.FBHz), p.CenterFrequency/1e6)
 	return nil
 }

@@ -33,7 +33,6 @@ type FBEstimate struct {
 // FB estimation", §5.3) and contain at least one chirp time of samples.
 type FBEstimator interface {
 	EstimateFB(chirp []complex128, sampleRate float64) (FBEstimate, error)
-	Name() string
 }
 
 // chirpBasePhase returns the known quadratic CSS phase
@@ -76,9 +75,6 @@ type LinearRegressionEstimator struct {
 }
 
 var _ FBEstimator = (*LinearRegressionEstimator)(nil)
-
-// Name implements FBEstimator.
-func (l *LinearRegressionEstimator) Name() string { return "linear-regression" }
 
 // Diagnostics exposes the intermediate traces of the linear-regression
 // extraction for the Fig. 12 reproduction.
@@ -186,9 +182,6 @@ type LeastSquaresEstimator struct {
 }
 
 var _ FBEstimator = (*LeastSquaresEstimator)(nil)
-
-// Name implements FBEstimator.
-func (l *LeastSquaresEstimator) Name() string { return "least-squares" }
 
 // EstimateFB implements FBEstimator.
 func (l *LeastSquaresEstimator) EstimateFB(chirp []complex128, sampleRate float64) (FBEstimate, error) {
@@ -465,9 +458,6 @@ type DechirpFFTEstimator struct {
 }
 
 var _ FBEstimator = (*DechirpFFTEstimator)(nil)
-
-// Name implements FBEstimator.
-func (d *DechirpFFTEstimator) Name() string { return "dechirp-fft" }
 
 // wrapTwoPi maps an angle into [0, 2π), the estimator's θ convention.
 func wrapTwoPi(th float64) float64 {

@@ -29,7 +29,7 @@ func fbCellError(t *testing.T, est FBEstimator, p lora.Params, seed int64, delta
 		iq := chirpAtRate(rng, p, testRate, deltaHz, rng.Float64()*2*math.Pi, snrDB)
 		got, err := est.EstimateFB(iq, testRate)
 		if err != nil {
-			t.Fatalf("%s SF%d δ=%.0f SNR=%.0f: %v", est.Name(), p.SF, deltaHz, snrDB, err)
+			t.Fatalf("%T SF%d δ=%.0f SNR=%.0f: %v", est, p.SF, deltaHz, snrDB, err)
 		}
 		sum += math.Abs(dsp.FoldFrequency(got.DeltaHz-deltaHz, testRate))
 	}

@@ -1,15 +1,18 @@
 // Package softlora is an attack-aware, synchronization-free data
 // timestamping gateway for LoRaWAN, reproducing "Attack-Aware Data
-// Timestamping in Low-Power Synchronization-Free LoRaWAN" (Gu, Tan, Huang —
-// ICDCS 2020).
+// Timestamping in Low-Power Synchronization-Free LoRaWAN" (Gu, Jiang, Tan,
+// Li, Huang — ICDCS 2020).
 //
 // A SoftLoRa gateway pairs a commodity LoRaWAN radio with a low-cost SDR
 // receiver. For every uplink it:
 //
-//  1. timestamps the PHY preamble onset to microseconds (AIC or envelope
-//     detector on the SDR I/Q capture),
+//  1. timestamps the PHY preamble onset to microseconds on the SDR I/Q
+//     capture: the paper's AIC or envelope detector, or the dechirp
+//     detector, an extension that holds down to ~−10 dB SNR,
 //  2. estimates the transmitter's oscillator frequency bias from the second
-//     preamble chirp (0.14 ppm resolution), and
+//     preamble chirp (0.14 ppm resolution), or jointly from a preamble up
+//     chirp and the SFD down chirp (up/down, an extension that cancels the
+//     bias the onset error couples in), and
 //  3. checks the bias against the claimed device's history — a frame
 //     replayed by the frame delay attack carries the replayer's extra bias
 //     (≥ 0.6 ppm) and is rejected, so data timestamps cannot be spoofed by
@@ -23,14 +26,16 @@
 // The DSP hot path (dechirp windows, FFTs, phase fits) runs on planned,
 // preallocated scratch: FFT plans are immutable and shared process-wide,
 // but every detector/estimator instance owns mutable scratch buffers and is
-// single-goroutine. The gateway therefore keeps one pipeline (onset
-// detector + FB estimator + SDR front end and its capture buffer) per
-// worker: ProcessUplink uses the gateway's own serial pipeline, while
-// ProcessBatch fans a batch of captures across a bounded worker pool
-// (Config.Workers, default GOMAXPROCS), each worker taking a pipeline of
-// its own, kept warm between batches, so the hot path stays lock- and
-// allocation-free. Never hand one pipeline's scratch to two goroutines:
-// one plan/scratch set per worker, no sharing.
+// single-goroutine. The gateway therefore keeps one pool of pipelines
+// (onset detector + FB estimator + SDR front end and its capture buffer):
+// every entry point takes a parked pipeline, or builds one, and parks it
+// again when done, so a pipeline is only ever used by one goroutine at a
+// time. ProcessBatch fans a batch of captures across a bounded worker pool
+// (Config.Workers, default GOMAXPROCS), each worker holding one pipeline
+// for the batch, so the hot path stays lock- and allocation-free. The
+// single-capture calls (ProcessUplink, Observe, ObserveIQ) draw their
+// randomness from Config.Rand in call order, so they must not overlap one
+// another.
 //
 // # Two-stage processing and the ordering contract
 //
@@ -124,9 +129,12 @@ type Config struct {
 	// unset).
 	Params lora.Params
 	// SDR models the attached SDR receiver; nil uses an ideal 8-bit
-	// RTL-SDR with zero bias.
+	// RTL-SDR with zero bias. Each pipeline copies it, and its Rand is
+	// unused: the copies draw from Config.Rand on the single-capture calls
+	// and from a per-uplink seed in ProcessBatch.
 	SDR *sdr.Receiver
-	// SampleRate of SDR captures (sdr.DefaultSampleRate when 0).
+	// SampleRate of SDR captures (sdr.DefaultSampleRate when 0). It must
+	// lie between the channel bandwidth and 1024 times it.
 	SampleRate float64
 	// Onset selects the timestamping detector (OnsetAIC by default).
 	Onset OnsetMethod
@@ -147,14 +155,16 @@ type Config struct {
 	Server *netserver.NetworkServer
 	// Workers bounds the ProcessBatch worker pool (GOMAXPROCS when 0).
 	Workers int
-	// Rand drives the SDR phase and the least-squares optimizer; required.
+	// Rand drives the SDR phase and the least-squares optimizer on the
+	// single-capture calls, and seeds ProcessBatch's per-uplink sources;
+	// required.
 	Rand *rand.Rand
 }
 
-// pipeline is one worker's private processing chain: SDR front end, onset
-// detector and FB estimator all hold per-instance scratch (FFT buffers,
-// dechirp templates), so a pipeline must never be shared between
-// goroutines.
+// pipeline is a private processing chain: SDR front end, onset detector
+// and FB estimator all hold per-instance scratch (FFT buffers, dechirp
+// templates), so a pipeline is used by one goroutine at a time, from
+// takePipeline to parkPipeline.
 type pipeline struct {
 	receiver  *sdr.Receiver
 	onset     core.OnsetDetector
@@ -202,20 +212,21 @@ func (p *pipeline) setRand(rng *rand.Rand) {
 
 // Gateway is a SoftLoRa gateway instance.
 //
-// ProcessUplink runs on the gateway's own serial pipeline and is not safe
-// for concurrent use; ProcessBatch is the concurrent entry point (each
-// worker owns a private pipeline). The bias database behind both lives in
-// the gateway's network server (embedded unless Config.Server was set) and
-// is safe for concurrent use.
+// Every entry point runs on pipelines from the gateway's one pool.
+// ProcessBatch is the concurrent entry point. The single-capture calls
+// (ProcessUplink, Observe, ObserveIQ) share Config.Rand, so they must not
+// overlap one another, nor the gateway's first ProcessBatch, which draws its
+// seed base from it. The bias database lives in the gateway's network
+// server (embedded unless Config.Server was set) and is safe for concurrent
+// use.
 type Gateway struct {
 	params     lora.Params
 	sampleRate float64
 	fbMethod   FBMethod
 	onsetMeth  OnsetMethod
 	onsetF64   bool         // AIC detector float64 reference lane; set only by a determinism test
-	recvProto  sdr.Receiver // per-worker receivers are stamped from this
+	recvProto  sdr.Receiver // every pipeline's receiver is stamped from this
 	workers    int
-	pipe       *pipeline // serial-path pipeline (ProcessUplink)
 	gatewayID  string
 	server     *netserver.NetworkServer
 
@@ -223,10 +234,10 @@ type Gateway struct {
 	seedOnce   sync.Once
 	batchSeed  int64
 	batchCount atomic.Int64 // ProcessBatch invocations, mixed into job seeds
-	// idle parks warm batch pipelines between ProcessBatch calls, at most
-	// one per worker. Unlike a sync.Pool it keeps them through collections,
-	// so a batch rebuilds no pipeline, and no capture buffer, once every
-	// worker has built one.
+	// idle parks warm pipelines between calls, at most one per worker.
+	// Unlike a sync.Pool it keeps them through collections, so no call
+	// rebuilds a pipeline, or a capture buffer, once every worker has built
+	// one.
 	idle chan *pipeline
 }
 
@@ -241,13 +252,31 @@ func (g *Gateway) CaptureChirps() int {
 	return 4
 }
 
-// Configuration errors.
+// Configuration and capture errors.
 var (
-	ErrNilRand      = errors.New("softlora: Config.Rand must be set")
-	ErrBadMethod    = errors.New("softlora: unknown method")
-	ErrCaptureShort = errors.New("softlora: capture too short for onset + two chirps")
-	ErrNilCapture   = errors.New("softlora: batch uplink has no capture")
+	ErrNilRand       = errors.New("softlora: Config.Rand must be set")
+	ErrBadMethod     = errors.New("softlora: unknown method")
+	ErrBadSampleRate = errors.New("softlora: sample rate not between the channel bandwidth and 1024 times it")
+	ErrCaptureShort  = errors.New("softlora: capture too short for onset + two chirps")
+	ErrNilCapture    = errors.New("softlora: uplink has no capture")
+	ErrNonFinite     = errors.New("softlora: capture yields a non-finite estimate")
 )
+
+// maxOversampling caps an SDR rate at this multiple of the channel
+// bandwidth: 128 Msps at 125 kHz, forty times the RTL-SDR's 3.2 Msps
+// ceiling. It keeps every sample count derived from a rate far inside an
+// int.
+const maxOversampling = 1024
+
+// checkSampleRate rejects an SDR rate the PHY stage cannot use: not finite,
+// below the channel bandwidth (the complex-baseband Nyquist rate, below
+// which the chirp aliases), or above maxOversampling times it.
+func checkSampleRate(p lora.Params, rate float64) error {
+	if !(rate >= p.Bandwidth && rate <= maxOversampling*p.Bandwidth) {
+		return fmt.Errorf("%w: %g samples/s", ErrBadSampleRate, rate)
+	}
+	return nil
+}
 
 // NewGateway validates the configuration and builds a Gateway.
 func NewGateway(cfg Config) (*Gateway, error) {
@@ -264,6 +293,9 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	rate := cfg.SampleRate
 	if rate == 0 {
 		rate = sdr.DefaultSampleRate
+	}
+	if err := checkSampleRate(params, rate); err != nil {
+		return nil, err
 	}
 	switch cfg.Onset {
 	case "", OnsetAIC, OnsetEnvelope, OnsetDechirp:
@@ -298,18 +330,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	} else {
 		g.recvProto = sdr.Receiver{ADCBits: 8}
 	}
-	// The serial pipeline keeps the caller's receiver instance (and its
-	// random source) so single-uplink behaviour matches earlier versions.
-	g.pipe = g.newPipeline()
-	if cfg.SDR != nil {
-		g.pipe.receiver = cfg.SDR
-	}
-	if g.pipe.receiver.Rand == nil {
-		g.pipe.receiver.Rand = cfg.Rand
-	}
-	if ls, ok := g.pipe.estimator.(*core.LeastSquaresEstimator); ok {
-		ls.Rand = cfg.Rand
-	}
 	if cfg.Server != nil {
 		g.server = cfg.Server
 	} else {
@@ -318,9 +338,29 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
+// takePipeline returns a parked pipeline, warm from an earlier call, or
+// builds one. Its random source is whatever its last user set: callers must
+// setRand before use (batch workers reseed and install the pipeline's own
+// rng per uplink; the single-capture calls install Config.Rand).
+func (g *Gateway) takePipeline() *pipeline {
+	select {
+	case p := <-g.idle:
+		return p
+	default:
+		return g.newPipeline()
+	}
+}
+
+// parkPipeline parks p for the next call. Overlapping calls can build more
+// pipelines than there are workers; the surplus is dropped.
+func (g *Gateway) parkPipeline(p *pipeline) {
+	select {
+	case g.idle <- p:
+	default:
+	}
+}
+
 // newPipeline builds a fresh processing chain with its own scratch state.
-// The pipeline's random source is unset; callers must setRand before use
-// (batch workers reseed and install the pipeline's own rng per uplink).
 func (g *Gateway) newPipeline() *pipeline {
 	p := &pipeline{rng: rand.New(&fastSeedSource{})}
 	recv := g.recvProto
@@ -383,39 +423,66 @@ type UplinkReport struct {
 // preamble chirps after the onset. claimedID is the source device ID
 // decoded from the frame by the commodity LoRaWAN radio.
 //
-// ProcessUplink runs on the gateway's serial pipeline and must not be
-// called concurrently; use ProcessBatch for concurrent processing.
-func (g *Gateway) ProcessUplink(cap *radio.Capture, claimedID string, records []timestamp.FrameRecord) (*UplinkReport, error) {
+// ProcessUplink draws its randomness from Config.Rand, as Observe and
+// ObserveIQ do, so none of the three may overlap another; use ProcessBatch
+// for concurrent processing.
+func (g *Gateway) ProcessUplink(capt *radio.Capture, claimedID string, records []timestamp.FrameRecord) (*UplinkReport, error) {
 	report := &UplinkReport{}
-	if err := g.phyStage(g.pipe, cap, report); err != nil {
+	if err := g.phyOne(capt, report); err != nil {
 		return nil, err
 	}
 	g.commitStage(claimedID, "", 0, records, report, nil)
 	return report, nil
 }
 
-// phyStage runs the side-effect-free half of the pipeline on one capture:
-// SDR down-conversion, PHY onset timestamping, FB estimation on the second
-// preamble chirp, and FB-jitter estimation from the link's measured SNR. It
-// fills the report's measurement fields and touches nothing shared — no
-// database, no verdict — so distinct pipelines may run it concurrently.
-// Batch callers hand slots of a per-batch report slab so the steady state
-// allocates nothing per uplink.
+// phyOne runs the PHY stage of a single-capture call on an antenna-level
+// capture, with a pool pipeline drawing from Config.Rand.
+func (g *Gateway) phyOne(capt *radio.Capture, report *UplinkReport) error {
+	if capt == nil {
+		return ErrNilCapture
+	}
+	p := g.takePipeline()
+	p.setRand(g.rand)
+	err := g.phyStage(p, capt, report)
+	g.parkPipeline(p)
+	return err
+}
+
+// phyStage runs the side-effect-free half of the pipeline on one
+// antenna-level capture: SDR down-conversion into the pipeline's capture
+// buffer, then iqStage. It fills the report's measurement fields and
+// touches nothing shared — no database, no verdict — so distinct pipelines
+// may run it concurrently. Batch callers hand slots of a per-batch report
+// slab so the steady state allocates nothing per uplink.
 func (g *Gateway) phyStage(p *pipeline, capt *radio.Capture, report *UplinkReport) error {
-	sdrCap := &p.sdrCap
-	if err := p.receiver.DownconvertInto(sdrCap, capt); err != nil {
+	if err := p.receiver.DownconvertInto(&p.sdrCap, capt); err != nil {
 		return fmt.Errorf("softlora: %w", err)
 	}
-	onset, err := p.onset.DetectOnset(sdrCap.IQ, sdrCap.Rate)
+	return g.iqStage(p, &p.sdrCap, report)
+}
+
+// iqStage is the PHY stage on SDR I/Q: PHY onset timestamping, FB
+// estimation on the second preamble chirp (or the up/down pair), and
+// FB-jitter estimation from the link's measured SNR. It rejects a rate
+// checkSampleRate refuses, a capture shorter than one chirp, and a capture
+// whose estimates come out non-finite (NaN or ±Inf samples).
+func (g *Gateway) iqStage(p *pipeline, c *sdr.Capture, report *UplinkReport) error {
+	if err := checkSampleRate(g.params, c.Rate); err != nil {
+		return err
+	}
+	n := int(g.params.SamplesPerChirp(c.Rate))
+	if n > len(c.IQ) {
+		return fmt.Errorf("%w: capture %d, one chirp %d", ErrCaptureShort, len(c.IQ), n)
+	}
+	onset, err := p.onset.DetectOnset(c.IQ, c.Rate)
 	if err != nil {
 		return fmt.Errorf("softlora: %w", err)
 	}
-	n := int(g.params.SamplesPerChirp(sdrCap.Rate))
 	var fbHz float64
 	fbStart := onset.Sample
-	arrival := sdrCap.TimeOf(onset.Sample)
+	arrival := c.TimeOf(onset.Sample)
 	if p.updown != nil {
-		res, udErr := p.updown.Estimate(sdrCap.IQ, onset.Sample, sdrCap.Rate)
+		res, udErr := p.updown.Estimate(c.IQ, onset.Sample, c.Rate)
 		if udErr != nil {
 			return fmt.Errorf("softlora: %w", udErr)
 		}
@@ -426,25 +493,32 @@ func (g *Gateway) phyStage(p *pipeline, capt *radio.Capture, report *UplinkRepor
 		// The first captured chirp yields the timestamp; the second yields
 		// the FB (§5.1).
 		second := onset.Sample + n
-		if second+n > len(sdrCap.IQ) {
-			return fmt.Errorf("%w: onset %d, capture %d", ErrCaptureShort, onset.Sample, len(sdrCap.IQ))
+		if second+n > len(c.IQ) {
+			return fmt.Errorf("%w: onset %d, capture %d", ErrCaptureShort, onset.Sample, len(c.IQ))
 		}
-		est, estErr := p.estimator.EstimateFB(sdrCap.IQ[second:second+n], sdrCap.Rate)
+		est, estErr := p.estimator.EstimateFB(c.IQ[second:second+n], c.Rate)
 		if estErr != nil {
 			return fmt.Errorf("softlora: %w", estErr)
 		}
 		fbHz = est.DeltaHz
 		fbStart = second
 	}
+	jitter := fbJitterHz(c.IQ, onset.Sample, fbStart, n, c.Rate)
+	if !finite(fbHz) || !finite(jitter) || !finite(arrival) {
+		return fmt.Errorf("%w: fb %g Hz, jitter %g Hz, arrival %g s", ErrNonFinite, fbHz, jitter, arrival)
+	}
 	*report = UplinkReport{
 		ArrivalTime:      arrival,
 		OnsetSample:      onset.Sample,
 		FrequencyBiasHz:  fbHz,
 		FrequencyBiasPPM: g.params.PPM(fbHz),
-		FBJitterHz:       fbJitterHz(sdrCap.IQ, onset.Sample, fbStart, n, sdrCap.Rate),
+		FBJitterHz:       jitter,
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // fbJitterHz estimates the 1σ FB estimation jitter of one frame from the
 // capture itself: noise power from the lead-in before the onset, signal
@@ -531,12 +605,34 @@ func verdictFromCore(v core.Verdict) Verdict {
 // observation for a shared network server — the multi-gateway entry point:
 // each gateway that heard the frame Observes its own capture (tagging it
 // with the common frameID), and the server dedups, fuses and judges the
-// frame once. Observe never touches the bias database. It runs on the
-// gateway's serial pipeline and must not be called concurrently with
-// ProcessUplink or another Observe on the same gateway.
-func (g *Gateway) Observe(cap *radio.Capture, claimedID, frameID string) (netserver.PHYObservation, error) {
+// frame once. Observe never touches the bias database. It draws its
+// randomness from Config.Rand and must not overlap ProcessUplink, ObserveIQ
+// or another Observe on the same gateway.
+func (g *Gateway) Observe(capt *radio.Capture, claimedID, frameID string) (netserver.PHYObservation, error) {
 	var report UplinkReport
-	if err := g.phyStage(g.pipe, cap, &report); err != nil {
+	if err := g.phyOne(capt, &report); err != nil {
+		return netserver.PHYObservation{}, err
+	}
+	return g.observation(&report, claimedID, frameID, 0), nil
+}
+
+// ObserveIQ is Observe on a capture the SDR has already down-converted —
+// recorded I/Q, for example (see cmd/fbscan): onset, FB and jitter run on
+// c as they would on a down-converted antenna capture. c's rate must pass
+// the check NewGateway applies to Config.SampleRate, and c must hold at
+// least one chirp. Like Observe it draws from Config.Rand (the
+// least-squares optimizer is its only consumer here) and must not overlap
+// the other single-capture calls.
+func (g *Gateway) ObserveIQ(c *sdr.Capture, claimedID, frameID string) (netserver.PHYObservation, error) {
+	if c == nil {
+		return netserver.PHYObservation{}, ErrNilCapture
+	}
+	var report UplinkReport
+	p := g.takePipeline()
+	p.setRand(g.rand)
+	err := g.iqStage(p, c, &report)
+	g.parkPipeline(p)
+	if err != nil {
 		return netserver.PHYObservation{}, err
 	}
 	return g.observation(&report, claimedID, frameID, 0), nil
@@ -603,8 +699,8 @@ type BatchResult struct {
 }
 
 // batchRandSeed lazily draws the batch seed base from the gateway's random
-// source (once, so serial-path determinism is unaffected until the first
-// batch call).
+// source (once, so the single-capture calls' stream is unaffected until the
+// first batch call).
 func (g *Gateway) batchRandSeed() int64 {
 	g.seedOnce.Do(func() { g.batchSeed = g.rand.Int63() })
 	return g.batchSeed
@@ -614,7 +710,7 @@ func (g *Gateway) batchRandSeed() int64 {
 // batch results are reproducible for a given Config.Rand regardless of
 // worker count or scheduling order. The batch ordinal is mixed in so
 // successive batches draw independent randomness for the same uplink index
-// (matching the serial path, which advances Config.Rand per uplink).
+// (as the single-capture calls do, which advance Config.Rand per uplink).
 func jobSeed(base, batchNo int64, i int) int64 {
 	z := uint64(base) + uint64(batchNo)*0xD1B54A32D192ED03 + (uint64(i)+1)*0x9E3779B97F4A7C15
 	z ^= z >> 30
@@ -629,7 +725,7 @@ func jobSeed(base, batchNo int64, i int) int64 {
 // (Config.Workers, default GOMAXPROCS). At its first uplink each worker
 // takes a private pipeline — its own SDR front end, onset detector and FB
 // estimator with their plans, scratch and capture buffer — parked by an
-// earlier batch, or builds one, and runs only the side-effect-free PHY
+// earlier call, or builds one, and runs only the side-effect-free PHY
 // stage, so the DSP hot path runs without locks or allocation. Once every
 // PHY stage has finished, the detection/commit stage applies the §7.2
 // verdict in uplink-index order on the calling goroutine.
@@ -693,11 +789,7 @@ func (g *Gateway) ProcessBatch(ctx context.Context, uplinks []Uplink) []BatchRes
 					continue
 				}
 				if p == nil {
-					select {
-					case p = <-g.idle:
-					default:
-						p = g.newPipeline()
-					}
+					p = g.takePipeline()
 				}
 				// Reseeding the pipeline's own generator replaces the old
 				// per-uplink rand.New (a fresh ~5 KB source per job) and
@@ -708,13 +800,8 @@ func (g *Gateway) ProcessBatch(ctx context.Context, uplinks []Uplink) []BatchRes
 					results[i] = BatchResult{Err: err}
 				}
 			}
-			// Concurrent ProcessBatch calls can build more pipelines than
-			// there are workers; the surplus is dropped.
 			if p != nil {
-				select {
-				case g.idle <- p:
-				default:
-				}
+				g.parkPipeline(p)
 			}
 		}()
 	}

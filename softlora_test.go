@@ -243,6 +243,51 @@ func TestProcessUplinkCaptureTooShort(t *testing.T) {
 	}
 }
 
+// TestSingleCaptureNilCapture: every single-capture entry point refuses a
+// nil capture with ErrNilCapture, as ProcessBatch does, instead of
+// dereferencing it.
+func TestSingleCaptureNilCapture(t *testing.T) {
+	gw := testGateway(t, rand.New(rand.NewSource(5)))
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"ProcessUplink", func() error { _, err := gw.ProcessUplink(nil, "n", nil); return err }},
+		{"Observe", func() error { _, err := gw.Observe(nil, "n", "f"); return err }},
+		{"ObserveIQ", func() error { _, err := gw.ObserveIQ(nil, "n", "f"); return err }},
+	} {
+		if err := c.call(); !errors.Is(err, ErrNilCapture) {
+			t.Errorf("%s(nil): err = %v, want ErrNilCapture", c.name, err)
+		}
+	}
+}
+
+// TestSampleRateChecked: a rate the PHY stage cannot use is refused with
+// ErrBadSampleRate — by NewGateway (where 0 selects the default), and by
+// the single-capture calls on a capture carrying it — instead of
+// overflowing a sample count into a makeslice or slice-bounds panic.
+func TestSampleRateChecked(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	gw := testGateway(t, rng)
+	iq := make([]complex128, 8192)
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), 1e300} {
+		_, err := NewGateway(Config{Rand: rng, SampleRate: rate})
+		if rate == 0 {
+			if err != nil {
+				t.Errorf("NewGateway, rate 0 (the default): %v", err)
+			}
+		} else if !errors.Is(err, ErrBadSampleRate) {
+			t.Errorf("NewGateway, rate %g: err = %v, want ErrBadSampleRate", rate, err)
+		}
+		if _, err := gw.ObserveIQ(&sdr.Capture{IQ: iq, Rate: rate}, "n", "f"); !errors.Is(err, ErrBadSampleRate) {
+			t.Errorf("ObserveIQ, rate %g: err = %v, want ErrBadSampleRate", rate, err)
+		}
+		if _, err := gw.ProcessUplink(&radio.Capture{IQ: iq, Rate: rate}, "n", nil); !errors.Is(err, ErrBadSampleRate) {
+			t.Errorf("ProcessUplink, rate %g: err = %v, want ErrBadSampleRate", rate, err)
+		}
+	}
+}
+
 func TestSimulationRequiresRand(t *testing.T) {
 	gw := testGateway(t, rand.New(rand.NewSource(3)))
 	sim := &Simulation{Gateway: gw}
