@@ -52,9 +52,13 @@ race:
 # (onset + FB method pairs) to committed digests, each through ProcessBatch
 # and through single-capture ProcessUplink calls (amd64 below v3 only), so a
 # change that must not alter outputs can show it here.
+# TestWindowedStreamDigest does the same for the windowed network server:
+# a small server-stream-shaped stream with duplicates, reorder, delays,
+# shed and re-opened frames, its verdicts, counters and database pinned to
+# one digest (amd64 below v3 only).
 determinism:
 	$(GO) test -count=1 -run 'TestProcessBatchSameDeviceDeterministicCommit|TestProcessBatchDeterministicAcrossWorkerCounts|TestProcessBatchDeterministicAcrossFloatLanes|TestMultiGatewayDeterministic|TestGatewayOutputDigests' .
-	$(GO) test -count=1 -run 'TestChaosDatabaseBytesScheduleIndependent|TestCheckBatchOrderIndependentDatabase|TestWindowReusedFrameNotCommittedEarly|TestFlushCachedOrder' ./internal/netserver
+	$(GO) test -count=1 -run 'TestChaosDatabaseBytesScheduleIndependent|TestCheckBatchOrderIndependentDatabase|TestWindowReusedFrameNotCommittedEarly|TestFlushCachedOrder|TestWindowedStreamDigest' ./internal/netserver
 
 # faults replays the fault-injection suites: the filesystem injector
 # (internal/faultinject) kills a bias-database flush at every filesystem
@@ -63,10 +67,14 @@ determinism:
 # (TestChaos*) drives the streaming dedup window through duplicated,
 # reordered, delayed and dropped schedules and asserts one committed
 # verdict per frame with schedule-independent database bytes; then short
-# fuzz passes over the snapshot decoder, LoadFile's format sniff and the
-# gateway's recorded-I/Q boundary (ObserveIQ: arbitrary float32 I/Q, rate
-# and method; a typed error or a finite observation). The contracts in
-# internal/netserver/doc.go are exactly what the netserver steps enforce.
+# fuzz passes over the snapshot decoder, LoadFile's format sniff, the
+# streaming server (FuzzNetworkServerStream: arbitrary observations, IDs
+# and call boundaries through windowed and immediate-mode servers; the
+# window's contract, and a drained unbounded window equal to a CheckFrame
+# reference) and the gateway's recorded-I/Q boundary (ObserveIQ: arbitrary
+# float32 I/Q, rate and method; a typed error or a finite observation). The
+# contracts in internal/netserver/doc.go are exactly what the netserver
+# steps enforce.
 # -fuzzminimizetime caps how long a pass may spend minimizing a new input:
 # at the default 60 s, one minimization can eat the rest of a 10-s pass.
 faults:
@@ -74,6 +82,7 @@ faults:
 	$(GO) test -count=1 -run 'TestCrash|TestFault|TestChaos' ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadShard$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadFile$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/netserver
+	$(GO) test -run '^$$' -fuzz '^FuzzNetworkServerStream$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzGatewayObserveIQ$$' -fuzztime 10s -fuzzminimizetime 100x .
 
 # bench refreshes BENCH_softlora.json (the cross-PR perf trajectory).

@@ -60,6 +60,30 @@ func TestGenScanRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScanNonFiniteSample: one ±Inf sample in the lead-in of an fbscan gen
+// capture is an error for every FB method. It used to pull the AIC onset
+// to sample 936 and yield a finite, wrong FB with no error.
+func TestScanNonFiniteSample(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "capture.iq")
+	if err := runGen(io.Discard, []string{"-out", path}); err != nil {
+		t.Fatal(err)
+	}
+	iq, meta, err := iqfile.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iq[1000] = complex(math.Inf(1), math.Inf(-1))
+	if err := iqfile.Save(path, iq, meta); err != nil {
+		t.Fatal(err)
+	}
+	for _, fb := range []softlora.FBMethod{softlora.FBLinearRegression, softlora.FBLeastSquares,
+		softlora.FBDechirpFFT, softlora.FBUpDown} {
+		if err := runScan(io.Discard, []string{"-fb", string(fb), path}); !errors.Is(err, softlora.ErrNonFinite) {
+			t.Errorf("%s: %v, want ErrNonFinite", fb, err)
+		}
+	}
+}
+
 // TestScanBadSidecarRate: a sidecar rate the gateway cannot use is an
 // error, not a slice-bounds panic from an overflowed chirp length.
 func TestScanBadSidecarRate(t *testing.T) {

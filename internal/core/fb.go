@@ -127,11 +127,15 @@ func (l *LinearRegressionEstimator) ensureScratch(n int, sampleRate float64) {
 // intermediate traces for diagnostics), it runs the §7.1.1 pipeline on the
 // estimator's scratch buffers: atan2 phase and 2kπ rectification in place,
 // base-phase subtraction against the cached template, then the closed-form
-// line fit — allocation-free in steady state.
+// line fit — allocation-free in steady state. A zero-power segment has no
+// phase to fit and yields ErrNoEstimate, as in LeastSquaresEstimator.
 func (l *LinearRegressionEstimator) EstimateFB(chirp []complex128, sampleRate float64) (FBEstimate, error) {
 	n := int(l.Params.SamplesPerChirp(sampleRate))
 	if n < 8 || len(chirp) < n {
 		return FBEstimate{}, fmt.Errorf("%w: need %d samples, have %d", ErrChirpTooShort, n, len(chirp))
+	}
+	if dsp.Power(chirp[:n]) == 0 {
+		return FBEstimate{}, fmt.Errorf("%w: empty capture", ErrNoEstimate)
 	}
 	l.ensureScratch(n, sampleRate)
 	res := l.residual

@@ -334,7 +334,7 @@ func (s *NetworkServer) LatestObservation() float64 {
 // CheckBatch, PollWindow, AdvanceWindow or DrainWindow.
 func (s *NetworkServer) Check(obs PHYObservation) core.Verdict {
 	if s.win != nil && obs.FrameID != "" {
-		return s.ingestOne(obs)
+		return s.ingestOne(&obs)
 	}
 	s.observations.Add(1)
 	return s.checkDevice(obs.DeviceID, obs.FBHz, obs.ArrivalTime)
@@ -356,10 +356,9 @@ var (
 // bias shift is common-mode across receivers, so the gate never masks one.
 const ConsistencySigma = 8
 
-// effJitter returns an observation's usable jitter: DefaultJitterHz when
-// the PHY stage could not estimate one.
-func effJitter(o PHYObservation) float64 {
-	j := o.JitterHz
+// effJitter returns an observation's usable jitter given its JitterHz:
+// DefaultJitterHz when the PHY stage could not estimate one.
+func effJitter(j float64) float64 {
 	if j <= 0 || math.IsNaN(j) || math.IsInf(j, 0) {
 		return DefaultJitterHz
 	}
@@ -407,14 +406,15 @@ func fuseDetail(obs []PHYObservation, rejected []bool, elect []float64) (FrameVe
 		return 1
 	}
 	best := -1
-	for i, o := range obs {
+	for i := range obs {
+		o := &obs[i]
 		if o.DeviceID != fv.DeviceID {
 			return FrameVerdict{}, fmt.Errorf("%w: %q vs %q", ErrMixedFrame, o.DeviceID, fv.DeviceID)
 		}
 		if math.IsNaN(o.FBHz) || math.IsInf(o.FBHz, 0) {
 			continue
 		}
-		if best < 0 || effJitter(o)*ew(i) < effJitter(obs[best])*ew(best) {
+		if best < 0 || effJitter(o.JitterHz)*ew(i) < effJitter(obs[best].JitterHz)*ew(best) {
 			best = i
 		}
 	}
@@ -429,10 +429,11 @@ func fuseDetail(obs []PHYObservation, rejected []bool, elect []float64) (FrameVe
 		}
 		return fv, nil
 	}
-	bestJ := effJitter(obs[best])
+	bestJ := effJitter(obs[best].JitterHz)
 	var sumW, sumWFB float64
-	for i, o := range obs {
-		j := effJitter(o)
+	for i := range obs {
+		o := &obs[i]
+		j := effJitter(o.JitterHz)
 		gate := ConsistencySigma * math.Hypot(j, bestJ)
 		if !(math.Abs(o.FBHz-obs[best].FBHz) <= gate) {
 			fv.OutliersRejected++
@@ -622,7 +623,8 @@ func (s *NetworkServer) Devices() int {
 	return n
 }
 
-// Stats returns the cumulative counters.
+// Stats returns the cumulative counters. With the streaming window, the
+// ingest counters advance once per Check or CheckBatch call.
 func (s *NetworkServer) Stats() Stats {
 	st := Stats{
 		FramesChecked:        s.framesChecked.Load(),

@@ -68,8 +68,20 @@
 //     never memory. At most MaxCommitted committed frames are
 //     remembered, each for at most LateHorizon; a forgotten frame's
 //     storage is reused for a new frame, so a steady stream allocates no
-//     per-frame window state. CheckFrame remains the "every copy already
-//     in hand" path and bypasses the window.
+//     per-frame window state. Pending and remembered frames share one
+//     frame table: a new frame costs one lookup and one insert, a commit
+//     no table operation, forgetting one delete. CheckFrame remains the
+//     "every copy already in hand" path and bypasses the window.
+//
+//   - Per-call publication: while it holds its lock, the window keeps
+//     the newest arrival time it ingested and the call's ingest counts,
+//     and reads the observation clock as the later of that time and
+//     LatestObservation. It publishes the clock and the counters
+//     (Observations, DuplicatesSuppressed, WindowMerged,
+//     LateObservations) once per Check or CheckBatch call, before the
+//     call returns. Readers that do not take the window's lock — Stats,
+//     and Sweep, the Flusher's TTL sweep — see them advance at call
+//     granularity.
 //
 //   - What a crash loses: window state is in-memory only and is NOT
 //     replayed from disk — pending frames die with the process and their

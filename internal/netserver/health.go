@@ -202,7 +202,7 @@ func shadowOutlier(o PHYObservation, fv *FrameVerdict) bool {
 	if math.IsNaN(fv.FBHz) || math.IsNaN(fv.JitterHz) {
 		return true
 	}
-	gate := ConsistencySigma * math.Hypot(effJitter(o), fv.JitterHz)
+	gate := ConsistencySigma * math.Hypot(effJitter(o.JitterHz), fv.JitterHz)
 	return !(math.Abs(o.FBHz-fv.FBHz) <= gate)
 }
 

@@ -3,6 +3,7 @@ package netserver
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -65,36 +66,39 @@ func (k frameKey) compare(o frameKey) int {
 const maxPresizedCopies = 16
 
 // frame is one frame's window entry for its whole life, and then for the
-// lives of later frames:
+// lives of later frames. window.frames maps its key to it from the first
+// copy until it is forgotten:
 //
 //   - pending: the frame's first copy opens it (ingestLocked), and it
-//     gathers copies in window.pending until its hold expires or it is full;
+//     gathers copies, on window.openOrder, until its hold expires or it is
+//     full;
 //   - committed: commitEntryLocked folds its fused verdict into the
-//     database once, then keeps it in window.committed so late copies
-//     reconcile against it;
+//     database once and sets done; the frame stays in window.frames, now
+//     on window.commitOrder, so late copies reconcile against it;
 //   - forgotten: past the late horizon, or beyond MaxCommitted,
-//     forgetCommittedLocked drops its identity;
+//     forgetCommittedLocked deletes its key;
 //   - reused: a forgotten frame goes on window.free, and a later new frame
 //     takes it, copy slice included, instead of allocating.
 //
 // A frame goes on the free list only when nothing points at it any more.
-// Commit unlinks it from the pending map, the open list and its device
-// chain, and forgetting unlinks it from the committed map and list, so
-// window.ready is the one holder left: a frame that became ready and was
-// then shed by a new frame's arrival stays there until the next commit pass
-// compacts it out. Reused while still queued, it would sit in the queue as
-// a new pending frame, and that pass would commit it before it filled or
-// its hold expired. The ready flag says whether the queue holds a frame;
-// one forgotten while it does is left to the collector instead.
+// Commit unlinks it from the open list and its device chain, and forgetting
+// unlinks it from the frame table and the commit list, so window.ready is
+// the one holder left: a frame that became ready and was then shed by a new
+// frame's arrival stays there until the next commit pass compacts it out.
+// Reused while still queued, it would sit in the queue as a new pending
+// frame, and that pass would commit it before it filled or its hold
+// expired. The ready flag says whether the queue holds a frame; one
+// forgotten while it does is left to the collector instead.
 type frame struct {
 	key    frameKey
 	index  int64   // min UplinkIndex seen
 	opened float64 // watermark when the first copy arrived
-	// obs is the copy set, at most one observation per gateway.
+	// obs is the copy set, at most one observation per gateway, in
+	// canonical fusion order (mergeCopy).
 	obs   []PHYObservation
 	full  bool // reached MaxReceivers distinct gateways
 	ready bool // in window.ready: queued for commit (expired or full)
-	done  bool // committed or shed
+	done  bool // committed or shed: pending until set, remembered after
 	// prev and next link the frame into window.openOrder while it is
 	// pending, then into window.commitOrder while it is committed; it is
 	// never on both lists. On window.free, next links the free list.
@@ -146,18 +150,26 @@ func (l *frameList) remove(f *frame) {
 type window struct {
 	cfg WindowConfig
 
-	pending   map[frameKey]*frame
+	// frames holds every pending and every remembered committed frame by
+	// key; frame.done tells the two apart, and no key is ever both.
+	frames    map[frameKey]*frame
 	openOrder frameList // pending frames, in open (≈ watermark) order
 	// byDevice heads each device's chain of pending frames.
 	byDevice map[string]*frame
 	ready    []*frame
 
-	committed   map[frameKey]*frame
 	commitOrder frameList // committed frames, in commit order
 	// free stacks forgotten frames for reuse, linked through next. Every
 	// frame on it once counted against MaxPending and MaxCommitted, so it
 	// never holds more frames than the window did at its fullest.
 	free *frame
+
+	// clock is the newest finite ArrivalTime ingested. The window reads the
+	// observation clock as the max of it and LatestObservation (clockLocked)
+	// and, with the counts below, publishes it to the server's atomics once
+	// per call (publishLocked).
+	clock                                  float64
+	observations, merged, duplicates, late int64
 
 	// events[head:] is the queue of committed verdicts not yet taken;
 	// dropping the oldest advances head.
@@ -186,9 +198,8 @@ func newWindow(cfg WindowConfig) *window {
 	}
 	return &window{
 		cfg:       cfg,
-		pending:   make(map[frameKey]*frame),
+		frames:    make(map[frameKey]*frame),
 		byDevice:  make(map[string]*frame),
-		committed: make(map[frameKey]*frame),
 		maxEvents: maxEvents,
 	}
 }
@@ -201,16 +212,18 @@ func (s *NetworkServer) PendingFrames() int {
 	}
 	s.winMu.Lock()
 	defer s.winMu.Unlock()
-	return len(s.win.pending)
+	return s.win.openOrder.len
 }
 
 // ingestOne is the windowed Check path: ingest the observation, then
 // return this frame's verdict if it committed during the call (leaving
 // every other queued event for the next poll), VerdictPending otherwise.
-func (s *NetworkServer) ingestOne(obs PHYObservation) core.Verdict {
+func (s *NetworkServer) ingestOne(obs *PHYObservation) core.Verdict {
 	s.winMu.Lock()
 	defer s.winMu.Unlock()
-	if err := s.ingestLocked(obs); err != nil {
+	err := s.ingestLocked(obs)
+	s.publishLocked()
+	if err != nil {
 		// Fail closed: an unidentifiable observation is never accepted.
 		return core.VerdictReplay
 	}
@@ -237,13 +250,14 @@ func (s *NetworkServer) ingestBatch(obs []PHYObservation) ([]FrameVerdict, error
 	s.winMu.Lock()
 	defer s.winMu.Unlock()
 	var firstErr error
-	for i, o := range obs {
-		if err := s.ingestLocked(o); err != nil {
+	for i := range obs {
+		if err := s.ingestLocked(&obs[i]); err != nil {
 			firstErr = fmt.Errorf("netserver: observation %d of batch (device %q, frame %q): %w",
-				i, o.DeviceID, o.FrameID, err)
+				i, obs[i].DeviceID, obs[i].FrameID, err)
 			break
 		}
 	}
+	s.publishLocked()
 	s.processWindowLocked()
 	return s.takeEventsLocked(), firstErr
 }
@@ -296,9 +310,8 @@ func (s *NetworkServer) DrainWindow() []FrameVerdict {
 	s.winMu.Lock()
 	defer s.winMu.Unlock()
 	w := s.win
-	all := make([]*frame, 0, len(w.pending))
-	//softlora:nondeterministic-ok entries are sorted into canonical commit order below
-	for _, e := range w.pending {
+	all := make([]*frame, 0, w.openOrder.len)
+	for e := w.openOrder.head; e != nil; e = e.next {
 		all = append(all, e)
 	}
 	sortPending(all)
@@ -315,17 +328,20 @@ func (s *NetworkServer) DrainWindow() []FrameVerdict {
 // ingestLocked routes one observation: merge into its pending frame,
 // reconcile against its committed frame, or open a new entry (shedding the
 // oldest if the pending cap is hit), on a frame from the free list when it
-// has one. Caller holds winMu.
-func (s *NetworkServer) ingestLocked(o PHYObservation) error {
+// has one. The observation is copied only into a frame's copy set. Caller
+// holds winMu.
+func (s *NetworkServer) ingestLocked(o *PHYObservation) error {
 	if o.DeviceID == "" {
 		return ErrNoDevice
 	}
-	s.observations.Add(1)
-	s.observeTime(o.ArrivalTime)
 	w := s.win
+	w.observations++
+	if t := o.ArrivalTime; t > w.clock && !math.IsInf(t, 1) {
+		w.clock = t
+	}
 	if o.FrameID == "" {
 		// No identity to dedup on: judged immediately, its own frame.
-		fv, err := s.commitObs([]PHYObservation{o})
+		fv, err := s.commitObs([]PHYObservation{*o})
 		if err != nil {
 			return err
 		}
@@ -333,9 +349,13 @@ func (s *NetworkServer) ingestLocked(o PHYObservation) error {
 		return nil
 	}
 	key := frameKey{o.DeviceID, o.FrameID}
-	if e, ok := w.pending[key]; ok {
-		s.winMerged.Add(1)
-		s.duplicates.Add(1)
+	if e, ok := w.frames[key]; ok {
+		if e.done {
+			s.reconcileLocked(e, o)
+			return nil
+		}
+		w.merged++
+		w.duplicates++
 		mergeCopy(&e.obs, o)
 		if o.UplinkIndex < e.index {
 			e.index = o.UplinkIndex
@@ -349,12 +369,8 @@ func (s *NetworkServer) ingestLocked(o PHYObservation) error {
 		}
 		return nil
 	}
-	if cf, ok := w.committed[key]; ok {
-		s.reconcileLocked(cf, o)
-		return nil
-	}
 	// New frame: shed the oldest pending entry if the cap is hit.
-	for len(w.pending) >= w.cfg.MaxPending && w.openOrder.head != nil {
+	for w.openOrder.len >= w.cfg.MaxPending {
 		s.shed.Add(1)
 		s.commitEntryLocked(w.openOrder.head)
 	}
@@ -367,42 +383,72 @@ func (s *NetworkServer) ingestLocked(o PHYObservation) error {
 	*e = frame{
 		key:          key,
 		index:        o.UplinkIndex,
-		opened:       s.LatestObservation(),
-		obs:          append(e.obs[:0], o), // a reused frame keeps its copy slice
+		opened:       s.clockLocked(),
+		obs:          append(e.obs[:0], *o), // a reused frame keeps its copy slice
 		nextOfDevice: w.byDevice[key.DeviceID],
 	}
 	if len(e.obs) >= w.cfg.MaxReceivers {
 		e.full, e.ready = true, true
 		w.ready = append(w.ready, e)
 	}
-	w.pending[key] = e
+	w.frames[key] = e
 	w.openOrder.pushBack(e)
 	w.byDevice[key.DeviceID] = e
 	return nil
 }
 
+// clockLocked reads the observation clock as the window sees it: the newest
+// arrival it ingested, or the server's published clock when that is newer
+// (a database load, AdvanceWindow, an immediate-mode Check). Caller holds
+// winMu.
+func (s *NetworkServer) clockLocked() float64 {
+	return max(s.win.clock, s.LatestObservation())
+}
+
+// publishLocked hands the window's clock and the call's counts to the
+// server's atomics, once per call: readers that do not hold winMu (Stats,
+// Sweep) see ingest at call granularity. Calls publish before their commit
+// pass, so each commit's checkDevice finds the clock already current.
+// Caller holds winMu.
+func (s *NetworkServer) publishLocked() {
+	w := s.win
+	s.observeTime(w.clock)
+	s.observations.Add(w.observations)
+	s.winMerged.Add(w.merged)
+	s.duplicates.Add(w.duplicates)
+	s.lateObs.Add(w.late)
+	w.observations, w.merged, w.duplicates, w.late = 0, 0, 0, 0
+}
+
 // mergeCopy folds a copy into a pending or committed frame's per-gateway
 // copy set: at most one observation per gateway survives, and which one is
 // a pure function of the copies' contents (never their delivery order), so
-// the fused estimate is delivery-schedule independent.
-func mergeCopy(obs *[]PHYObservation, o PHYObservation) {
-	for i, have := range *obs {
-		if have.GatewayID != o.GatewayID {
+// the fused estimate is delivery-schedule independent. A new gateway's copy
+// goes in at its GatewayID's place, which keeps the set in canonical fusion
+// order: one copy per gateway makes gateway ID a total order, so the
+// weighted sums accumulate identically for every delivery schedule.
+func mergeCopy(obs *[]PHYObservation, o *PHYObservation) {
+	for i := range *obs {
+		have := &(*obs)[i]
+		c := strings.Compare(have.GatewayID, o.GatewayID)
+		if c < 0 {
 			continue
 		}
-		if betterCopy(o, have) {
-			(*obs)[i] = o
+		if c > 0 {
+			*obs = slices.Insert(*obs, i, *o)
+		} else if betterCopy(o, have) {
+			*have = *o
 		}
 		return
 	}
-	*obs = append(*obs, o)
+	*obs = append(*obs, *o)
 }
 
 // betterCopy deterministically orders two copies from the same gateway:
 // lower jitter wins, then lower FB, then earlier arrival. Exact duplicate
 // deliveries (a looping packet forwarder) tie and keep the incumbent.
-func betterCopy(a, b PHYObservation) bool {
-	ja, jb := effJitter(a), effJitter(b)
+func betterCopy(a, b *PHYObservation) bool {
+	ja, jb := effJitter(a.JitterHz), effJitter(b.JitterHz)
 	if ja != jb {
 		return ja < jb
 	}
@@ -427,13 +473,6 @@ func compareCommit(a, b *frame) int {
 // sortPending puts entries in canonical commit order.
 func sortPending(entries []*frame) { slices.SortFunc(entries, compareCommit) }
 
-// sortCopies puts a copy set in canonical fusion order. The set is
-// one-per-gateway, so gateway ID is a total order and the weighted sums
-// accumulate identically for every delivery schedule.
-func sortCopies(obs []PHYObservation) {
-	slices.SortFunc(obs, func(a, b PHYObservation) int { return strings.Compare(a.GatewayID, b.GatewayID) })
-}
-
 // processWindowLocked expires pending frames against the watermark and
 // commits every eligible ready frame. A ready frame is held back while a
 // pending frame of the same device precedes it in canonical order —
@@ -442,7 +481,7 @@ func sortCopies(obs []PHYObservation) {
 // schedule. Caller holds winMu.
 func (s *NetworkServer) processWindowLocked() {
 	w := s.win
-	wm := s.LatestObservation()
+	wm := s.clockLocked()
 	// Expiry scan: openOrder is in watermark order, stop at the first
 	// still-held entry.
 	for e := w.openOrder.head; e != nil; e = e.next {
@@ -495,25 +534,24 @@ func (s *NetworkServer) earlierPendingLocked(e *frame) bool {
 
 // commitEntryLocked removes e from the pending structures, commits its
 // fused verdict (one database fold), queues the event, and remembers the
-// frame for late reconciliation. Caller holds winMu.
+// frame for late reconciliation: it stays in the frame table, now done.
+// Caller holds winMu.
 func (s *NetworkServer) commitEntryLocked(e *frame) {
 	w := s.win
 	e.done = true
-	delete(w.pending, e.key)
 	w.openOrder.remove(e)
 	s.unchainDeviceLocked(e)
-	sortCopies(e.obs)
 	fv, err := s.commitObs(e.obs)
 	if err != nil {
 		// Unreachable: the key holds the device ID and ingest validated
 		// it. Drop rather than poison the queue.
+		delete(w.frames, e.key)
 		s.eventsDropped.Add(1)
 		return
 	}
 	s.pushEventLocked(fv)
-	e.committedAt = s.LatestObservation()
+	e.committedAt = s.clockLocked()
 	e.fused = fv
-	w.committed[e.key] = e
 	w.commitOrder.pushBack(e)
 	for w.commitOrder.len > w.cfg.MaxCommitted {
 		s.forgetCommittedLocked(w.commitOrder.head)
@@ -547,11 +585,11 @@ func (s *NetworkServer) unchainDeviceLocked(e *frame) {
 // verdict read-only against the current database. A flip emits a Revised
 // FrameVerdict; the original fold is never undone and the late copy is
 // never folded — one frame, one database update, always.
-func (s *NetworkServer) reconcileLocked(cf *frame, o PHYObservation) {
-	s.lateObs.Add(1)
-	s.duplicates.Add(1)
+func (s *NetworkServer) reconcileLocked(cf *frame, o *PHYObservation) {
+	w := s.win
+	w.late++
+	w.duplicates++
 	mergeCopy(&cf.obs, o)
-	sortCopies(cf.obs)
 	active, excluded := cf.obs, []PHYObservation(nil)
 	var elect []float64
 	if s.health != nil {
@@ -595,7 +633,7 @@ func (s *NetworkServer) evictCommittedLocked(wm float64) {
 // unless window.ready still holds it (see frame).
 func (s *NetworkServer) forgetCommittedLocked(cf *frame) {
 	w := s.win
-	delete(w.committed, cf.key)
+	delete(w.frames, cf.key)
 	w.commitOrder.remove(cf)
 	if !cf.ready {
 		cf.next, w.free = w.free, cf

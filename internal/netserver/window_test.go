@@ -192,8 +192,14 @@ func TestWindowDrainCommitsInUplinkOrder(t *testing.T) {
 			t.Fatalf("drain order: event %d is %s, want %s", i, got, want[i])
 		}
 	}
-	if w := s.win; len(w.pending) != 0 || len(w.byDevice) != 0 || w.openOrder.head != nil {
-		t.Fatalf("drained window still holds %d pending frames, %d device chains", len(w.pending), len(w.byDevice))
+	w := s.win
+	if w.openOrder.len != 0 || w.openOrder.head != nil || len(w.byDevice) != 0 {
+		t.Fatalf("drained window still holds %d pending frames, %d device chains", w.openOrder.len, len(w.byDevice))
+	}
+	for key, e := range w.frames {
+		if !e.done {
+			t.Fatalf("drained window's frame table holds pending frame %v", key)
+		}
 	}
 }
 

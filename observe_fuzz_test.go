@@ -11,6 +11,26 @@ import (
 	"softlora/internal/sdr"
 )
 
+// TestObserveIQRejectsEmptyCapture: a capture with no frame in it, all
+// zero, is an error through AIC onset and linear-regression FB (the zero
+// Config). It used to yield onset sample 8 and a finite FB. The first case
+// is FuzzGatewayObserveIQ's all-zero seed.
+func TestObserveIQRejectsEmptyCapture(t *testing.T) {
+	for _, c := range []struct {
+		samples int
+		rate    float64
+	}{{768, 250e3}, {9778, 2.4e6}} {
+		gw, err := NewGateway(Config{Onset: OnsetAIC, FB: FBLinearRegression, Rand: rand.New(rand.NewSource(1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs, err := gw.ObserveIQ(&sdr.Capture{IQ: make([]complex128, c.samples), Rate: c.rate}, "dev", "frame")
+		if !errors.Is(err, core.ErrNoEstimate) {
+			t.Errorf("%d zero samples at %g Hz: observation %+v, error %v; want ErrNoEstimate", c.samples, c.rate, obs, err)
+		}
+	}
+}
+
 // FuzzGatewayObserveIQ drives ObserveIQ, the gateway's boundary for
 // recorded SDR I/Q, with arbitrary bytes read as interleaved little-endian
 // float32 I/Q (the fbscan and GNU Radio interchange format; a trailing

@@ -259,7 +259,7 @@ var (
 	ErrBadSampleRate = errors.New("softlora: sample rate not between the channel bandwidth and 1024 times it")
 	ErrCaptureShort  = errors.New("softlora: capture too short for onset + two chirps")
 	ErrNilCapture    = errors.New("softlora: uplink has no capture")
-	ErrNonFinite     = errors.New("softlora: capture yields a non-finite estimate")
+	ErrNonFinite     = errors.New("softlora: non-finite capture sample or estimate")
 )
 
 // maxOversampling caps an SDR rate at this multiple of the channel
@@ -620,12 +620,19 @@ func (g *Gateway) Observe(capt *radio.Capture, claimedID, frameID string) (netse
 // recorded I/Q, for example (see cmd/fbscan): onset, FB and jitter run on
 // c as they would on a down-converted antenna capture. c's rate must pass
 // the check NewGateway applies to Config.SampleRate, and c must hold at
-// least one chirp. Like Observe it draws from Config.Rand (the
-// least-squares optimizer is its only consumer here) and must not overlap
-// the other single-capture calls.
+// least one chirp. A capture holding a NaN or ±Inf sample is rejected with
+// ErrNonFinite before the PHY stage runs: one such sample would pull the
+// onset onto itself and yield a confident, wrong FB. Like Observe it draws
+// from Config.Rand (the least-squares optimizer is its only consumer here)
+// and must not overlap the other single-capture calls.
 func (g *Gateway) ObserveIQ(c *sdr.Capture, claimedID, frameID string) (netserver.PHYObservation, error) {
 	if c == nil {
 		return netserver.PHYObservation{}, ErrNilCapture
+	}
+	for i, v := range c.IQ {
+		if !finite(real(v)) || !finite(imag(v)) {
+			return netserver.PHYObservation{}, fmt.Errorf("%w: I/Q sample %d is %v", ErrNonFinite, i, v)
+		}
 	}
 	var report UplinkReport
 	p := g.takePipeline()
