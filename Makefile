@@ -70,11 +70,13 @@ determinism:
 # fuzz passes over the snapshot decoder, LoadFile's format sniff, the
 # streaming server (FuzzNetworkServerStream: arbitrary observations, IDs
 # and call boundaries through windowed and immediate-mode servers; the
-# window's contract, and a drained unbounded window equal to a CheckFrame
-# reference) and the gateway's recorded-I/Q boundary (ObserveIQ: arbitrary
-# float32 I/Q, rate and method; a typed error or a finite observation). The
-# contracts in internal/netserver/doc.go are exactly what the netserver
-# steps enforce.
+# window's contract, a drained unbounded window equal to a CheckFrame
+# reference, and a finite fused FB for every frame with a finite copy), the
+# gateway's recorded-I/Q boundary (ObserveIQ: arbitrary float32 I/Q, rate
+# and method; a typed error or a finite observation) and the LoRaWAN frame
+# decoder (FuzzParseFrame: a typed error, or a frame that re-marshals to
+# exactly the input bytes). The contracts in internal/netserver/doc.go are
+# exactly what the netserver steps enforce.
 # -fuzzminimizetime caps how long a pass may spend minimizing a new input:
 # at the default 60 s, one minimization can eat the rest of a 10-s pass.
 faults:
@@ -84,6 +86,7 @@ faults:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadFile$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzNetworkServerStream$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzGatewayObserveIQ$$' -fuzztime 10s -fuzzminimizetime 100x .
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/lorawan
 
 # bench refreshes BENCH_softlora.json (the cross-PR perf trajectory).
 bench:

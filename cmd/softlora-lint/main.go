@@ -10,14 +10,13 @@
 //	softlora-lint [-only name,name] [-tests] [-json] [-list] [packages...]
 //
 // Packages default to ./... in the current directory and are analyzed in
-// dependency order, so analyzer facts for a package are always computed
-// (and sealed through their gob round-trip) before any dependee imports
-// them. With -tests, each package's test variants are loaded and checked
-// too. Diagnostics print as path:line:col: message (analyzer), sorted by
-// position; -json emits them as a JSON array instead (one object per
-// finding, with the interprocedural chain when the finding has one). The
-// exit status is 1 when any findings were reported, 2 on usage or load
-// errors.
+// dependency order, so each transitive analyzer has solved a package's
+// functions before any dependee looks them up. With -tests, each
+// package's test variants are loaded and checked too. Diagnostics print
+// as path:line:col: message (analyzer), sorted by position; -json emits
+// them as a JSON array instead (one object per finding, with the
+// interprocedural chain when the finding has one). The exit status is 1
+// when any findings were reported, 2 on usage or load errors.
 package main
 
 import (
@@ -63,12 +62,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	findings, err := runAnalyzers(analyzers, pkgs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "softlora-lint: %v\n", err)
-		os.Exit(2)
-	}
-	findings = sortFindings(append(findings, unknownDirectives(pkgs)...))
+	findings := sortFindings(append(runAnalyzers(analyzers, pkgs), unknownDirectives(pkgs)...))
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -181,42 +175,38 @@ func unknownDirectives(pkgs []*load.Package) []finding {
 
 // runAnalyzers drives the suite over pkgs (already in dependency order):
 // the whole-load call graph is built once, then each analyzer runs per
-// package with the shared fact store bound, and the package's facts are
-// sealed before any dependee runs.
-func runAnalyzers(analyzers []*analysis.Analyzer, pkgs []*load.Package) ([]finding, error) {
+// package, and every pass of one analyzer shares that analyzer's map of
+// solved offenses, so a package's offenses are recorded before any
+// dependee runs.
+func runAnalyzers(analyzers []*analysis.Analyzer, pkgs []*load.Package) []finding {
 	cgPkgs := make([]*callgraph.Package, len(pkgs))
 	for i, pkg := range pkgs {
 		cgPkgs[i] = &callgraph.Package{Fset: pkg.Fset, Files: pkg.Syntax, Pkg: pkg.Types, Info: pkg.TypesInfo}
 	}
 	graph := callgraph.Build(cgPkgs)
-	store := analysis.NewStore(analyzers)
+	solved := make([]map[string]*callgraph.Offense, len(analyzers))
+	for i := range solved {
+		solved[i] = make(map[string]*callgraph.Offense)
+	}
 
 	var findings []finding
 	for _, pkg := range pkgs {
-		for _, a := range analyzers {
+		for i, a := range analyzers {
 			pass := &analysis.Pass{
-				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Syntax,
-				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				ForTest:   pkg.ForTest,
 				CallGraph: graph,
+				Solved:    solved[i],
 			}
-			store.Bind(a, pass)
 			name := a.Name
 			pass.Report = func(d analysis.Diagnostic) {
 				findings = append(findings, newFinding(pkg.Fset, d.Pos, name, d.Message, d.Chain))
 			}
-			if _, err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.PkgPath, err)
-			}
-			if err := store.Seal(a, pkg.PkgPath); err != nil {
-				return nil, err
-			}
+			a.Run(pass)
 		}
 	}
-	return findings, nil
+	return findings
 }
 
 // sortFindings orders findings by position and drops exact duplicates.

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -145,5 +147,30 @@ func d() {}
 		if g.Line != w.line || g.Analyzer != "directive" || !strings.Contains(g.Message, "//softlora:"+w.name+":") {
 			t.Errorf("finding %d = %+v, want //softlora:%s at line %d", i, g, w.name, w.line)
 		}
+	}
+}
+
+func TestRunAnalyzersCarriesChainsAcrossPackages(t *testing.T) {
+	// testdata/crosspkg is a module of its own: package a's annotated
+	// roots call into un-annotated package b, which reads the wall clock
+	// and allocates. The findings exist only if runAnalyzers hands a's
+	// passes the offenses it solved for b; a's test file adds its test
+	// variant, whose repeat of a's findings must dedupe away.
+	pkgs, err := load.LoadPackages(filepath.Join("testdata", "crosspkg"), load.Options{Tests: true}, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sortFindings(runAnalyzers(lint.Analyzers(), pkgs))
+	file := filepath.Join("testdata", "crosspkg", "a", "a.go")
+	want := []finding{
+		{file, 10, 31, "determinism",
+			"deterministic code reaches nondeterminism: a.Verdict → b.Stamp: b.Stamp calls time.Now",
+			[]string{"a.Verdict", "b.Stamp"}},
+		{file, 15, 37, "allocfree",
+			"allocfree function reaches an allocation: a.Fill → b.Grow: b.Grow allocates with make",
+			[]string{"a.Fill", "b.Grow"}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("findings:\n%+v\nwant:\n%+v", got, want)
 	}
 }

@@ -51,22 +51,11 @@ var Analyzer = &analysis.Analyzer{
 	Name:       "allocfree",
 	Doc:        "forbid all allocation — make/new, literals, append growth, closures, string conversions, boxing, goroutines — in //softlora:allocfree functions, transitively",
 	Run:        run,
-	FactTypes:  []analysis.Fact{new(Allocates)},
 	Directives: []string{"allocfree", EscapeHatch},
 }
 
 // EscapeHatch silences one diagnostic when placed on or above the line.
 const EscapeHatch = "allocfree-ok"
-
-// Allocates marks a function that (transitively) allocates. Chain is the
-// call path below the function, offender last.
-type Allocates struct {
-	Detail string
-	Chain  []string
-}
-
-// AFact marks the type as a serializable analyzer fact.
-func (*Allocates) AFact() {}
 
 // allocatingStdlib are import-path prefixes of std packages whose calls
 // are modeled as allocating when their source is not in the load.
@@ -84,17 +73,18 @@ func stdlibAllocates(path string) bool {
 	return false
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	ix := directive.NewIndex(pass.Fset, pass.Files)
+	inScope := func(fn *ast.FuncDecl) bool { return directive.FuncHas(fn, "allocfree") }
 
 	// Classic intra-function check on annotated functions.
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !directive.FuncHas(fn, "allocfree") {
+			if !ok || fn.Body == nil || !inScope(fn) {
 				continue
 			}
-			s := newScanner(pass.Fset, pass.TypesInfo, ix, fn)
+			s := newScanner(pass.TypesInfo, ix, fn)
 			s.emit = func(pos token.Pos, detail string) bool {
 				pass.Reportf(pos, "allocation in an allocfree function: %s", detail)
 				return true
@@ -103,23 +93,13 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 
-	if pass.CallGraph == nil {
-		return nil, nil
-	}
-	propagate(pass, ix)
-	return nil, nil
-}
-
-func propagate(pass *analysis.Pass, ix *directive.Index) {
-	nodes := packageNodes(pass)
-	rule := &callgraph.Rule{
-		Graph: pass.CallGraph,
+	pass.Propagate(&callgraph.Rule{
 		Direct: func(n *callgraph.Node) *callgraph.Offense {
 			if n.Decl.Body == nil {
 				return nil
 			}
 			var off *callgraph.Offense
-			s := newScanner(n.Fset, n.Info, ix, n.Decl)
+			s := newScanner(n.Info, ix, n.Decl)
 			s.emit = func(pos token.Pos, detail string) bool {
 				off = &callgraph.Offense{Detail: detail}
 				return false
@@ -137,84 +117,13 @@ func propagate(pass *analysis.Pass, ix *directive.Index) {
 			}
 			return nil
 		},
-		Imported: func(n *callgraph.Node) *callgraph.Offense {
-			if pass.ImportObjectFact == nil {
-				return nil
-			}
-			var a Allocates
-			if pass.ImportObjectFact(n.Func, &a) {
-				return &callgraph.Offense{Detail: a.Detail, Chain: a.Chain}
-			}
-			return nil
-		},
 		EdgeOK: func(e *callgraph.Edge) bool { return ix.OKAt(e.Pos, EscapeHatch) },
-	}
-	sol := rule.Solve(nodes)
-
-	for _, n := range nodes {
-		if off := sol.Offense(n); off != nil && pass.ExportObjectFact != nil {
-			pass.ExportObjectFact(n.Func, &Allocates{Detail: off.Detail, Chain: off.Chain})
-		}
-	}
-
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !directive.FuncHas(fn, "allocfree") {
-				continue
-			}
-			tfn, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
-			n := pass.CallGraph.Node(tfn)
-			if n == nil {
-				continue
-			}
-			root := callgraph.DisplayName(tfn)
-			for _, e := range n.Out {
-				if e.InPanic || ix.OKAt(e.Pos, EscapeHatch) {
-					continue
-				}
-				sub := sol.Lookup(e.Callee)
-				if sub == nil {
-					continue
-				}
-				callee := callgraph.DisplayName(e.Callee.Func)
-				chain := append([]string{root, callee}, sub.Chain...)
-				pass.ReportChain(e.Pos, chain,
-					"allocfree function reaches an allocation: %s", sub.Format(root, callee))
-			}
-		}
-	}
-}
-
-// packageNodes returns the call-graph nodes of this pass's declared
-// functions in deterministic order.
-func packageNodes(pass *analysis.Pass) []*callgraph.Node {
-	want := make(map[*callgraph.Node]bool)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			tfn, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
-			if n := pass.CallGraph.Node(tfn); n != nil {
-				want[n] = true
-			}
-		}
-	}
-	var nodes []*callgraph.Node
-	for _, n := range pass.CallGraph.Nodes() {
-		if want[n] {
-			nodes = append(nodes, n)
-		}
-	}
-	return nodes
+	}, inScope, "allocfree function reaches an allocation")
 }
 
 // scanner walks one function body emitting direct allocation sites.
 // Offenses inside panic(...) arguments are always skipped.
 type scanner struct {
-	fset     *token.FileSet
 	info     *types.Info
 	ix       *directive.Index
 	fn       *ast.FuncDecl
@@ -224,8 +133,8 @@ type scanner struct {
 	stopped  bool
 }
 
-func newScanner(fset *token.FileSet, info *types.Info, ix *directive.Index, fn *ast.FuncDecl) *scanner {
-	s := &scanner{fset: fset, info: info, ix: ix, fn: fn, presized: presizedSlices(info, fn)}
+func newScanner(info *types.Info, ix *directive.Index, fn *ast.FuncDecl) *scanner {
+	s := &scanner{info: info, ix: ix, fn: fn, presized: presizedSlices(info, fn)}
 	if obj, ok := info.Defs[fn.Name].(*types.Func); ok {
 		s.sig, _ = obj.Type().(*types.Signature)
 	}

@@ -1,5 +1,6 @@
 // Package transleaf is un-annotated helper code whose allocation reaches
-// allocfree callers through facts and the external stdlib model.
+// allocfree callers through the offenses solved for this package and the
+// external stdlib model.
 package transleaf
 
 import "strings"

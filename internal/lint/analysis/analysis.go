@@ -1,21 +1,16 @@
 // Package analysis is the minimal analyzer framework softlora-lint is
-// built on. It deliberately mirrors the shape of
-// golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic, object
-// facts — so the analyzers read like standard vet passes and can migrate
-// to the real framework wholesale if the x/tools dependency ever lands.
-// The repo builds offline against the baked-in toolchain only, so the
-// framework is pure standard library: packages are loaded by
+// built on. It borrows the shape of golang.org/x/tools/go/analysis —
+// Analyzer, Pass, Diagnostic — so the analyzers read like standard vet
+// passes. The repo builds offline against the baked-in toolchain only, so
+// the framework is pure standard library: packages are loaded by
 // internal/lint/load from `go list -export` metadata and type-checked
 // with go/types.
 //
-// Facts make the analyzers modular across packages, the way vet's
-// unitchecker is: an analyzer running on package P may attach facts to
-// P's objects (ExportObjectFact); when a dependee of P is analyzed later
-// — the driver runs packages in dependency order — the same analyzer
-// reads them back (ImportObjectFact) instead of re-deriving P. Between
-// the export and the import the driver serializes each package's facts
-// (see Store), so a fact type must round-trip through encoding/gob and
-// carries no pointers into the type-checker.
+// Transitive analyzers carry offenses across packages through one map per
+// analyzer (Pass.Solved), keyed by callgraph.Node.Key and shared by every
+// pass of the run. softlora-lint and analysistest run packages in
+// dependency order, so when package q imports p, Propagate has already
+// recorded every offending p function before q's pass looks it up.
 package analysis
 
 import (
@@ -35,25 +30,12 @@ type Analyzer struct {
 	// Doc is the contract the analyzer enforces, shown by -list.
 	Doc string
 	// Run performs the check on one package, reporting findings through
-	// pass.Report. The result value is unused by the driver (kept for
-	// x/tools API symmetry).
-	Run func(*Pass) (any, error)
-	// FactTypes lists the fact types the analyzer exports and imports,
-	// one zero-value pointer each (e.g. new(Allocates)). The driver
-	// registers them with gob before the first package runs.
-	FactTypes []Fact
+	// pass.Report.
+	Run func(*Pass)
 	// Directives are the //softlora: names the analyzer reads: its
 	// scoping annotations and its escape hatch. The driver reports any
 	// directive that no analyzer of the suite declares.
 	Directives []string
-}
-
-// A Fact is a serializable observation about a types.Object, exported by
-// an analyzer run on the object's package and imported by later runs on
-// dependees. Implementations must be gob-encodable pointer types.
-type Fact interface {
-	// AFact is a marker method (x/tools convention).
-	AFact()
 }
 
 // A Diagnostic is one finding at one position.
@@ -69,30 +51,19 @@ type Diagnostic struct {
 
 // A Pass provides one analyzer run with a single type-checked package.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
 
-	// ForTest is the package under test when this is a test-variant load
-	// ("" otherwise). Package-level directive scoping must not leak into
-	// test files; analyzers consult this together with file names.
-	ForTest string
-
-	// CallGraph is the whole-load call graph (nil for drivers that do
-	// not propagate, e.g. single-package tools).
+	// CallGraph is the whole-load call graph.
 	CallGraph *callgraph.Graph
 
-	// ExportObjectFact associates a fact with obj, visible to later runs
-	// of the same analyzer on dependee packages. Nil when the driver has
-	// no fact store.
-	ExportObjectFact func(obj types.Object, fact Fact)
-	// ImportObjectFact copies the fact of the given concrete type
-	// attached to obj into fact, reporting whether one was found. Nil
-	// when the driver has no fact store.
-	ImportObjectFact func(obj types.Object, fact Fact) bool
+	// Solved is the analyzer's map of solved offenses, keyed by
+	// callgraph.Node.Key. Every pass of one analyzer gets the same map,
+	// so Propagate on a package reads what the passes on its dependencies
+	// recorded.
+	Solved map[string]*callgraph.Offense
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -103,4 +74,68 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // ReportChain reports a diagnostic carrying an interprocedural chain.
 func (p *Pass) ReportChain(pos token.Pos, chain []string, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Chain: chain})
+}
+
+// Propagate is the interprocedural half of a transitive analyzer. It
+// points rule.Solved at p.Solved and solves rule over the package's
+// declared functions, recording their offenses there for dependees. Then
+// it reports every un-hatched call edge from a function inScope to an
+// offending callee, at the call site, as
+// "message: root → callee → … → offender: offender detail" with the
+// chain attached. Direct offenses in a scoped body are the analyzer's own
+// to report.
+func (p *Pass) Propagate(rule *callgraph.Rule, inScope func(*ast.FuncDecl) bool, message string) {
+	rule.Solved = p.Solved
+	rule.Solve(p.packageNodes())
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || !inScope(fn) {
+				continue
+			}
+			tfn, _ := p.TypesInfo.Defs[fn.Name].(*types.Func)
+			n := p.CallGraph.Node(tfn)
+			if n == nil {
+				continue
+			}
+			root := callgraph.DisplayName(tfn)
+			for _, e := range n.Out {
+				if e.InPanic || (rule.EdgeOK != nil && rule.EdgeOK(e)) {
+					continue
+				}
+				sub := rule.Lookup(e.Callee)
+				if sub == nil {
+					continue
+				}
+				callee := callgraph.DisplayName(e.Callee.Func)
+				chain := append([]string{root, callee}, sub.Chain...)
+				p.ReportChain(e.Pos, chain, "%s: %s", message, sub.Format(root, callee))
+			}
+		}
+	}
+}
+
+// packageNodes returns the call-graph nodes of this pass's declared
+// functions, in deterministic (key) order courtesy of Graph.Nodes.
+func (p *Pass) packageNodes() []*callgraph.Node {
+	want := make(map[*callgraph.Node]bool)
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			tfn, _ := p.TypesInfo.Defs[fn.Name].(*types.Func)
+			if n := p.CallGraph.Node(tfn); n != nil {
+				want[n] = true
+			}
+		}
+	}
+	var nodes []*callgraph.Node
+	for _, n := range p.CallGraph.Nodes() {
+		if want[n] {
+			nodes = append(nodes, n)
+		}
+	}
+	return nodes
 }

@@ -14,12 +14,11 @@
 //
 // Run mirrors the softlora-lint driver's interprocedural machinery: the
 // call graph is built over the named package and every fixture package it
-// (transitively) imports, the analyzer first runs over those dependencies
-// in dependency order — diagnostics discarded, object facts exported and
-// sealed through their gob round-trip — and only then over the named
+// (transitively) imports, and the analyzer first runs over those
+// dependencies in dependency order — diagnostics discarded, offenses
+// recorded in the analyzer's solved map — and only then over the named
 // package, whose diagnostics are checked. A fixture tree can therefore
-// exercise cross-package fact propagation exactly as the real driver
-// performs it.
+// exercise cross-package propagation the way softlora-lint performs it.
 package analysistest
 
 import (
@@ -224,8 +223,8 @@ func splitPatterns(t *testing.T, s string) []string {
 }
 
 // Run loads each fixture package under testdata/src, applies the analyzer
-// — over the package's fixture dependencies first, facts flowing forward
-// exactly as under the real driver — and checks every diagnostic against
+// — over the package's fixture dependencies first, solved offenses flowing
+// forward as under softlora-lint — and checks every diagnostic against
 // the `// want` expectations (and vice versa).
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
@@ -246,33 +245,27 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 				cgPkgs = append(cgPkgs, &callgraph.Package{Fset: fset, Files: dl.files, Pkg: dl.pkg, Info: dl.info})
 			}
 			graph := callgraph.Build(cgPkgs)
-			store := analysis.NewStore([]*analysis.Analyzer{a})
+			solved := make(map[string]*callgraph.Offense)
 
 			var diags []analysis.Diagnostic
 			for _, p := range imp.order {
 				dl := imp.cache[p]
 				pass := &analysis.Pass{
-					Analyzer:  a,
 					Fset:      fset,
 					Files:     dl.files,
-					Pkg:       dl.pkg,
 					TypesInfo: dl.info,
 					CallGraph: graph,
+					Solved:    solved,
 				}
-				store.Bind(a, pass)
 				if p == path {
 					pass.Report = func(d analysis.Diagnostic) { diags = append(diags, d) }
 				} else {
-					// Dependency run: facts only, diagnostics dropped (they
-					// are checked when the dependency is named directly).
+					// Dependency run: offenses only, diagnostics dropped
+					// (they are checked when the dependency is named
+					// directly).
 					pass.Report = func(analysis.Diagnostic) {}
 				}
-				if _, err := a.Run(pass); err != nil {
-					t.Fatalf("analyzer %s on %s: %v", a.Name, p, err)
-				}
-				if err := store.Seal(a, p); err != nil {
-					t.Fatal(err)
-				}
+				a.Run(pass)
 			}
 
 			wants := make(map[string]map[int][]*expectation)

@@ -235,6 +235,23 @@ func F() {}
 	if g.NodeByKey("a\x00\x00F") == nil {
 		t.Error("plain function key missing")
 	}
+
+	// A method seen through the test variant and through the plain build
+	// is one function: one key, so one entry in a solved-offense map. The
+	// same name on another receiver is another function.
+	method := func(pkg *types.Package, recv, name string) *types.Func {
+		named := types.NewNamed(types.NewTypeName(token.NoPos, pkg, recv, nil), types.NewStruct(nil, nil), nil)
+		sig := types.NewSignatureType(types.NewVar(token.NoPos, pkg, "r", types.NewPointer(named)), nil, nil, nil, nil, false)
+		return types.NewFunc(token.NoPos, pkg, name, sig)
+	}
+	variant := types.NewPackage("example/p [example/p.test]", "p")
+	plain := types.NewPackage("example/p", "p")
+	if a, b := ObjectKey(method(variant, "T", "M")), ObjectKey(method(plain, "T", "M")); a != b {
+		t.Errorf("test-variant key %q differs from plain key %q", a, b)
+	}
+	if ObjectKey(method(plain, "T", "M")) == ObjectKey(method(plain, "U", "M")) {
+		t.Error("methods of different receivers share a key")
+	}
 }
 
 func TestSolvePropagatesChains(t *testing.T) {
@@ -249,32 +266,29 @@ func clean() {}
 	g := Build([]*Package{p})
 
 	rule := &Rule{
-		Graph: g,
+		Solved: map[string]*Offense{},
 		Direct: func(n *Node) *Offense {
 			if n.Func.Name() == "leaf" {
-				return &Offense{Kind: "k", Detail: "does the bad thing"}
+				return &Offense{Detail: "does the bad thing"}
 			}
 			return nil
 		},
 	}
-	sol := rule.Solve(g.Nodes())
+	rule.Solve(g.Nodes())
 
 	// The analyzers report at a root's call edge using the *callee's*
 	// offense: its chain runs from the callee (exclusive) to the offender.
-	root := g.NodeByKey("a\x00\x00root")
-	if off := sol.Offense(root); off == nil {
+	if off := rule.Lookup(g.NodeByKey("a\x00\x00root")); off == nil {
 		t.Fatal("root: no propagated offense")
-	} else if off.Kind != "k" {
-		t.Errorf("Kind not carried through propagation: %q", off.Kind)
 	}
-	sub := sol.Offense(g.NodeByKey("a\x00\x00mid"))
+	sub := rule.Lookup(g.NodeByKey("a\x00\x00mid"))
 	if sub == nil {
 		t.Fatal("mid: no propagated offense")
 	}
 	if got := sub.Format("a.root", "a.mid"); got != "a.root → a.mid → a.leaf: a.leaf does the bad thing" {
 		t.Errorf("chain format = %q", got)
 	}
-	if clean := sol.Offense(g.NodeByKey("a\x00\x00clean")); clean != nil {
+	if clean := rule.Lookup(g.NodeByKey("a\x00\x00clean")); clean != nil {
 		t.Errorf("clean function has offense %v", clean)
 	}
 }
@@ -291,7 +305,7 @@ func root() { mid() }
 
 	mid := g.NodeByKey("a\x00\x00mid")
 	rule := &Rule{
-		Graph: g,
+		Solved: map[string]*Offense{},
 		Direct: func(n *Node) *Offense {
 			if n.Func.Name() == "leaf" {
 				return &Offense{Detail: "does the bad thing"}
@@ -301,8 +315,8 @@ func root() { mid() }
 		// Hatch the mid→leaf edge: nothing should reach root.
 		EdgeOK: func(e *Edge) bool { return e.Caller == mid },
 	}
-	sol := rule.Solve(g.Nodes())
-	if off := sol.Offense(g.NodeByKey("a\x00\x00root")); off != nil {
+	rule.Solve(g.Nodes())
+	if off := rule.Lookup(g.NodeByKey("a\x00\x00root")); off != nil {
 		t.Errorf("root offense survived a hatched edge: %v", off)
 	}
 }
@@ -322,7 +336,7 @@ func badMsg() string { bad(); return "x" }
 	g := Build([]*Package{p})
 
 	rule := &Rule{
-		Graph: g,
+		Solved: map[string]*Offense{},
 		Direct: func(n *Node) *Offense {
 			if n.Func.Name() == "bad" {
 				return &Offense{Detail: "does the bad thing"}
@@ -330,15 +344,71 @@ func badMsg() string { bad(); return "x" }
 			return nil
 		},
 	}
-	sol := rule.Solve(g.Nodes())
+	rule.Solve(g.Nodes())
 	// f's only route to bad is through a panic argument; propagation must
 	// not cross it.
-	if off := sol.Offense(g.NodeByKey("a\x00\x00f")); off != nil {
+	if off := rule.Lookup(g.NodeByKey("a\x00\x00f")); off != nil {
 		t.Errorf("offense crossed a panic-argument edge: %v", off)
 	}
 	// badMsg itself still offends (its call to bad is a normal statement).
-	if off := sol.Offense(g.NodeByKey("a\x00\x00badMsg")); off == nil {
+	if off := rule.Lookup(g.NodeByKey("a\x00\x00badMsg")); off == nil {
 		t.Error("badMsg lost its non-panic offense")
+	}
+}
+
+func TestSolveReadsEarlierPackages(t *testing.T) {
+	fset := token.NewFileSet()
+	prev := map[string]*types.Package{}
+	dep := checkPkg(t, fset, "dep", `package dep
+
+func leaf()   {}
+func Helper() { leaf() }
+`, prev)
+	top := checkPkg(t, fset, "top", `package top
+
+import "dep"
+
+func Use() { dep.Helper() }
+`, prev)
+	g := Build([]*Package{dep, top})
+	nodesOf := func(path string) []*Node {
+		var out []*Node
+		for _, n := range g.Nodes() {
+			if strings.HasPrefix(n.Key, path+"\x00") {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	direct := func(n *Node) *Offense {
+		if n.Func.Name() == "leaf" {
+			return &Offense{Detail: "does the bad thing"}
+		}
+		return nil
+	}
+	use := g.NodeByKey("top\x00\x00Use")
+
+	// Solving top alone knows nothing of dep: the callee is declared in
+	// the load but was never solved.
+	alone := &Rule{Direct: direct, Solved: map[string]*Offense{}}
+	alone.Solve(nodesOf("top"))
+	if off := alone.Lookup(use); off != nil {
+		t.Errorf("top solved without dep found %v", off)
+	}
+
+	// In dependency order with one map, dep's offenses carry into top.
+	shared := &Rule{Direct: direct, Solved: map[string]*Offense{}}
+	shared.Solve(nodesOf("dep"))
+	shared.Solve(nodesOf("top"))
+	off := shared.Lookup(use)
+	if off == nil {
+		t.Fatal("top.Use: dep's offense not carried across packages")
+	}
+	if got := fmt.Sprint(off.Chain); got != "[dep.Helper dep.leaf]" {
+		t.Errorf("top.Use chain = %s", got)
+	}
+	if len(shared.Solved) != 3 {
+		t.Errorf("solved map holds %d offenses, want 3 (leaf, Helper, Use)", len(shared.Solved))
 	}
 }
 

@@ -11,10 +11,6 @@ import (
 // Chain; a function whose callee g offends directly carries
 // Chain = [g]; and so on.
 type Offense struct {
-	// Kind tags the violation class so a multi-fact analyzer can pick
-	// the fact type to export (e.g. "wallclock" vs "maprange"). Carried
-	// unchanged through propagation.
-	Kind string
 	// Detail describes the primitive violation, phrased after the
 	// offender's name: "calls time.Now", "allocates with make".
 	Detail string
@@ -43,12 +39,11 @@ func (o *Offense) Format(root, callee string) string {
 	return strings.Join(parts, " → ") + ": " + offender + " " + o.Detail
 }
 
-// A Rule parameterizes offense propagation for one analyzer over one
-// package: which body operations offend directly, what is known about
-// callees outside the package, and which call edges the analyzer's escape
-// hatch silences.
+// A Rule parameterizes offense propagation for one analyzer: which body
+// operations offend directly, what is known about callees with no syntax
+// in the load, which call edges the analyzer's escape hatch silences, and
+// the offenses already solved for loaded functions.
 type Rule struct {
-	Graph *Graph
 	// Direct scans a node's own body (Decl is non-nil) and returns its
 	// first primitive offense, hatch-filtered, or nil.
 	Direct func(n *Node) *Offense
@@ -56,30 +51,25 @@ type Rule struct {
 	// (standard library, packages outside the lint run). nil is "assumed
 	// clean".
 	External func(n *Node) *Offense
-	// Imported consults facts for callees declared in other loaded
-	// packages (already analyzed, dependency order). nil when no fact.
-	Imported func(n *Node) *Offense
 	// EdgeOK reports whether an escape hatch at the call site silences
 	// propagation across this edge.
 	EdgeOK func(e *Edge) bool
-}
-
-// A Solution is the fixpoint result of propagating a Rule over one
-// package's functions.
-type Solution struct {
-	rule  *Rule
-	local map[string]*Offense // key -> offense for in-package nodes
+	// Solved maps Node.Key to the offense of every offending function
+	// solved so far. softlora-lint shares one map across the packages of
+	// a run, solved in dependency order, so a callee declared in an
+	// earlier package is already settled when a later package asks.
+	Solved map[string]*Offense
 }
 
 // Solve computes, for every node in nodes (one package's declared
 // functions), whether it transitively commits an offense: directly in its
-// body, or through any un-hatched call edge to an offending callee.
-// Callees inside the set resolve through the fixpoint; callees outside
-// resolve through Imported (loaded packages, analyzed earlier) or
-// External (no syntax). The iteration order is the deterministic node
-// order, so chain attribution is stable across runs.
-func (r *Rule) Solve(nodes []*Node) *Solution {
-	s := &Solution{rule: r, local: make(map[string]*Offense, len(nodes))}
+// body, or through any un-hatched call edge to an offending callee, and
+// records each offense found in Solved. Callees inside the set resolve
+// through the fixpoint; callees outside it resolve through Lookup. The
+// iteration order is the deterministic node order, so chain attribution
+// is stable across runs.
+func (r *Rule) Solve(nodes []*Node) {
+	local := make(map[string]*Offense, len(nodes))
 	inSet := make(map[string]bool, len(nodes))
 	direct := make(map[string]*Offense, len(nodes))
 	for _, n := range nodes {
@@ -91,7 +81,7 @@ func (r *Rule) Solve(nodes []*Node) *Solution {
 	for changed := true; changed; {
 		changed = false
 		for _, n := range nodes {
-			if s.local[n.Key] != nil {
+			if local[n.Key] != nil {
 				continue
 			}
 			var off *Offense
@@ -104,13 +94,12 @@ func (r *Rule) Solve(nodes []*Node) *Solution {
 					}
 					var sub *Offense
 					if inSet[e.Callee.Key] {
-						sub = s.local[e.Callee.Key]
+						sub = local[e.Callee.Key]
 					} else {
-						sub = s.Lookup(e.Callee)
+						sub = r.Lookup(e.Callee)
 					}
 					if sub != nil {
 						off = &Offense{
-							Kind:   sub.Kind,
 							Detail: sub.Detail,
 							Chain:  append([]string{DisplayName(e.Callee.Func)}, sub.Chain...),
 						}
@@ -119,32 +108,26 @@ func (r *Rule) Solve(nodes []*Node) *Solution {
 				}
 			}
 			if off != nil {
-				s.local[n.Key] = off
+				local[n.Key] = off
 				changed = true
 			}
 		}
 	}
-	return s
+	for _, n := range nodes {
+		if off := local[n.Key]; off != nil {
+			r.Solved[n.Key] = off
+		}
+	}
 }
 
-// Lookup resolves a callee's offense from wherever it is known: the
-// package fixpoint for in-package callees, Imported facts for loaded
-// ones, the External model otherwise.
-func (s *Solution) Lookup(callee *Node) *Offense {
-	if off, ok := s.local[callee.Key]; ok {
-		return off
-	}
+// Lookup resolves a callee's offense: from Solved for a function with
+// syntax in the load, from the External model otherwise.
+func (r *Rule) Lookup(callee *Node) *Offense {
 	if callee.Decl != nil {
-		if s.rule.Imported != nil {
-			return s.rule.Imported(callee)
-		}
-		return nil
+		return r.Solved[callee.Key]
 	}
-	if s.rule.External != nil {
-		return s.rule.External(callee)
+	if r.External != nil {
+		return r.External(callee)
 	}
 	return nil
 }
-
-// Offense returns the solved (or looked-up) offense for a node.
-func (s *Solution) Offense(n *Node) *Offense { return s.Lookup(n) }

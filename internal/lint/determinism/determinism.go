@@ -23,11 +23,11 @@
 // number of un-annotated helpers, across package boundaries — a function
 // that commits one of the violations above is flagged at its own call
 // edge, with the offending chain spelled out
-// ("a → b → c: c calls time.Now"). Per-function findings are exported as
-// object facts (CallsWallClock, DrawsGlobalRand, RangesOverMap) that the
-// driver serializes per package in dependency order, so the propagation
-// stays modular. An escape hatch at any hop — on the primitive site or
-// on an intermediate call — cuts the chain there.
+// ("a → b → c: c calls time.Now"). Each package's solved offenses are
+// recorded in the analyzer's map shared across the run (see
+// analysis.Pass.Propagate), filled package by package in dependency order.
+// An escape hatch at any hop — on the primitive site or on an
+// intermediate call — cuts the chain there.
 //
 // A site that is deliberately order- or clock-insensitive (a map range
 // that fills another map or feeds a sorting step, a retry-backoff clock
@@ -48,53 +48,14 @@ import (
 
 // Analyzer is the determinism contract check.
 var Analyzer = &analysis.Analyzer{
-	Name: "determinism",
-	Doc:  "flag wall-clock, global-rand and map-iteration nondeterminism in deterministic (verdict/serialization) code, transitively through the call graph",
-	Run:  run,
-	FactTypes: []analysis.Fact{
-		new(CallsWallClock), new(DrawsGlobalRand), new(RangesOverMap),
-	},
+	Name:       "determinism",
+	Doc:        "flag wall-clock, global-rand and map-iteration nondeterminism in deterministic (verdict/serialization) code, transitively through the call graph",
+	Run:        run,
 	Directives: []string{"deterministic", EscapeHatch},
 }
 
 // EscapeHatch silences one diagnostic when placed on or above the line.
 const EscapeHatch = "nondeterministic-ok"
-
-// CallsWallClock marks a function that (transitively) reads the wall
-// clock. Chain is the call path below the function, offender last.
-type CallsWallClock struct {
-	Detail string
-	Chain  []string
-}
-
-// AFact marks the type as a serializable analyzer fact.
-func (*CallsWallClock) AFact() {}
-
-// DrawsGlobalRand marks a function that (transitively) draws from the
-// process-global math/rand generator.
-type DrawsGlobalRand struct {
-	Detail string
-	Chain  []string
-}
-
-// AFact marks the type as a serializable analyzer fact.
-func (*DrawsGlobalRand) AFact() {}
-
-// RangesOverMap marks a function that (transitively) ranges over a map.
-type RangesOverMap struct {
-	Detail string
-	Chain  []string
-}
-
-// AFact marks the type as a serializable analyzer fact.
-func (*RangesOverMap) AFact() {}
-
-// Offense kinds, used to pick the fact type.
-const (
-	kindWallClock = "wallclock"
-	kindRand      = "rand"
-	kindMapRange  = "maprange"
-)
 
 // globalRand is the set of math/rand (and v2) package-level functions that
 // draw from the shared process-global generator.
@@ -114,7 +75,7 @@ func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	ix := directive.NewIndex(pass.Fset, pass.Files)
 	pkgScoped := ix.PackageHasNonTest("deterministic")
 	inScope := func(fn *ast.FuncDecl) bool {
@@ -132,168 +93,40 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok || fn.Body == nil || !inScope(fn) {
 				continue
 			}
-			scanBody(pass.Fset, pass.TypesInfo, ix, fn.Body, func(pos token.Pos, kind, classic string) bool {
+			scanBody(pass.TypesInfo, ix, fn.Body, func(pos token.Pos, classic, _ string) bool {
 				pass.Reportf(pos, "%s", classic)
 				return true // keep scanning: report every direct site
 			})
 		}
 	}
 
-	if pass.CallGraph == nil {
-		return nil, nil
-	}
-	propagate(pass, ix, inScope)
-	return nil, nil
-}
-
-// propagate runs the interprocedural half: fact export for every
-// function of the package, and call-edge chain reporting for scoped
-// functions.
-func propagate(pass *analysis.Pass, ix *directive.Index, inScope func(*ast.FuncDecl) bool) {
-	nodes := packageNodes(pass)
-	rule := &callgraph.Rule{
-		Graph: pass.CallGraph,
+	// Interprocedural half: scoped functions whose call edges reach an
+	// offense, in this package or a dependency. The primitive calls into
+	// time and math/rand are caught by scanBody in whichever loaded
+	// function makes them, so there is no External model: an unloaded
+	// callee body is assumed clean (lint runs on ./..., so in practice
+	// every project package is loaded).
+	pass.Propagate(&callgraph.Rule{
 		Direct: func(n *callgraph.Node) *callgraph.Offense {
 			var off *callgraph.Offense
 			if n.Decl.Body == nil {
 				return nil
 			}
-			scanBody(n.Fset, n.Info, ix, n.Decl.Body, func(pos token.Pos, kind, classic string) bool {
-				off = &callgraph.Offense{Kind: kind, Detail: detailFor(kind, classic)}
-				return false // first offense is the fact
+			scanBody(n.Info, ix, n.Decl.Body, func(_ token.Pos, _, detail string) bool {
+				off = &callgraph.Offense{Detail: detail}
+				return false // the first offense is the function's
 			})
 			return off
 		},
-		// External: the nondeterministic primitives are always *direct*
-		// calls into time / math/rand, caught by scanBody in whichever
-		// loaded function makes them; an unloaded callee body cannot be
-		// modeled and is assumed clean (lint runs on ./..., so in
-		// practice every project package is loaded).
-		External: nil,
-		Imported: func(n *callgraph.Node) *callgraph.Offense {
-			return importFact(pass, n.Func)
-		},
 		EdgeOK: func(e *callgraph.Edge) bool { return ix.OKAt(e.Pos, EscapeHatch) },
-	}
-	sol := rule.Solve(nodes)
-
-	// Export one fact per offending function of this package.
-	for _, n := range nodes {
-		off := sol.Offense(n)
-		if off == nil || pass.ExportObjectFact == nil {
-			continue
-		}
-		switch off.Kind {
-		case kindWallClock:
-			pass.ExportObjectFact(n.Func, &CallsWallClock{Detail: off.Detail, Chain: off.Chain})
-		case kindRand:
-			pass.ExportObjectFact(n.Func, &DrawsGlobalRand{Detail: off.Detail, Chain: off.Chain})
-		case kindMapRange:
-			pass.ExportObjectFact(n.Func, &RangesOverMap{Detail: off.Detail, Chain: off.Chain})
-		}
-	}
-
-	// Report scoped functions whose un-hatched call edges reach an
-	// offense. Direct violations in the scoped body itself were already
-	// reported by the classic check, so only callee offenses are raised
-	// here.
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !inScope(fn) {
-				continue
-			}
-			tfn, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
-			n := pass.CallGraph.Node(tfn)
-			if n == nil {
-				continue
-			}
-			root := callgraph.DisplayName(tfn)
-			for _, e := range n.Out {
-				if e.InPanic || ix.OKAt(e.Pos, EscapeHatch) {
-					continue
-				}
-				sub := sol.Lookup(e.Callee)
-				if sub == nil {
-					continue
-				}
-				callee := callgraph.DisplayName(e.Callee.Func)
-				chain := append([]string{root, callee}, sub.Chain...)
-				pass.ReportChain(e.Pos, chain,
-					"deterministic code reaches nondeterminism: %s", sub.Format(root, callee))
-			}
-		}
-	}
-}
-
-// importFact maps a dependency function's exported fact, if any, back to
-// an offense.
-func importFact(pass *analysis.Pass, fn *types.Func) *callgraph.Offense {
-	if pass.ImportObjectFact == nil {
-		return nil
-	}
-	var wc CallsWallClock
-	if pass.ImportObjectFact(fn, &wc) {
-		return &callgraph.Offense{Kind: kindWallClock, Detail: wc.Detail, Chain: wc.Chain}
-	}
-	var gr DrawsGlobalRand
-	if pass.ImportObjectFact(fn, &gr) {
-		return &callgraph.Offense{Kind: kindRand, Detail: gr.Detail, Chain: gr.Chain}
-	}
-	var rm RangesOverMap
-	if pass.ImportObjectFact(fn, &rm) {
-		return &callgraph.Offense{Kind: kindMapRange, Detail: rm.Detail, Chain: rm.Chain}
-	}
-	return nil
-}
-
-// packageNodes returns the call-graph nodes of this pass's declared
-// functions, in deterministic (key) order courtesy of Graph.Nodes.
-func packageNodes(pass *analysis.Pass) []*callgraph.Node {
-	want := make(map[*callgraph.Node]bool)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			tfn, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
-			if n := pass.CallGraph.Node(tfn); n != nil {
-				want[n] = true
-			}
-		}
-	}
-	var nodes []*callgraph.Node
-	for _, n := range pass.CallGraph.Nodes() {
-		if want[n] {
-			nodes = append(nodes, n)
-		}
-	}
-	return nodes
-}
-
-// detailFor compresses a classic diagnostic into the chain-detail form
-// ("calls time.Now").
-func detailFor(kind, classic string) string {
-	switch kind {
-	case kindMapRange:
-		return "ranges over a map"
-	default:
-		// classic messages open with "call to X in deterministic code:
-		// ..."; the detail is "calls X".
-		msg := strings.TrimPrefix(classic, "call to ")
-		if i := strings.Index(msg, " in deterministic code"); i >= 0 {
-			msg = msg[:i]
-		}
-		msg = strings.TrimPrefix(msg, "global ")
-		return "calls " + msg
-	}
+	}, inScope, "deterministic code reaches nondeterminism")
 }
 
 // scanBody walks one function body for direct nondeterminism, invoking
-// visit for each un-hatched violation (kind + the classic diagnostic
-// text). visit returns false to stop the scan.
-func scanBody(fset *token.FileSet, info *types.Info, ix *directive.Index, body *ast.BlockStmt, visit func(pos token.Pos, kind, classic string) bool) {
+// visit for each un-hatched violation with the classic diagnostic text
+// and the chain-detail form ("calls time.Now"). visit returns false to
+// stop the scan.
+func scanBody(info *types.Info, ix *directive.Index, body *ast.BlockStmt, visit func(pos token.Pos, classic, detail string) bool) {
 	stop := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if stop {
@@ -308,13 +141,13 @@ func scanBody(fset *token.FileSet, info *types.Info, ix *directive.Index, body *
 			switch obj.Pkg().Path() {
 			case "time":
 				if wallClock[obj.Name()] && !ix.OKAt(n.Pos(), EscapeHatch) {
-					if !visit(n.Pos(), kindWallClock, "call to time."+obj.Name()+" in deterministic code: commits must be pure functions of their inputs") {
+					if !visit(n.Pos(), "call to time."+obj.Name()+" in deterministic code: commits must be pure functions of their inputs", "calls time."+obj.Name()) {
 						stop = true
 					}
 				}
 			case "math/rand", "math/rand/v2":
 				if globalRand[obj.Name()] && !ix.OKAt(n.Pos(), EscapeHatch) {
-					if !visit(n.Pos(), kindRand, "call to global "+obj.Pkg().Name()+"."+obj.Name()+" in deterministic code: use an explicitly seeded generator") {
+					if !visit(n.Pos(), "call to global "+obj.Pkg().Name()+"."+obj.Name()+" in deterministic code: use an explicitly seeded generator", "calls "+obj.Pkg().Name()+"."+obj.Name()) {
 						stop = true
 					}
 				}
@@ -325,7 +158,7 @@ func scanBody(fset *token.FileSet, info *types.Info, ix *directive.Index, body *
 				return true
 			}
 			if _, isMap := t.Underlying().(*types.Map); isMap && !ix.OKAt(n.Pos(), EscapeHatch) {
-				if !visit(n.Pos(), kindMapRange, "range over map in deterministic code: iteration order is nondeterministic (sorted-ID encoding is the rule)") {
+				if !visit(n.Pos(), "range over map in deterministic code: iteration order is nondeterministic (sorted-ID encoding is the rule)", "ranges over a map") {
 					stop = true
 				}
 			}

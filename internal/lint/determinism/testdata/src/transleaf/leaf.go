@@ -1,6 +1,6 @@
 // Package transleaf is un-scoped helper code; a deterministic package
-// calling into it must inherit its wall-clock read through the fact
-// propagation, not by being scoped itself.
+// calling into it must inherit its wall-clock read through the offenses
+// solved for this package, not by being scoped itself.
 package transleaf
 
 import "time"

@@ -55,14 +55,15 @@
 // Within one package, callgraph.Rule/Solve computes the transitive
 // offense fixpoint.
 //
-// Across packages, analyzers export object facts (analysis.Store): the
-// driver runs packages in dependency order, so when package q imports p,
-// the analyzer's verdict on every p function ("transitively allocates",
-// "reaches time.Now") is already recorded — and has survived a gob
-// serialization round-trip, the same discipline x/tools' facts layer
-// enforces — before q asks for it. Callees with no syntax anywhere in the
-// load (the standard library) go through a small explicit model instead
-// of being silently trusted.
+// Across packages, each analyzer keeps one map of solved offenses, keyed
+// by callgraph.Node.Key and shared by all its passes of the run
+// (analysis.Pass.Solved). softlora-lint runs packages in dependency order,
+// so when package q imports p, the analyzer's verdict on every p function
+// ("transitively allocates", "reaches time.Now") is already in the map
+// before q asks for it. Solving stays per package, in that order, because
+// which chain a finding reports depends on the order offenses are found.
+// Callees with no syntax anywhere in the load (the standard library) go
+// through a small explicit model instead of being silently trusted.
 //
 // A transitive finding is reported at the root's offending call edge with
 // the full chain, e.g.
@@ -87,11 +88,12 @@
 // directive.Index.PackageHasNonTest so test files never inherit them;
 // test code opts in per function.
 //
-// For a transitive contract, additionally declare a fact type (a
-// gob-encodable pointer type with the AFact marker) in FactTypes, export
-// a fact for every function the package-local callgraph.Solve finds
-// offending, and consult ImportObjectFact in the Rule's Imported hook;
-// model any relevant stdlib behavior in the External hook. The
+// For a transitive contract, additionally build a callgraph.Rule whose
+// Direct hook scans one body for the first primitive offense and whose
+// EdgeOK hook honors the escape hatch, model any relevant stdlib behavior
+// in its External hook, and hand it to Pass.Propagate with the scope
+// predicate and the finding's message: Propagate solves the package,
+// records its offenses for dependees, and reports the chains. The
 // determinism and allocfree analyzers are two worked examples, in
 // ascending order of direct-offense complexity.
 //
@@ -100,8 +102,9 @@
 // The repo builds offline against the baked-in toolchain, so the suite
 // runs on a small standard-library framework (internal/lint/analysis,
 // internal/lint/load, internal/lint/callgraph, internal/lint/analysistest)
-// that mirrors the x/tools API shapes — Analyzer/Pass/Diagnostic, object
-// facts with ExportObjectFact/ImportObjectFact, testdata/src fixture
-// layout, `// want` expectations. If the x/tools dependency ever lands,
-// the analyzers port by changing import paths.
+// that borrows the x/tools API shapes — Analyzer/Pass/Diagnostic,
+// testdata/src fixture layout, `// want` expectations. It keeps no
+// x/tools-style facts layer: softlora-lint and analysistest hold the
+// whole load's call graph in one process, so one in-memory map per analyzer carries
+// offenses between packages.
 package lint

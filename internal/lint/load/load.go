@@ -8,9 +8,9 @@
 // load works offline.
 //
 // Packages are returned in dependency order — every package appears after
-// the packages it imports (among those loaded) — which is what lets the
-// softlora-lint driver compute analyzer facts for a dependency before any
-// of its dependees ask for them (see internal/lint/analysis.Store).
+// the packages it imports (among those loaded) — which is what lets
+// softlora-lint solve a dependency's offenses before any of its dependees
+// look them up (see internal/lint/analysis.Pass.Solved).
 //
 // With Options.Tests, `go list -test` is used instead and the load also
 // yields each package's test variants: the internal variant

@@ -44,7 +44,7 @@ var Analyzer = &analysis.Analyzer{
 // EscapeHatch silences one diagnostic when placed on or above the line.
 const EscapeHatch = "lock-ok"
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	ix := directive.NewIndex(pass.Fset, pass.Files)
 	guarded := collectGuarded(pass)
 	for _, f := range pass.Files {
@@ -57,7 +57,6 @@ func run(pass *analysis.Pass) (any, error) {
 			checkMutexCopies(pass, ix, fn)
 		}
 	}
-	return nil, nil
 }
 
 // collectGuarded maps each annotated field object to the name of the

@@ -29,6 +29,7 @@ func (m MType) IsUplink() bool {
 var (
 	ErrFrameTooShort = errors.New("lorawan: frame too short")
 	ErrBadMajor      = errors.New("lorawan: unsupported major version")
+	ErrReservedBits  = errors.New("lorawan: reserved MHDR bits set")
 )
 
 // FCtrl is the frame-control byte of the FHDR.
@@ -151,7 +152,10 @@ func (f *MACFrame) Verify(nwkSKey AES128Key) error {
 }
 
 // ParseFrame parses an on-air PHYPayload into a MACFrame. It does not
-// verify the MIC; call Verify for that.
+// verify the MIC; call Verify for that. Every field of an accepted frame
+// is kept, so its Marshal reproduces data exactly: the MIC that Verify
+// recomputes covers the bytes received. In particular the MHDR's RFU
+// bits 4–2, which MACFrame cannot hold, must be zero (ErrReservedBits).
 func ParseFrame(data []byte) (*MACFrame, error) {
 	// MHDR(1) + DevAddr(4) + FCtrl(1) + FCnt(2) + MIC(4).
 	if len(data) < 12 {
@@ -160,6 +164,9 @@ func ParseFrame(data []byte) (*MACFrame, error) {
 	mhdr := data[0]
 	if mhdr&0x03 != 0 {
 		return nil, fmt.Errorf("%w: major %d", ErrBadMajor, mhdr&0x03)
+	}
+	if mhdr&0x1c != 0 {
+		return nil, fmt.Errorf("%w: MHDR %#02x", ErrReservedBits, mhdr)
 	}
 	f := &MACFrame{MType: MType(mhdr >> 5)}
 	f.DevAddr = uint32LE(data[1:5])

@@ -45,7 +45,8 @@ type PHYObservation struct {
 	FBHz float64
 	// JitterHz is the PHY stage's per-frame FB estimation jitter (1σ, Hz)
 	// through this receiver's link — the fusion weight. <= 0 means
-	// unknown (DefaultJitterHz is assumed).
+	// unknown (DefaultJitterHz is assumed); a positive value below 1 Hz
+	// counts as 1 Hz.
 	JitterHz float64
 	// ArrivalTime is the PHY-timestamped preamble onset on the channel
 	// timeline (seconds).
@@ -356,11 +357,21 @@ var (
 // bias shift is common-mode across receivers, so the gate never masks one.
 const ConsistencySigma = 8
 
+// minJitterHz floors a usable jitter: the gateway's PHY stage never reports
+// less (fbJitterHz clamps its Cramér-Rao estimate to 1 Hz), and below about
+// 1e-154 Hz the inverse-variance weight 1/j² overflows to +Inf, which
+// would turn the fused FB into NaN and a genuine frame into a replay.
+const minJitterHz = 1
+
 // effJitter returns an observation's usable jitter given its JitterHz:
-// DefaultJitterHz when the PHY stage could not estimate one.
+// DefaultJitterHz when the PHY stage could not estimate one, and at least
+// minJitterHz otherwise.
 func effJitter(j float64) float64 {
 	if j <= 0 || math.IsNaN(j) || math.IsInf(j, 0) {
 		return DefaultJitterHz
+	}
+	if j < minJitterHz {
+		return minJitterHz
 	}
 	return j
 }

@@ -153,6 +153,34 @@ func TestFuseRejectsNonFiniteObservations(t *testing.T) {
 	}
 }
 
+func TestCheckFrameTinyJitterStaysFinite(t *testing.T) {
+	// A copy's jitter below ~1e-154 Hz used to overflow its weight 1/j²
+	// to +Inf, so the fused FB came out NaN and this genuine frame was
+	// judged a replay.
+	s := New(Config{})
+	s.Enroll("n", -22000, 10)
+	obs := []PHYObservation{
+		{GatewayID: "gw-0", DeviceID: "n", FrameID: "f", FBHz: -22010, JitterHz: 1e-160},
+		{GatewayID: "gw-1", DeviceID: "n", FrameID: "f", FBHz: -21990, JitterHz: 40},
+	}
+	fv, err := s.CheckFrame(obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(fv.FBHz) || math.IsInf(fv.FBHz, 0) || !(fv.JitterHz > 0) || math.IsInf(fv.JitterHz, 0) {
+		t.Fatalf("fused FB %v, jitter %v: want both finite, jitter positive", fv.FBHz, fv.JitterHz)
+	}
+	// The tiny jitter counts as the 1-Hz floor: both copies pass the
+	// gate, and the floored copy dominates the mean 1600:1.
+	if fv.OutliersRejected != 0 || fv.GatewayID != "gw-0" || math.Abs(fv.FBHz-(-22010)) > 0.1 {
+		t.Errorf("fused FB %v via %s, %d outliers: want ≈ -22010 via gw-0, none rejected",
+			fv.FBHz, fv.GatewayID, fv.OutliersRejected)
+	}
+	if fv.Verdict != core.VerdictGenuine {
+		t.Errorf("verdict = %v, want genuine", fv.Verdict)
+	}
+}
+
 func TestCheckFrameDeduplicatesReceivers(t *testing.T) {
 	s := New(Config{})
 	s.Enroll("n", -22000, 10)

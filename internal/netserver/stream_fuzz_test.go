@@ -140,7 +140,9 @@ func acceptedPrefix(obs []PHYObservation) int {
 //     reference built with CheckFrame from the accepted observations —
 //     first each one without a FrameID, in arrival order, then each
 //     frame's best copy per gateway (betterCopy), in gateway order, frames
-//     in (UplinkIndex, DeviceID, FrameID) order.
+//     in (UplinkIndex, DeviceID, FrameID) order. Every reference frame
+//     with at least one finite-FB copy gets a finite fused FB, whatever
+//     the copies' jitters.
 //
 // Every server's Save bytes must survive Load, which validates every
 // record, into a fresh server and a second Save. The seed corpus in
@@ -258,6 +260,22 @@ func FuzzNetworkServerStream(f *testing.F) {
 		enrollStream(u)
 		ref := New(Config{})
 		enrollStream(ref)
+		refCheck := func(copies []PHYObservation) {
+			t.Helper()
+			fv, err := ref.CheckFrame(copies)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range copies {
+				if !math.IsNaN(o.FBHz) && !math.IsInf(o.FBHz, 0) {
+					if math.IsNaN(fv.FBHz) || math.IsInf(fv.FBHz, 0) {
+						t.Fatalf("reference: frame (%q, %q) with finite-FB copies %+v fused to FB %v",
+							fv.DeviceID, fv.FrameID, copies, fv.FBHz)
+					}
+					return
+				}
+			}
+		}
 		type refFrame struct {
 			index int64
 			key   frameKey
@@ -276,9 +294,7 @@ func FuzzNetworkServerStream(f *testing.F) {
 			for i := range c.obs[:acceptedPrefix(c.obs)] {
 				o := &c.obs[i]
 				if o.FrameID == "" {
-					if _, err := ref.CheckFrame([]PHYObservation{*o}); err != nil {
-						t.Fatal(err)
-					}
+					refCheck([]PHYObservation{*o})
 					continue
 				}
 				key := frameKey{o.DeviceID, o.FrameID}
@@ -310,9 +326,7 @@ func FuzzNetworkServerStream(f *testing.F) {
 				copies = append(copies, *o)
 			}
 			slices.SortFunc(copies, func(a, b PHYObservation) int { return strings.Compare(a.GatewayID, b.GatewayID) })
-			if _, err := ref.CheckFrame(copies); err != nil {
-				t.Fatal(err)
-			}
+			refCheck(copies)
 		}
 		if got, want := saveBytes(t, u), saveBytes(t, ref); !bytes.Equal(got, want) {
 			t.Fatalf("unbounded window's database differs from the CheckFrame reference:\n%s\nwant\n%s", got, want)
