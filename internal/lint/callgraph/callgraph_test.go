@@ -235,23 +235,6 @@ func F() {}
 	if g.NodeByKey("a\x00\x00F") == nil {
 		t.Error("plain function key missing")
 	}
-
-	// A method seen through the test variant and through the plain build
-	// is one function: one key, so one entry in a solved-offense map. The
-	// same name on another receiver is another function.
-	method := func(pkg *types.Package, recv, name string) *types.Func {
-		named := types.NewNamed(types.NewTypeName(token.NoPos, pkg, recv, nil), types.NewStruct(nil, nil), nil)
-		sig := types.NewSignatureType(types.NewVar(token.NoPos, pkg, "r", types.NewPointer(named)), nil, nil, nil, nil, false)
-		return types.NewFunc(token.NoPos, pkg, name, sig)
-	}
-	variant := types.NewPackage("example/p [example/p.test]", "p")
-	plain := types.NewPackage("example/p", "p")
-	if a, b := ObjectKey(method(variant, "T", "M")), ObjectKey(method(plain, "T", "M")); a != b {
-		t.Errorf("test-variant key %q differs from plain key %q", a, b)
-	}
-	if ObjectKey(method(plain, "T", "M")) == ObjectKey(method(plain, "U", "M")) {
-		t.Error("methods of different receivers share a key")
-	}
 }
 
 func TestSolvePropagatesChains(t *testing.T) {
