@@ -1,12 +1,14 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race determinism faults bench lint benchmod
+.PHONY: ci fmt vet build test race determinism faults lint benchmod
 
-# ci is the gate every PR must pass: formatting, static checks (go vet +
-# the repo's own contract analyzers), build, the full test suite, the race
-# detector over the concurrent paths (batch pipeline + network server +
-# shared dsp scratch), the batch-determinism contract, the
-# crash-consistency fault-injection suite, and the benchmark module.
+# ci is the gate every change must pass: formatting, static checks (go vet +
+# the repo's own contract analyzers), build, the full test suite with one
+# iteration of every Go benchmark, the race detector over the concurrent
+# paths (batch pipeline + network server + shared dsp scratch), the
+# batch-determinism contract, the crash-consistency fault-injection suite,
+# and the benchmark module. Perf is compared against a base revision by
+# scripts/benchcompare.sh (CI's bench-compare job), not here.
 ci: fmt vet lint build test race determinism faults benchmod
 
 fmt:
@@ -30,8 +32,11 @@ lint:
 build:
 	$(GO) build ./...
 
+# The benchmark line runs each Go benchmark once, so the profiling
+# benchmarks keep compiling and running; it measures nothing.
 test:
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 race:
 	$(GO) test -race -run Batch .
@@ -73,10 +78,12 @@ determinism:
 # window's contract, a drained unbounded window equal to a CheckFrame
 # reference, and a finite fused FB for every frame with a finite copy), the
 # gateway's recorded-I/Q boundary (ObserveIQ: arbitrary float32 I/Q, rate
-# and method; a typed error or a finite observation) and the LoRaWAN frame
-# decoder (FuzzParseFrame: a typed error, or a frame that re-marshals to
-# exactly the input bytes). The contracts in internal/netserver/doc.go are
-# exactly what the netserver steps enforce.
+# and method; a typed error or a finite observation), the recorded-I/Q file
+# decoder (FuzzRead: a typed error for a length that is not a multiple of 8,
+# otherwise samples that write back to the input bytes, NaN payloads aside)
+# and the LoRaWAN frame decoder (FuzzParseFrame: a typed error, or a frame
+# that re-marshals to exactly the input bytes). The contracts in
+# internal/netserver/doc.go are exactly what the netserver steps enforce.
 # -fuzzminimizetime caps how long a pass may spend minimizing a new input:
 # at the default 60 s, one minimization can eat the rest of a 10-s pass.
 faults:
@@ -86,11 +93,8 @@ faults:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadFile$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzNetworkServerStream$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzGatewayObserveIQ$$' -fuzztime 10s -fuzzminimizetime 100x .
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/iqfile
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/lorawan
-
-# bench refreshes BENCH_softlora.json (the cross-PR perf trajectory).
-bench:
-	sh scripts/bench.sh
 
 # benchmod vets and tests the benchmark (softlorabench/), a nested module
 # that `go build ./...` skips: it catches a change to the public API the

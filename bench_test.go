@@ -1,13 +1,15 @@
 package softlora
 
-// One benchmark per table and figure of the paper's evaluation. Each bench
-// regenerates the experiment from the simulated substrates and, on the
-// first iteration, prints the same rows/series the paper reports (paper
-// values alongside). Run:
+// Microbenchmarks of the gateway's layers (onset, FB, planned FFTs, SDR
+// down-conversion, chirp synthesis), the batch pipeline and the network
+// server, for profiling one layer while working on it:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// cmd/experiments prints the same tables without the timing harness.
+// Perf is judged end to end by softlorabench (BENCHMARK.json), compared
+// against a base revision with scripts/benchcompare.sh. cmd/experiments
+// prints the paper's tables and figures, and internal/experiments tests
+// them.
 
 import (
 	"context"
@@ -22,216 +24,11 @@ import (
 
 	"softlora/internal/core"
 	"softlora/internal/dsp"
-	"softlora/internal/experiments"
 	"softlora/internal/lora"
 	"softlora/internal/netserver"
 	"softlora/internal/radio"
 	"softlora/internal/sdr"
 )
-
-func BenchmarkTable1JammingWindows(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.PrintTable1(os.Stdout, rows)
-		}
-	}
-}
-
-func BenchmarkTable2OnsetError(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Table2()
-		if i == 0 {
-			experiments.PrintTable2(os.Stdout, res)
-		}
-	}
-}
-
-func BenchmarkFig6ChirpSpectrogram(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6()
-		if i == 0 {
-			experiments.PrintFig6(os.Stdout, r)
-		}
-	}
-}
-
-func BenchmarkFig7PhaseShapes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig7()
-		if i == 0 {
-			experiments.PrintFig7(os.Stdout, r)
-		}
-	}
-}
-
-func BenchmarkFig8BiasedChirp(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig8()
-		if i == 0 {
-			experiments.PrintFig8(os.Stdout, r)
-		}
-	}
-}
-
-func BenchmarkFig9OnsetDetectors(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.PrintFig9(os.Stdout, r)
-		}
-	}
-}
-
-func BenchmarkFig10AICvsSNR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := experiments.Fig10(6)
-		if i == 0 {
-			experiments.PrintFig10(os.Stdout, pts)
-		}
-	}
-}
-
-func BenchmarkFig11BiasShapes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig11()
-		if i == 0 {
-			experiments.PrintFig11(os.Stdout, r)
-		}
-	}
-}
-
-func BenchmarkFig12LinearRegressionFB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig12()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.PrintFig12(os.Stdout, r)
-		}
-	}
-}
-
-func BenchmarkFig13FleetFB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig13(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.PrintFig13(os.Stdout, rows)
-		}
-	}
-}
-
-func BenchmarkFig14LSvsSNR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig14(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.PrintFig14(os.Stdout, pts)
-		}
-	}
-}
-
-func BenchmarkFig15Building(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig15()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.PrintFig15(os.Stdout, r)
-		}
-	}
-}
-
-func BenchmarkFig16TxPowerFB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig16(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.PrintFig16(os.Stdout, rows)
-		}
-	}
-}
-
-func BenchmarkSec811FullAttack(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Sec811()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.PrintSec811(os.Stdout, r)
-		}
-	}
-}
-
-func BenchmarkSec82Campus(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Sec82()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.PrintSec82(os.Stdout, r)
-		}
-	}
-}
-
-func BenchmarkSec32SyncOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Sec32()
-		if i == 0 {
-			experiments.PrintSec32(os.Stdout, r)
-		}
-	}
-}
-
-func BenchmarkAblationFBEstimators(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationFB(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.PrintAblationFB(os.Stdout, rows)
-		}
-	}
-}
-
-func BenchmarkAblationOnsetDetectors(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationOnset(3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.PrintAblationOnset(os.Stdout, rows)
-		}
-	}
-}
-
-func BenchmarkSec44RTTCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.RTTCost()
-		if i == 0 {
-			experiments.PrintRTTCost(os.Stdout, r)
-		}
-	}
-}
 
 // --- Microbenchmarks of the core algorithms (CPU cost on the gateway) ---
 
@@ -341,18 +138,6 @@ func BenchmarkGatewayProcessUplink(b *testing.B) {
 		dev.Record(float64(i), nil)
 		if _, _, err := sim.Uplink(dev, float64(i)+0.5); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationUpDownEstimator(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationUpDown(3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			experiments.PrintAblationUpDown(os.Stdout, rows)
 		}
 	}
 }

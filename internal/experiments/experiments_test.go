@@ -325,6 +325,30 @@ func TestSec32PaperNumbers(t *testing.T) {
 	}
 }
 
+func TestAblationFBEstimatorsResolveAt10dB(t *testing.T) {
+	rows, err := AblationFB(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(rows))
+	}
+	for _, r := range rows {
+		for _, e := range []struct {
+			name string
+			hz   float64
+		}{{"LR", r.LRErrorHz}, {"LS-DE", r.LSErrorHz}, {"FFT-zoom", r.FFTErrorHz}, {"FFT-exact", r.FFTExactErrorHz}} {
+			if math.IsNaN(e.hz) || math.IsInf(e.hz, 0) {
+				t.Errorf("%.0f dB: %s error %v", r.SNRdB, e.name, e.hz)
+			}
+			// The paper's FB estimation resolution: 120 Hz (0.14 ppm).
+			if r.SNRdB == 10 && e.hz > 120 {
+				t.Errorf("10 dB: %s error %.1f Hz, want within 120 Hz", e.name, e.hz)
+			}
+		}
+	}
+}
+
 func TestAblationOnsetRanking(t *testing.T) {
 	rows, err := AblationOnset(3)
 	if err != nil {

@@ -78,16 +78,23 @@ func (ns *NetworkServer) Register(s Session) { ns.sessions[s.DevAddr] = s }
 var (
 	ErrUnknownDevice = errors.New("lorawan: unknown device address")
 	ErrCounterReplay = errors.New("lorawan: frame counter not increasing (classic replay)")
+	ErrNotDataUplink = errors.New("lorawan: not a data uplink")
 )
 
 // HandleUplink verifies and decrypts an on-air uplink. It returns the
 // decrypted application payload. A bit-exact *delayed* frame (the frame
 // delay attack) passes both checks because its counter has not been seen
-// yet — the property the paper exploits.
+// yet — the property the paper exploits. Any message type other than an
+// unconfirmed or confirmed data uplink is refused with ErrNotDataUplink
+// before the counter moves: a signed downlink verifies under the downlink
+// MIC direction, and would otherwise burn uplink counter values.
 func (ns *NetworkServer) HandleUplink(phyPayload []byte) (devAddr uint32, fCnt uint16, payload []byte, err error) {
 	f, err := ParseFrame(phyPayload)
 	if err != nil {
 		return 0, 0, nil, err
+	}
+	if f.MType != MTypeUnconfirmedUp && f.MType != MTypeConfirmedUp {
+		return 0, 0, nil, fmt.Errorf("%w: MType %d", ErrNotDataUplink, f.MType)
 	}
 	s, okSess := ns.sessions[f.DevAddr]
 	if !okSess {

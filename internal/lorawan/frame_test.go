@@ -218,6 +218,30 @@ func TestNetworkServerAcceptsFrameDelayAttack(t *testing.T) {
 	}
 }
 
+func TestNetworkServerRejectsDownlinkAsUplink(t *testing.T) {
+	// A signed downlink verifies under its own MIC direction; taken as an
+	// uplink it would move the device's uplink counter to its FCnt.
+	s := testSession()
+	ns := NewNetworkServer()
+	ns.Register(s)
+	down := &MACFrame{MType: MTypeUnconfirmedDown, DevAddr: s.DevAddr, FCnt: 5, FPort: 1, FRMPayload: []byte{1}}
+	if err := down.Sign(s.NwkSKey); err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := down.Marshal()
+	if _, _, _, err := ns.HandleUplink(raw); !errors.Is(err, ErrNotDataUplink) {
+		t.Fatalf("signed downlink: err = %v, want ErrNotDataUplink", err)
+	}
+	up := &MACFrame{MType: MTypeUnconfirmedUp, DevAddr: s.DevAddr, FCnt: 1, FPort: 1, FRMPayload: []byte{1}}
+	if err := up.Sign(s.NwkSKey); err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = up.Marshal()
+	if _, cnt, _, err := ns.HandleUplink(raw); err != nil || cnt != 1 {
+		t.Fatalf("genuine uplink FCnt 1 after the downlink: cnt %d, err %v", cnt, err)
+	}
+}
+
 func TestNetworkServerUnknownDevice(t *testing.T) {
 	ns := NewNetworkServer()
 	f := &MACFrame{MType: MTypeUnconfirmedUp, DevAddr: 0xDEAD, FCnt: 0, FPort: -1}

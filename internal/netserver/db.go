@@ -333,7 +333,14 @@ func (s *NetworkServer) LatestObservation() float64 {
 // (it filled to MaxReceivers) its verdict is returned, otherwise
 // core.VerdictPending — the committed verdict surfaces later from
 // CheckBatch, PollWindow, AdvanceWindow or DrainWindow.
+//
+// An observation without a device ID fails closed in either mode, as in
+// CheckFrame and windowed ingest: it is judged core.VerdictReplay, stores
+// no record and is not counted.
 func (s *NetworkServer) Check(obs PHYObservation) core.Verdict {
+	if obs.DeviceID == "" {
+		return core.VerdictReplay
+	}
 	if s.win != nil && obs.FrameID != "" {
 		return s.ingestOne(&obs)
 	}

@@ -30,6 +30,32 @@ func TestCheckSingleObservationPolicy(t *testing.T) {
 	}
 }
 
+func TestCheckWithoutDeviceFailsClosed(t *testing.T) {
+	// Nameless observations must not share one "" record: five of them
+	// would otherwise enroll it and then pass as genuine.
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+	}{{"immediate", Config{}}, {"windowed", Config{Window: WindowConfig{Hold: 1000}}}} {
+		for _, frameID := range []string{"", "f"} {
+			s := New(mode.cfg)
+			for i := 0; i < 5; i++ {
+				o := PHYObservation{GatewayID: "g1", FrameID: frameID, UplinkIndex: int64(i),
+					FBHz: -22000 + float64(i)*1000, JitterHz: 40, ArrivalTime: float64(i)}
+				if v := s.Check(o); v != core.VerdictReplay {
+					t.Fatalf("%s, frame %q: check %d verdict = %v, want replay", mode.name, frameID, i, v)
+				}
+			}
+			if rec, ok := s.Record(""); ok {
+				t.Fatalf("%s, frame %q: nameless checks stored record %+v", mode.name, frameID, rec)
+			}
+			if st := s.Stats(); st.Observations != 0 || st.FramesChecked != 0 {
+				t.Fatalf("%s, frame %q: nameless checks counted: %+v", mode.name, frameID, st)
+			}
+		}
+	}
+}
+
 func TestCheckMatchesCheckRecord(t *testing.T) {
 	// A zero Config applies core.CheckRecord with the core defaults, so
 	// the sharded store must leave the same records and verdicts as a

@@ -129,12 +129,14 @@ func acceptedPrefix(obs []PHYObservation) int {
 //   - a window whose Hold, MaxReceivers and MaxPending come from the input
 //     and whose LateHorizon and MaxCommitted reach beyond the stream: the
 //     only error is ErrNoDevice, for a call holding an observation without
-//     a device ID; PendingFrames stays within MaxPending after every call
-//     and is 0 after DrainWindow; every verdict names a delivered frame;
-//     every accepted frame with a FrameID gets exactly one non-revised
-//     verdict; and every accepted observation either gets its own verdict
-//     or is counted as a duplicate;
-//   - an immediate-mode server: the same error rule and verdict names;
+//     a device ID, and a single Check of such an observation is judged
+//     replay and counted nowhere; PendingFrames stays within MaxPending
+//     after every call and is 0 after DrainWindow; every verdict names a
+//     delivered frame; every accepted frame with a FrameID gets exactly one
+//     non-revised verdict; and every accepted observation either gets its
+//     own verdict or is counted as a duplicate;
+//   - an immediate-mode server: the same error and Check rules and
+//     verdict names;
 //   - a window whose Hold, MaxReceivers and MaxPending reach beyond the
 //     stream, so every frame commits at DrainWindow: its database equals a
 //     reference built with CheckFrame from the accepted observations —
@@ -195,9 +197,13 @@ func FuzzNetworkServerStream(f *testing.F) {
 				key := frameKey{o.DeviceID, o.FrameID}
 				v := s.Check(o)
 				switch {
+				case o.DeviceID == "":
+					if v != core.VerdictReplay {
+						t.Fatalf("window: Check without device ID returned %v, want replay", v)
+					}
 				case o.FrameID == "":
 					observations++ // judged at once, outside the window
-				case o.DeviceID != "":
+				default:
 					observations++
 					accepted[key] = true
 					if v != core.VerdictPending {
@@ -243,7 +249,9 @@ func FuzzNetworkServerStream(f *testing.F) {
 		enrollStream(im)
 		for _, c := range st.calls {
 			if c.single {
-				im.Check(c.obs[0])
+				if v := im.Check(c.obs[0]); c.obs[0].DeviceID == "" && v != core.VerdictReplay {
+					t.Fatalf("immediate: Check without device ID returned %v, want replay", v)
+				}
 				continue
 			}
 			evs, err := im.CheckBatch(c.obs)

@@ -159,6 +159,34 @@ func TestEndToEndReplayDetected(t *testing.T) {
 	}
 }
 
+// TestProcessUplinkWithoutClaimedIDIsReplay: uplinks claiming no device
+// are rejected and enroll nothing, instead of sharing one "" record that
+// would enroll and then pass them as genuine.
+func TestProcessUplinkWithoutClaimedIDIsReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(135))
+	gw := testGateway(t, rng)
+	sim := &Simulation{Gateway: gw, NoiseFloordBm: -100, Rand: rng}
+	dev := NewSimDevice("node-1", -25, 40, 14, 80, 150)
+	for i := 0; i < 5; i++ {
+		dev.Record(float64(10*i), []byte{byte(i)})
+		capt, records, err := sim.RenderUplink(dev, float64(10*i+5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := gw.ProcessUplink(capt, "", records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Verdict != VerdictReplay || report.Accepted || report.Timestamps != nil {
+			t.Fatalf("uplink %d without claimed ID: verdict %s, accepted %v, timestamps %v; want a rejected replay",
+				i, report.Verdict, report.Accepted, report.Timestamps)
+		}
+	}
+	if _, frames, ok := gw.DeviceBias(""); ok {
+		t.Fatalf("uplinks without claimed ID enrolled a record of %d frames", frames)
+	}
+}
+
 func TestNaiveGatewayFooledSoftLoRaNot(t *testing.T) {
 	// The contrast the paper draws: arrival-time timestamping alone is off
 	// by τ; the SoftLoRa verdict prevents using it.
